@@ -2,10 +2,24 @@
 
 The central object is the uncentered second-moment matrix
 E[f(x) f(x)^T] of per-sample logit vectors; nothing here subtracts a
-mean or normalizes scales.  Accumulation walks samples in a fixed order
-with Neumaier-compensated summation per matrix entry, so splitting a
-sample stream into batches cannot change the result and merging
-partial accumulators is reproducible to roundoff.
+mean or normalizes scales.
+
+Samples are grouped into blocks of ``BLOCK_ROWS`` rows by their absolute
+position in the stream: sample k lands in block k // BLOCK_ROWS.  Each
+full block is summed by one matrix product ``blk.T @ blk`` (BLAS SYRK),
+and the block sums are combined with Neumaier-compensated summation per
+matrix entry.  Block boundaries do not depend on how the stream is cut
+into batches, so any batching of the same samples gives bit-identical
+accumulator state and finalized matrix, for a given BLAS build and
+thread count.
+
+Accuracy: within a block the sum is a plain floating-point dot product,
+so each entry of the finalized matrix is within about
+gamma_256 * (|X|^T |X|)_ij / N of the exact mean, where
+gamma_k = k u / (1 - k u) and u = 2^-53.  Across blocks the compensated
+sum adds only O(u) relative to the result.  Merging partial
+accumulators keeps every sample and agrees with sequential accumulation
+to the same bound (exactly, on roundoff-free data).
 """
 
 from __future__ import annotations
@@ -79,14 +93,32 @@ class LogitMatrix:
         return self.data.shape[1]
 
 
+BLOCK_ROWS = 256
+
+
+def _neumaier(sums: np.ndarray, term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (sums + term, rounding error of that addition) per entry."""
+    # The branch keeps the low-order bits of whichever addend loses
+    # precision in sums + term.
+    t = sums + term
+    lost = np.where(
+        np.abs(sums) >= np.abs(term),
+        (sums - t) + term,
+        (term - t) + sums,
+    )
+    return t, lost
+
+
 class CovAccumulator:
     """Running compensated sum of outer products f f^T.
 
-    Keeps the Neumaier pair (sums, comp) per entry; the mathematically
-    accumulated value is ``sums + comp``.
+    Keeps the Neumaier pair (sums, comp) per entry over all full blocks
+    of ``BLOCK_ROWS`` samples; the block-summed value is ``sums + comp``.
+    The ``count % BLOCK_ROWS`` samples of the current partial block wait
+    in the leading rows of ``pending``.
     """
 
-    __slots__ = ("n", "count", "sums", "comp")
+    __slots__ = ("n", "count", "sums", "comp", "pending")
 
     def __init__(self, n: int):
         if n < 1:
@@ -95,18 +127,24 @@ class CovAccumulator:
         self.count = 0
         self.sums = np.zeros((n, n))
         self.comp = np.zeros((n, n))
+        self.pending = np.zeros((BLOCK_ROWS, n))
 
     def _add_term(self, term: np.ndarray) -> None:
-        # Neumaier update: the branch keeps the low-order bits of
-        # whichever addend loses precision in sums + term.
-        t = self.sums + term
-        lost = np.where(
-            np.abs(self.sums) >= np.abs(term),
-            (self.sums - t) + term,
-            (term - t) + self.sums,
-        )
+        self.sums, lost = _neumaier(self.sums, term)
         self.comp += lost
-        self.sums = t
+
+    def _push(self, rows: np.ndarray) -> None:
+        # Copy rows into their absolute block slots; flush each block
+        # that fills.
+        start = 0
+        while start < len(rows):
+            slot = self.count % BLOCK_ROWS
+            take = min(BLOCK_ROWS - slot, len(rows) - start)
+            self.pending[slot : slot + take] = rows[start : start + take]
+            self.count += take
+            start += take
+            if slot + take == BLOCK_ROWS:
+                self._add_term(self.pending.T @ self.pending)
 
 
 def new_accumulator(n: int) -> CovAccumulator:
@@ -114,18 +152,18 @@ def new_accumulator(n: int) -> CovAccumulator:
 
 
 def accumulate(acc: CovAccumulator, batch: LogitMatrix) -> CovAccumulator:
-    """Fold a batch of samples into the accumulator, row by row in order.
+    """Fold a batch of samples into the accumulator, in order.
 
-    Because every sample is added individually, any partitioning of the
-    same stream into batches produces bit-identical accumulator state.
+    Samples fill blocks by absolute stream position and every full block
+    is added as one matrix product, so any partitioning of the same
+    stream into batches produces bit-identical accumulator state (for a
+    given BLAS build and thread count).
     """
     if batch.n != acc.n:
         raise DimMismatch(
             f"batch has {batch.n} categories, accumulator expects {acc.n}"
         )
-    for row in batch.data:
-        acc._add_term(np.outer(row, row))
-        acc.count += 1
+    acc._push(batch.data)
     return acc
 
 
@@ -133,15 +171,20 @@ def merge(a: CovAccumulator, b: CovAccumulator) -> CovAccumulator:
     """Combine two partial accumulators into the first one.
 
     The second accumulator's (sums, comp) pair is folded in through the
-    same compensated update used per sample, so merge agrees with
-    sequential accumulation exactly on roundoff-free data and to
-    compensation accuracy otherwise.
+    same compensated update used per block, and its pending samples are
+    then accumulated after the first one's.  Merge keeps every sample;
+    it agrees with sequential accumulation exactly on roundoff-free data
+    and to the stated accuracy bound otherwise.
     """
     if a.n != b.n:
         raise DimMismatch(f"cannot merge accumulators of order {a.n} and {b.n}")
+    tail = b.count % BLOCK_ROWS
+    rows = b.pending[:tail].copy()  # b may be a, whose pending rows move
     a._add_term(b.sums)
     a._add_term(b.comp)
-    a.count += b.count
+    # A whole number of blocks keeps a's pending samples in their slots.
+    a.count += b.count - tail
+    a._push(rows)
     return a
 
 
@@ -158,9 +201,20 @@ class CovMatrix:
 
 
 def finalize(acc: CovAccumulator) -> CovMatrix:
+    """Mean second moment of everything accumulated so far.
+
+    The partial block is folded into temporaries, so the accumulator is
+    left unchanged and can keep accumulating.
+    """
     if acc.count == 0:
         raise EmptyAccumulator("no samples accumulated")
-    return CovMatrix(SymmetricMatrix((acc.sums + acc.comp) / acc.count), acc.count)
+    sums, comp = acc.sums, acc.comp
+    tail = acc.count % BLOCK_ROWS
+    if tail:
+        blk = acc.pending[:tail]
+        sums, lost = _neumaier(sums, blk.T @ blk)
+        comp = comp + lost
+    return CovMatrix(SymmetricMatrix((sums + comp) / acc.count), acc.count)
 
 
 def cross_covariance(f: LogitMatrix, g: LogitMatrix, target: int) -> CovMatrix:

@@ -170,8 +170,7 @@ def extension_loss_grad(
     loss = float(np.mean(log_norm[:, 0] - shifted[rows, labels]))
     if n2 == 0:
         return loss, np.zeros((n1, 0))
-    probs = np.exp(shifted - log_norm)
-    resp = probs[:, n1:].copy()
+    resp = np.exp(shifted[:, n1:] - log_norm)
     new_mask = labels >= n1
     resp[rows[new_mask], labels[new_mask] - n1] -= 1.0
     grad = base_data.T @ resp / base_data.shape[0]

@@ -7,6 +7,7 @@ package can be checked against code that shares none of its internals.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -75,6 +76,18 @@ def enumerate_lasso(
             best_val = val
             best_c = c
     return best_c, best_val
+
+
+def second_moment_exact(data: np.ndarray) -> np.ndarray:
+    """Correctly rounded E[f f^T]: every product and sum in exact rationals."""
+    rows = [[Fraction(float(v)) for v in row] for row in np.asarray(data)]
+    n = len(rows[0])
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            total = sum(row[i] * row[j] for row in rows) / len(rows)
+            out[i, j] = out[j, i] = float(total)
+    return out
 
 
 def spd_matrix(rng: np.random.Generator, n: int, cond: float = 100.0, scale: float = 1.0) -> np.ndarray:

@@ -2,10 +2,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covlasso
 from covlasso import (
     CovMatrix,
     SymmetricMatrix,
@@ -151,6 +155,27 @@ class TestCov:
         )
         assert code == 0
         assert crossed.read_bytes() == plain.read_bytes()
+
+    def test_module_entry_point(self, tmp_path):
+        csv = tmp_path / "logits.csv"
+        csv.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
+        env = dict(os.environ)
+        src = str(Path(covlasso.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run_module(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "covlasso.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        out_path = tmp_path / "cov.bin"
+        done = run_module("cov", "--input", str(csv), "--output", str(out_path))
+        assert done.returncode == 0, done.stderr
+        in_process = tmp_path / "cov2.bin"
+        run_cli("cov", "--input", str(csv), "--output", str(in_process))
+        assert out_path.read_bytes() == in_process.read_bytes()
+        assert run_module("no-such-command").returncode != 0
 
 
 class TestSolve:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from covlasso import (
     DimMismatch,
@@ -17,6 +17,30 @@ from covlasso import (
     new_accumulator,
     reduce_problem,
 )
+from covlasso.covariance import BLOCK_ROWS
+from oracles import second_moment_exact
+
+U = 2.0**-53
+# Block sums are plain dot products of up to BLOCK_ROWS terms; the rest
+# (compensated cross-block sum, division by N, symmetrization) adds a
+# few units of roundoff.
+GAMMA_BLOCK = BLOCK_ROWS * U / (1 - BLOCK_ROWS * U)
+# Straddles block edges: spans several blocks and ends mid-block.
+LONG = 3 * BLOCK_ROWS + 17
+
+
+def assert_same_state(a, b):
+    assert a.count == b.count
+    assert_array_equal(a.sums, b.sums)
+    assert_array_equal(a.comp, b.comp)
+    tail = a.count % BLOCK_ROWS
+    assert_array_equal(a.pending[:tail], b.pending[:tail])
+    assert_array_equal(finalize(a).mat.data, finalize(b).mat.data)
+
+
+def within_block_bound(got, data):
+    absmom = np.abs(data).T @ np.abs(data) / len(data)
+    return np.abs(got - second_moment_exact(data)) <= (GAMMA_BLOCK + 4 * U) * absmom
 
 
 class TestLogitMatrix:
@@ -45,7 +69,7 @@ class TestLogitMatrix:
 class TestAccumulate:
     def test_single_row_outer_product(self):
         acc = accumulate(new_accumulator(2), LogitMatrix([[1.0, 2.0]]))
-        assert_allclose(acc.sums, [[1.0, 2.0], [2.0, 4.0]])
+        assert_array_equal(finalize(acc).mat.data, [[1.0, 2.0], [2.0, 4.0]])
         assert acc.count == 1
 
     def test_finalize_means(self):
@@ -64,14 +88,52 @@ class TestAccumulate:
             finalize(new_accumulator(2))
 
     def test_batch_partition_is_bitwise_invariant(self, rng):
-        data = rng.normal(size=(101, 7)) * rng.lognormal(0, 2, size=(101, 7))
-        whole = accumulate(new_accumulator(7), LogitMatrix(data))
-        parts = new_accumulator(7)
-        for chunk in np.array_split(data, 13, axis=0):
-            accumulate(parts, LogitMatrix(chunk))
-        assert whole.count == parts.count
-        assert np.array_equal(whole.sums, parts.sums)
-        assert np.array_equal(whole.comp, parts.comp)
+        # Cuts inside one block, and cuts that straddle block edges of a
+        # stream spanning several blocks and ending mid-block.
+        for rows, cuts in [
+            (101, np.cumsum([8] * 12)),
+            (LONG, [1, 255, 256, 257, 300, 511, 513, 768, 780]),
+            (LONG, [BLOCK_ROWS, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS]),
+        ]:
+            data = rng.normal(size=(rows, 7)) * rng.lognormal(0, 2, size=(rows, 7))
+            whole = accumulate(new_accumulator(7), LogitMatrix(data))
+            parts = new_accumulator(7)
+            for chunk in np.split(data, cuts, axis=0):
+                accumulate(parts, LogitMatrix(chunk))
+            assert_same_state(whole, parts)
+
+    def test_finalize_is_idempotent(self, rng):
+        data = rng.normal(size=(LONG, 5)) * 1e3
+        acc = accumulate(new_accumulator(5), LogitMatrix(data))
+        snapshot = (acc.count, acc.sums.copy(), acc.comp.copy(), acc.pending.copy())
+        first = finalize(acc).mat.data
+        assert_array_equal(finalize(acc).mat.data, first)
+        assert acc.count == snapshot[0]
+        assert_array_equal(acc.sums, snapshot[1])
+        assert_array_equal(acc.comp, snapshot[2])
+        assert_array_equal(acc.pending, snapshot[3])
+
+    @pytest.mark.parametrize("split", [17, BLOCK_ROWS, 300])
+    def test_accumulate_after_finalize(self, rng, split):
+        data = rng.normal(size=(LONG, 5)) * 1e3
+        whole = accumulate(new_accumulator(5), LogitMatrix(data))
+        acc = accumulate(new_accumulator(5), LogitMatrix(data[:split]))
+        finalize(acc)
+        accumulate(acc, LogitMatrix(data[split:]))
+        assert_same_state(whole, acc)
+
+    def test_within_block_bound_of_exact_mean(self, rng):
+        # Sign-flipped copies of wide-range rows cancel the off-diagonal
+        # sums, so the result is far below the |X|^T|X| scale the
+        # bound is stated in.
+        base = rng.normal(size=(400, 4)) * rng.lognormal(0, 3, size=(400, 4)) * 1e6
+        flipped = base * np.array([1.0, -1.0, 1.0, -1.0])
+        data = np.vstack([base, flipped, rng.normal(size=(18, 4))])
+        data = data[rng.permutation(len(data))]
+        cov = finalize(accumulate(new_accumulator(4), LogitMatrix(data)))
+        absmom = np.abs(data).T @ np.abs(data) / len(data)
+        assert np.abs(second_moment_exact(data)[0, 1]) < 1e-6 * absmom[0, 1]
+        assert within_block_bound(cov.mat.data, data).all()
 
     def test_compensation_beats_naive_summation(self, rng):
         # Alternating huge/tiny rows; the compensated mean must match a
@@ -89,6 +151,19 @@ class TestAccumulate:
         exact /= len(data)
         assert_allclose(cov.mat.data, exact.astype(np.float64), rtol=1e-14)
 
+    def test_compensation_carries_across_blocks(self):
+        # Each block sums exactly, but 2^68 + 256 rounds to 2^68; only
+        # the compensation term keeps the 256 that survives when the
+        # third block cancels the first.
+        big, one = 2.0**30, 1.0
+        data = np.vstack([
+            np.full((BLOCK_ROWS, 2), big),
+            np.full((BLOCK_ROWS, 2), one),
+            np.tile([big, -big], (BLOCK_ROWS, 1)),
+        ])
+        cov = finalize(accumulate(new_accumulator(2), LogitMatrix(data)))
+        assert cov.mat.data[0, 1] == second_moment_exact(data)[0, 1] == 1.0 / 3.0
+
     def test_finalize_is_psd(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 9))
@@ -99,7 +174,7 @@ class TestAccumulate:
 
 
 class TestMerge:
-    def test_merge_equals_sequential_on_exact_data(self):
+    def test_merge_equals_sequential_on_exact_data(self, rng):
         # Values exactly representable in float64 keep compensation at
         # zero, so merge must agree bitwise with one-stream accumulation.
         a_rows = LogitMatrix([[1.0, 2.0], [3.0, 4.0]])
@@ -108,19 +183,33 @@ class TestMerge:
         accumulate(seq, b_rows)
         left = accumulate(new_accumulator(2), a_rows)
         right = accumulate(new_accumulator(2), b_rows)
-        merged = merge(left, right)
-        assert merged.count == seq.count
-        assert np.array_equal(merged.sums, seq.sums)
-        assert np.array_equal(merged.comp, seq.comp)
+        assert_same_state(merge(left, right), seq)
+
+        data = rng.integers(-8, 9, size=(LONG, 3)).astype(float)
+        seq = accumulate(new_accumulator(3), LogitMatrix(data))
+        for split in [77, BLOCK_ROWS, 300, 2 * BLOCK_ROWS, 700]:
+            left = accumulate(new_accumulator(3), LogitMatrix(data[:split]))
+            right = accumulate(new_accumulator(3), LogitMatrix(data[split:]))
+            merged = merge(left, right)
+            assert merged.count == seq.count
+            assert_array_equal(finalize(merged).mat.data, finalize(seq).mat.data)
+            if split % BLOCK_ROWS == 0:
+                # A block-aligned left part leaves the right part's
+                # samples in the same blocks as in one stream.
+                assert_same_state(merged, seq)
 
     def test_merge_close_on_random_data(self, rng):
-        data = rng.normal(size=(200, 5)) * 1e6
-        seq = finalize(accumulate(new_accumulator(5), LogitMatrix(data)))
-        left = accumulate(new_accumulator(5), LogitMatrix(data[:77]))
-        right = accumulate(new_accumulator(5), LogitMatrix(data[77:]))
-        both = finalize(merge(left, right))
-        assert_allclose(both.mat.data, seq.mat.data, rtol=1e-12)
-        assert both.sample_count == seq.sample_count
+        # The reference is exact and independent of the accumulator, so
+        # a merge that dropped samples cannot pass by matching itself.
+        for sizes in [(77, 123), (300, 600), (5, 700)]:
+            data = rng.normal(size=(sum(sizes), 5)) * 1e6
+            seq = finalize(accumulate(new_accumulator(5), LogitMatrix(data)))
+            left = accumulate(new_accumulator(5), LogitMatrix(data[: sizes[0]]))
+            right = accumulate(new_accumulator(5), LogitMatrix(data[sizes[0] :]))
+            both = finalize(merge(left, right))
+            assert both.sample_count == seq.sample_count == len(data)
+            assert within_block_bound(both.mat.data, data).all()
+            assert within_block_bound(seq.mat.data, data).all()
 
     def test_merge_dim_mismatch(self):
         with pytest.raises(DimMismatch):
