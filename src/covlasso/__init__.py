@@ -72,11 +72,11 @@ from .formats import (
 )
 from .linalg import (
     Eigendecomposition,
+    SpectralRoot,
     SymmetricMatrix,
     eigendecompose,
     log_det,
-    solve_spd,
-    sym_sqrt,
+    spectral_root,
 )
 from .reports import (
     DependencyReport,

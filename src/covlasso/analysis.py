@@ -19,17 +19,16 @@ from .errors import (
     DimTooSmall,
     InvalidInput,
     OutOfRange,
+    SingularMatrix,
 )
 from .linalg import (
     DEFAULT_EIG_FLOOR_REL,
+    SpectralRoot,
     SymmetricMatrix,
-    eigendecompose,
     log_det,
-    relative_floor,
-    solve_spd,
-    sym_sqrt,
+    spectral_root,
 )
-from .solver import SolutionPath, ReducedSolution, lambda_max
+from .solver import SolutionPath, ReducedSolution, dual_certificate, lambda_max
 
 
 @dataclass(frozen=True)
@@ -88,29 +87,27 @@ def redundancy(
             f"category {target} has numerically zero second moment"
         )
 
-    eig_full = eigendecompose(cov.mat)
-    floor_full = relative_floor(eig_full, eig_floor_rel)
-    floored = bool(np.min(eig_full.eigenvalues) < floor_full)
+    root = spectral_root(cov.mat, eig_floor_rel)
+    lifted = np.maximum(root.eig.eigenvalues, root.floor)
+    weights = root.eig.eigenvectors[target, :]
 
-    basis = np.zeros(n)
-    basis[target] = 1.0
-    if floored:
-        inv_entry = float(solve_spd(cov.mat, basis, floor=floor_full)[target])
-    else:
+    if not root.floored:
+        basis = np.zeros(n)
+        basis[target] = 1.0
         inv_entry = float(np.linalg.solve(full, basis)[target])
+    elif np.min(lifted) < 1e-300:
+        raise SingularMatrix(
+            f"matrix numerically singular: smallest effective eigenvalue "
+            f"{np.min(lifted):.3e}"
+        )
+    else:
+        inv_entry = float((root.eig.eigenvectors @ (weights / lifted))[target])
     min_error = 1.0 / inv_entry
 
     keep = np.arange(n) != target
-    minor = SymmetricMatrix(full[np.ix_(keep, keep)])
-    eig_minor = eigendecompose(minor)
-    floor_minor = relative_floor(eig_minor, eig_floor_rel)
-    floored = floored or bool(np.min(eig_minor.eigenvalues) < floor_minor)
-    ratio = log_det(eig_full, floor_full) - log_det(eig_minor, floor_minor)
-
-    weights = eig_full.eigenvectors[target, :]
-    eigen_sum = float(
-        np.sum(weights * weights / np.maximum(eig_full.eigenvalues, floor_full))
-    )
+    minor = spectral_root(SymmetricMatrix(full[np.ix_(keep, keep)]), eig_floor_rel)
+    ratio = log_det(root.eig, root.floor) - log_det(minor.eig, minor.floor)
+    eigen_sum = float(np.sum(weights * weights / lifted))
 
     return RedundancyReport(
         target=target,
@@ -118,7 +115,7 @@ def redundancy(
         log_det_ratio=ratio,
         eigen_error_sum=eigen_sum,
         relative_error=min_error / cov_ii,
-        floored=floored,
+        floored=root.floored or minor.floored,
     )
 
 
@@ -165,8 +162,9 @@ def screen(
     bounded rate as the penalty shrinks, so a category whose normalized
     cross moment |bhat_j| / max|bhat| stays strictly below
     1 - 2 ||root_j|| ||root^{-1} bhat|| |1/lam - 1/lam_max| can never
-    activate at this penalty.  A 1e-12 guard band keeps the strict
-    comparison sound under roundoff.
+    activate at this penalty; root, the floored square root of Chat, is
+    applied through one eigendecomposition and never formed.  A 1e-12
+    guard band keeps the strict comparison sound under roundoff.
     """
     rp = reduce_problem(cov, target)
     lmax = lambda_max(rp)
@@ -175,13 +173,9 @@ def screen(
             f"penalty must lie in (0, {lmax}) for screening, got {lam}"
         )
 
-    eig = eigendecompose(rp.chat)
-    floor = relative_floor(eig, eig_floor_rel)
-    floored = bool(np.min(eig.eigenvalues) < floor)
-    root = sym_sqrt(eig, floor)
-    pulled = solve_spd(root, rp.bhat)
-    pulled_norm = float(np.linalg.norm(pulled))
-    col_norms = np.linalg.norm(root.data, axis=0)
+    root = spectral_root(rp.chat, eig_floor_rel)
+    pulled_norm = float(np.linalg.norm(root.solve(rp.bhat)))
+    col_norms = root.col_norms()
 
     binf = float(np.max(np.abs(rp.bhat)))
     ratios = np.abs(rp.bhat) / binf
@@ -214,7 +208,7 @@ def screen(
         certified_zero=frozenset(certified),
         heuristic_zero=frozenset(heuristic),
         per_category=tuple(rows),
-        floored=floored,
+        floored=root.floored,
     )
 
 
@@ -225,11 +219,12 @@ class SlopeBoundCheck:
     One margin per consecutive grid pair: the worst-coordinate slack
     left in the drift bound (nonnegative margins everywhere means the
     bound held, which certifies the path solutions are mutually
-    consistent).
+    consistent).  ``floored`` records whether the spectral floor engaged.
     """
 
     margins: tuple[float, ...]
     passed: bool
+    floored: bool
 
     @property
     def pairs(self) -> int:
@@ -249,7 +244,8 @@ def check_slope_bounds(
         |r_j(lam1)/lam1 - r_j(lam2)/lam2|
             <= ||root_j|| ||root^{-1} bhat|| |1/lam1 - 1/lam2|
 
-    up to 1e-8 roundoff slack.  All path points must have converged.
+    up to 1e-8 roundoff slack (root as in :func:`screen`).  All path
+    points must have converged.
     """
     if any(not s.converged for s in path.solutions):
         raise InvalidInput("slope bound check needs a fully converged path")
@@ -260,11 +256,9 @@ def check_slope_bounds(
             "the zero-solution threshold"
         )
 
-    eig = eigendecompose(rp.chat)
-    floor = relative_floor(eig, eig_floor_rel)
-    root = sym_sqrt(eig, floor)
-    pulled_norm = float(np.linalg.norm(solve_spd(root, rp.bhat)))
-    col_norms = np.linalg.norm(root.data, axis=0)
+    root = spectral_root(rp.chat, eig_floor_rel)
+    pulled_norm = float(np.linalg.norm(root.solve(rp.bhat)))
+    col_norms = root.col_norms()
 
     chat = rp.chat.data
     margins: list[float] = []
@@ -276,7 +270,9 @@ def check_slope_bounds(
         rhs = col_norms * pulled_norm * abs(1.0 / l1 - 1.0 / l2) + 1e-8
         margins.append(float(np.min(rhs - lhs)))
     return SlopeBoundCheck(
-        margins=tuple(margins), passed=bool(all(m >= 0.0 for m in margins))
+        margins=tuple(margins),
+        passed=bool(all(m >= 0.0 for m in margins)),
+        floored=root.floored,
     )
 
 
@@ -333,7 +329,7 @@ def error_reduction_bounds(
     rp: ReducedProblem,
     lam: float,
     sol: ReducedSolution,
-    root: SymmetricMatrix,
+    root: SpectralRoot,
 ) -> ErrorReductionBounds:
     """Two-sided bounds on how much the solved dependency reduces error.
 
@@ -343,7 +339,7 @@ def error_reduction_bounds(
     ||xi(lam) - xi(lam_max)|| <= sqrt(2) ||root^{-1} bhat|| (1/lam - 1/lam_max),
     which lower-bounds ||xi(lam)|| by reverse triangle inequality and so
     upper-bounds the reduction.  The reduction is trivially nonnegative,
-    giving the lower end.
+    giving the lower end.  ``root`` is as in :func:`dual_certificate`.
     """
     if not sol.converged:
         raise InvalidInput("error reduction bounds need a converged solution")
@@ -353,12 +349,11 @@ def error_reduction_bounds(
     if not (np.isfinite(lam) and 0.0 < lam <= lmax * (1.0 + 1e-12)):
         raise OutOfRange(f"penalty must lie in (0, {lmax}], got {lam}")
 
-    pulled = solve_spd(root, rp.bhat)
-    pulled_norm = float(np.linalg.norm(pulled))
+    pulled_norm = float(np.linalg.norm(root.solve(rp.bhat)))
     pulled_sq = pulled_norm * pulled_norm
     sqrt2 = float(np.sqrt(2.0))
 
-    xi = sqrt2 * (pulled - root.data @ sol.coef) / lam
+    xi = dual_certificate(rp, lam, sol.coef, root).xi
     identity_value = pulled_sq - 0.5 * lam * lam * float(xi @ xi)
 
     xi_at_max = sqrt2 * pulled_norm / lmax

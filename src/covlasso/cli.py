@@ -50,7 +50,7 @@ from .formats import (
     write_cov,
     write_logits,
 )
-from .linalg import DEFAULT_EIG_FLOOR_REL, eigendecompose, relative_floor
+from .linalg import DEFAULT_EIG_FLOOR_REL
 from .reports import canonical_json, format_float
 
 EXIT_OK = 0
@@ -121,11 +121,11 @@ def cmd_cov(args, floor_rel: float) -> int:
     logits = _load_logits(args.input, args.labels_col)
     cov = finalize(accumulate(new_accumulator(logits.n), logits))
     Path(args.output).write_bytes(write_cov(cov))
-    eig = eigendecompose(cov.mat)
+    vals = cov.mat.eigenvalues()
     _say("n", cov.n)
     _say("samples", cov.sample_count)
-    _say("eig_max", float(eig.eigenvalues[0]))
-    _say("eig_min", float(eig.eigenvalues[-1]))
+    _say("eig_max", float(vals[0]))
+    _say("eig_min", float(vals[-1]))
     _say("output", args.output)
     return EXIT_OK
 
@@ -207,11 +207,9 @@ def cmd_path(args, floor_rel: float) -> int:
     all_converged = all(s.converged for s in path.solutions)
     in_range = all(l <= lmax * (1.0 + 1e-12) for l in path.lambdas)
     slope = None
-    floored = False
     if all_converged and in_range and len(path.lambdas) >= 2:
         slope = analysis.check_slope_bounds(rp, path, floor_rel)
-        eig = eigendecompose(rp.chat)
-        floored = bool(np.min(eig.eigenvalues) < relative_floor(eig, floor_rel))
+    floored = slope is not None and slope.floored
 
     points = []
     for lam, sol, err in zip(path.lambdas, path.solutions, path.errors):

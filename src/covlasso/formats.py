@@ -37,7 +37,7 @@ import numpy as np
 
 from .covariance import CovMatrix, LogitMatrix
 from .errors import FormatError
-from .linalg import NEG_EIG_BAND, SymmetricMatrix
+from .linalg import SymmetricMatrix
 
 LOGIT_MAGIC = b"NDLM"
 COV_MAGIC = b"NDCV"
@@ -206,16 +206,16 @@ def read_cov(buf: bytes, check_psd: bool = True) -> CovMatrix:
     mat = np.zeros((n, n))
     iu = np.triu_indices(n)
     mat[iu] = tri
-    mat = mat + np.triu(mat, 1).T
-    if check_psd:
-        vals = np.linalg.eigvalsh(mat)
-        if vals[0] < -NEG_EIG_BAND * max(1e-300, float(np.abs(mat).max())):
-            raise FormatError(
-                f"matrix is not positive semidefinite: smallest eigenvalue "
-                f"{vals[0]:.6e}",
-                position=f"byte {tri_off}",
-            )
-    return CovMatrix(SymmetricMatrix(mat), count)
+    sym = SymmetricMatrix(mat + np.triu(mat, 1).T)
+    # Roundoff-negative eigenvalues come back clamped to zero.
+    smallest = float(sym.eigenvalues()[-1]) if check_psd else 0.0
+    if smallest < 0.0:
+        raise FormatError(
+            f"matrix is not positive semidefinite: smallest eigenvalue "
+            f"{smallest:.6e}",
+            position=f"byte {tri_off}",
+        )
+    return CovMatrix(sym, count)
 
 
 def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:

@@ -3,9 +3,9 @@
 All heavy lifting is delegated to LAPACK through ``numpy.linalg.eigh``;
 this module adds the conventions the rest of the package relies on:
 eigenvalues sorted in descending order, roundoff-scale negative
-eigenvalues clamped to zero, and explicit floor/ridge handling so
-near-singular second-moment matrices degrade predictably instead of
-blowing up.
+eigenvalues clamped to zero, an explicit spectral floor so near-singular
+second-moment matrices degrade predictably instead of blowing up, and
+matrix square roots applied to vectors in the eigenbasis, never formed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidMatrix, SingularMatrix
+from .errors import InvalidMatrix, SingularMatrix
 
 # Relative spectral floor: eigenvalues below REL * largest_eigenvalue are
 # treated as zero wherever a floor applies.  Overridable per call site.
@@ -61,6 +61,10 @@ class SymmetricMatrix:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data)))
 
+    def eigenvalues(self) -> np.ndarray:
+        """Descending eigenvalues, clamped as by :func:`eigendecompose`, no vectors."""
+        return _clamp_roundoff(np.linalg.eigvalsh(self.data)[::-1], self)[0]
+
 
 @dataclass(frozen=True)
 class Eigendecomposition:
@@ -96,28 +100,16 @@ def eigendecompose(sym: SymmetricMatrix) -> Eigendecomposition:
     preserved so ``Q diag(vals) Q^T`` still reconstructs the input.
     """
     vals, vecs = np.linalg.eigh(sym.data)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
     min_raw = float(vals.min())
+    vals, n_clamped = _clamp_roundoff(vals[::-1], sym)
+    return Eigendecomposition(vals, vecs[:, ::-1].copy(), n_clamped, min_raw)
+
+
+def _clamp_roundoff(vals: np.ndarray, sym: SymmetricMatrix) -> tuple[np.ndarray, int]:
+    """``vals`` with entries in [-NEG_EIG_BAND * max|S|, 0) zeroed, and their count."""
     band = NEG_EIG_BAND * sym.max_abs()
     clamp = (vals < 0.0) & (vals >= -band)
-    n_clamped = int(clamp.sum())
-    if n_clamped:
-        vals[clamp] = 0.0
-    return Eigendecomposition(vals, vecs, n_clamped, min_raw)
-
-
-def sym_sqrt(eig: Eigendecomposition, floor: float = 0.0) -> SymmetricMatrix:
-    """Symmetric square root Q diag(sqrt(max(vals, floor))) Q^T.
-
-    A positive ``floor`` regularizes (near-)singular input; with
-    ``floor=0`` any residual negative eigenvalue contributes zero.
-    """
-    if floor < 0.0:
-        raise InvalidMatrix("floor must be nonnegative")
-    vals = np.maximum(eig.eigenvalues, floor)
-    root = np.sqrt(vals)
-    return SymmetricMatrix((eig.eigenvectors * root) @ eig.eigenvectors.T)
+    return np.where(clamp, 0.0, vals), int(clamp.sum())
 
 
 def log_det(eig: Eigendecomposition, floor: float = 0.0) -> float:
@@ -136,36 +128,58 @@ def log_det(eig: Eigendecomposition, floor: float = 0.0) -> float:
     return float(np.sum(np.log(vals)))
 
 
-def solve_spd(
-    sym: SymmetricMatrix,
-    rhs: np.ndarray,
-    ridge: float = 0.0,
-    floor: float = 0.0,
-) -> np.ndarray:
-    """Solve (S + ridge I) x = rhs through the eigendecomposition of S.
-
-    ``floor`` lifts eigenvalues of S before the ridge is added, which is
-    how callers opt into the package-wide spectral flooring policy.  If
-    any effective eigenvalue stays below 1e-300 the system is reported
-    as singular rather than silently overflowing.
-    """
-    b = np.asarray(rhs, dtype=np.float64)
-    if b.shape != (sym.n,):
-        raise DimMismatch(f"rhs shape {b.shape} does not match matrix order {sym.n}")
-    if not np.all(np.isfinite(b)):
-        raise InvalidMatrix("rhs has non-finite entries")
-    eig = eigendecompose(sym)
-    effective = np.maximum(eig.eigenvalues, floor) + ridge
-    if np.min(effective) < 1e-300:
-        raise SingularMatrix(
-            f"matrix numerically singular: smallest effective eigenvalue "
-            f"{np.min(effective):.3e}"
-        )
-    q = eig.eigenvectors
-    return q @ ((q.T @ b) / effective)
-
-
 def relative_floor(eig: Eigendecomposition, rel: float = DEFAULT_EIG_FLOOR_REL) -> float:
     """Absolute floor corresponding to a relative spectral threshold."""
     top = float(eig.eigenvalues[0]) if eig.n else 0.0
     return rel * max(top, 0.0)
+
+
+@dataclass(frozen=True)
+class SpectralRoot:
+    """Floored symmetric square root R = Q diag(d) Q^T, applied but never formed.
+
+    ``eig`` is S = Q diag(vals) Q^T and d = sqrt(max(vals, floor)); a product
+    with R or R^{-1} is two matrix-vector products (Higham, 2008, ch. 6).
+    """
+
+    eig: Eigendecomposition
+    floor: float
+
+    @property
+    def floored(self) -> bool:
+        """Whether the floor lifted any eigenvalue of S."""
+        return bool(np.min(self.eig.eigenvalues) < self.floor)
+
+    def _roots(self) -> np.ndarray:
+        return np.sqrt(np.maximum(self.eig.eigenvalues, self.floor))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """R x = Q (d * Q^T x)."""
+        q = self.eig.eigenvectors
+        return q @ (self._roots() * (q.T @ x))
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """R^{-1} x = Q ((Q^T x) / d); SingularMatrix if some d < 1e-300."""
+        roots = self._roots()
+        if np.min(roots) < 1e-300:
+            raise SingularMatrix(
+                f"matrix numerically singular: smallest effective eigenvalue "
+                f"{np.min(roots):.3e}"
+            )
+        q = self.eig.eigenvectors
+        return q @ ((q.T @ x) / roots)
+
+    def col_norms(self) -> np.ndarray:
+        """Column norms of R: sqrt((Q*Q) max(vals, floor))."""
+        q = self.eig.eigenvectors
+        return np.sqrt((q * q) @ np.maximum(self.eig.eigenvalues, self.floor))
+
+
+def spectral_root(
+    sym: SymmetricMatrix, floor_rel: float = DEFAULT_EIG_FLOOR_REL
+) -> SpectralRoot:
+    """Square root of ``sym`` floored at ``floor_rel`` times its top eigenvalue."""
+    if floor_rel < 0.0:
+        raise InvalidMatrix("floor must be nonnegative")
+    eig = eigendecompose(sym)
+    return SpectralRoot(eig, relative_floor(eig, floor_rel))

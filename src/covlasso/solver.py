@@ -16,7 +16,8 @@ per-coordinate soft-threshold updates, followed by an exact linear
 solve on the detected active set (accepted only when it preserves the
 sign pattern and does not increase the objective).  Optimality is
 certified two ways: the subgradient (KKT) conditions, and a dual
-feasibility/gap check built from the symmetric square root of Chat.
+feasibility/gap check that applies the symmetric square root of Chat
+through one eigendecomposition of Chat, never forming the root matrix.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ import numpy as np
 
 from .covariance import CovMatrix, ReducedProblem
 from .errors import DimMismatch, InvalidInput, InvalidMatrix, OutOfRange
-from .linalg import (
-    DEFAULT_EIG_FLOOR_REL,
-    SymmetricMatrix,
-    eigendecompose,
-    relative_floor,
-    solve_spd,
-    sym_sqrt,
-)
+from .linalg import DEFAULT_EIG_FLOOR_REL, SpectralRoot, spectral_root
 
 # Stop a sweep pass once no coordinate moved more than this (relative to
 # the iterate's scale); hard cap on sweeps is 100 per coordinate.
@@ -289,12 +283,13 @@ def solve(
 
 
 def dual_certificate(
-    rp: ReducedProblem, lam: float, coef: np.ndarray, root: SymmetricMatrix
+    rp: ReducedProblem, lam: float, coef: np.ndarray, root: SpectralRoot
 ) -> DualCertificate:
     """Dual point, feasibility and gap for a primal iterate.
 
-    ``root`` must be the symmetric square root of Chat (possibly
-    floored).  The dual candidate follows the primal-dual identity
+    ``root`` is the symmetric square root of Chat (possibly floored),
+    applied through Chat's eigenbasis.  The dual candidate follows the
+    primal-dual identity
     xi = sqrt(2) (root^{-1} bhat - root c) / lam; the feasible set is
     ||root xi||_inf <= sqrt(2)/2.  The gap compares the penalized
     least-squares primal value against the dual objective at the
@@ -306,14 +301,14 @@ def dual_certificate(
     c = np.asarray(coef, dtype=np.float64)
     if c.shape != (rp.m,):
         raise DimMismatch(f"coef shape {c.shape}, expected ({rp.m},)")
-    if root.n != rp.m:
-        raise DimMismatch(f"root order {root.n}, expected {rp.m}")
+    if root.eig.n != rp.m:
+        raise DimMismatch(f"root order {root.eig.n}, expected {rp.m}")
 
-    pulled = solve_spd(root, rp.bhat)  # root^{-1} bhat, also root^{-T} bhat
+    pulled = root.solve(rp.bhat)  # root^{-1} bhat, also root^{-T} bhat
     sqrt2 = float(np.sqrt(2.0))
-    xi = sqrt2 * (pulled - root.data @ c) / lam
+    xi = sqrt2 * (pulled - root.apply(c)) / lam
     box = sqrt2 / 2.0
-    image = root.data @ xi
+    image = root.apply(xi)
     inf_norm = float(np.max(np.abs(image))) if image.size else 0.0
     feas_violation = max(0.0, inf_norm - box)
 
@@ -380,9 +375,9 @@ def embed(
     """Lift a reduced solution into full coordinates with certificates.
 
     The target coordinate is fixed at -1.  KKT residuals are evaluated
-    directly; the dual certificate uses the symmetric square root of
-    Chat with the package's relative spectral floor (``floored`` in the
-    certificates records whether the floor actually engaged).
+    directly; the dual certificate uses the floored square root of Chat
+    from one eigendecomposition (``floored`` in the certificates records
+    whether the floor actually engaged).
     """
     if rs.coef.shape != (rp.m,):
         raise DimMismatch(
@@ -400,17 +395,14 @@ def embed(
 
     _, kkt_valid = kkt_residuals(rp, rs.lam, rs.coef)
     worst = kkt_max_violation(rp, rs.lam, rs.coef)
-    eig = eigendecompose(rp.chat)
-    floor = relative_floor(eig, eig_floor_rel)
-    floored = bool(np.min(eig.eigenvalues) < floor)
-    root = sym_sqrt(eig, floor)
+    root = spectral_root(rp.chat, eig_floor_rel)
     dual = dual_certificate(rp, rs.lam, rs.coef, root)
     certs = SolutionCertificates(
         kkt_max_violation=worst,
         kkt_valid=kkt_valid,
         dual_gap=dual.gap,
         dual_feasibility_violation=dual.feasibility_violation,
-        floored=floored,
+        floored=root.floored,
     )
     return DependencySolution(
         target=rp.target,

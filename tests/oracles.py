@@ -97,6 +97,17 @@ def spd_matrix(rng: np.random.Generator, n: int, cond: float = 100.0, scale: flo
     return (q * eigs) @ q.T
 
 
+def dense_floored_root(sym: np.ndarray, rel: float) -> np.ndarray:
+    """Dense symmetric root Q diag(sqrt(max(vals, rel * top))) Q^T.
+
+    The m x m matrix the package never forms: eigenvalues below ``rel``
+    times the largest are lifted to that floor before the square root.
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(sym, dtype=np.float64))
+    floor = rel * max(float(vals.max()), 0.0)
+    return (vecs * np.sqrt(np.maximum(vals, floor))) @ vecs.T
+
+
 def reference_normals(seed: int, count: int) -> np.ndarray:
     """Scalar-loop Marsaglia polar on a scalar-loop SplitMix64 stream.
 

@@ -12,7 +12,6 @@ from covlasso import (
     SymmetricMatrix,
     certify,
     check_slope_bounds,
-    eigendecompose,
     embed,
     error_reduction_bounds,
     lambda_max,
@@ -22,12 +21,12 @@ from covlasso import (
     screen,
     solution_path,
     solve,
-    sym_sqrt,
+    spectral_root,
 )
-from covlasso.linalg import relative_floor
+from covlasso.linalg import DEFAULT_EIG_FLOOR_REL
 from covlasso.solver import SUPPORT_TOL
 
-from oracles import spd_matrix
+from oracles import dense_floored_root, spd_matrix
 
 
 def cov_of(mat, count=100):
@@ -181,15 +180,14 @@ class TestSlopeBounds:
         path = solution_path(rp, [lmax, 0.4 * lmax])
         check = check_slope_bounds(rp, path)
 
-        eig = eigendecompose(rp.chat)
-        root = sym_sqrt(eig, relative_floor(eig))
-        pulled = np.linalg.solve(root.data, rp.bhat)
+        root = dense_floored_root(rp.chat.data, DEFAULT_EIG_FLOOR_REL)
+        pulled = np.linalg.solve(root, rp.bhat)
         l1, l2 = path.lambdas
         r1 = rp.chat.data @ path.solutions[0].coef - rp.bhat
         r2 = rp.chat.data @ path.solutions[1].coef - rp.bhat
         lhs = np.abs(r1 / l1 - r2 / l2)
         rhs = (
-            np.linalg.norm(root.data, axis=0)
+            np.linalg.norm(root, axis=0)
             * np.linalg.norm(pulled)
             * abs(1.0 / l1 - 1.0 / l2)
             + 1e-8
@@ -263,8 +261,7 @@ class TestCertify:
 
 class TestErrorReductionBounds:
     def _root(self, rp):
-        eig = eigendecompose(rp.chat)
-        return sym_sqrt(eig, relative_floor(eig))
+        return spectral_root(rp.chat)
 
     def test_univariate_worked_example(self):
         rp = ReducedProblem(

@@ -156,6 +156,20 @@ class TestCov:
         assert code == 0
         assert crossed.read_bytes() == plain.read_bytes()
 
+    def test_rank_deficient_eig_min_clamped(self, tmp_path):
+        # N=5 samples of n=20 categories: 15 zero eigenvalues, which come
+        # back from LAPACK about -1e-15 and are clamped to zero.
+        logits = synth(
+            tmp_path, n="20", samples="5", **{"latent-rank": "4", "plant": None}
+        )
+        code, out, err = run_cli(
+            "cov", "--input", str(logits), "--output", str(tmp_path / "c.bin")
+        )
+        assert code == 0, err
+        said = stdout_dict(out)
+        assert said["eig_min"] == "0.0"
+        assert float(said["eig_max"]) > 0.0
+
     def test_module_entry_point(self, tmp_path):
         csv = tmp_path / "logits.csv"
         csv.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
@@ -479,6 +493,18 @@ class TestExitCodes:
         assert relaxed[0] == 0
         assert strict[0] == 4
         assert stdout_dict(strict[1])["floored"] == "true"
+
+    def test_singular_root_without_floor(self, tmp_path):
+        cov_path = tmp_path / "ones.cov"
+        cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(np.ones((3, 3))), 2)))
+        for command in ("solve", "screen"):
+            code, out, err = run_cli(
+                command, "--cov", str(cov_path), "--target", "0",
+                "--lambda", "0.5", "--output", str(tmp_path / f"{command}.json"),
+                env={"ND_EIG_FLOOR": "0"},
+            )
+            assert code == 4, command
+            assert "numerically singular" in err
 
     def test_degenerate_target_auto_grid(self, tmp_path):
         mat = np.eye(3)

@@ -1,0 +1,71 @@
+"""Each reduced problem is factorized once: one ``eigh`` per certificate."""
+
+import numpy as np
+import pytest
+
+from covlasso import (
+    check_slope_bounds,
+    embed,
+    lambda_max,
+    reduce_problem,
+    screen,
+    solution_path,
+    solve,
+    write_cov,
+)
+from covlasso.cli import main
+
+from conftest import make_cov
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.fixture
+def cov(rng):
+    return make_cov(rng, 8, cond=1e3)
+
+
+def test_embed(cov, eigh_calls):
+    rp = reduce_problem(cov, 3)
+    sol = solve(rp, 0.2 * lambda_max(rp))
+    eigh_calls.clear()
+    embed(sol, rp)
+    assert eigh_calls == [(7, 7)]
+
+
+def test_screen(cov, eigh_calls):
+    rp = reduce_problem(cov, 3)
+    screen(cov, 3, 0.5 * lambda_max(rp))
+    assert eigh_calls == [(7, 7)]
+
+
+def test_check_slope_bounds(cov, eigh_calls):
+    rp = reduce_problem(cov, 3)
+    lmax = lambda_max(rp)
+    path = solution_path(rp, np.geomspace(lmax, lmax / 100.0, 6))
+    eigh_calls.clear()
+    check_slope_bounds(rp, path)
+    assert eigh_calls == [(7, 7)]
+
+
+def test_path_job(cov, eigh_calls, tmp_path, capsys):
+    cov_path = tmp_path / "cov.bin"
+    cov_path.write_bytes(write_cov(cov))
+    code = main(
+        ["path", "--cov", str(cov_path), "--target", "3", "--auto-grid", "6",
+         "--output", str(tmp_path / "path.json")]
+    )
+    assert code == 0
+    assert "slope_checked=true" in capsys.readouterr().out
+    assert eigh_calls == [(7, 7)]

@@ -5,13 +5,18 @@ from numpy.testing import assert_allclose
 from covlasso import (
     InvalidMatrix,
     SingularMatrix,
+    SpectralRoot,
     SymmetricMatrix,
     eigendecompose,
     log_det,
-    solve_spd,
-    sym_sqrt,
+    spectral_root,
 )
 from covlasso.linalg import relative_floor
+
+
+def dense(root):
+    """The root matrix, one column per basis vector through ``apply``."""
+    return np.column_stack([root.apply(e) for e in np.eye(root.eig.n)])
 
 
 class TestSymmetricMatrix:
@@ -70,34 +75,45 @@ class TestEigendecompose:
 
 
 class TestSymSqrt:
+    """The symmetric square root, applied through SpectralRoot.apply."""
+
     def test_rank_one_example(self):
-        e = eigendecompose(SymmetricMatrix(np.ones((2, 2))))
-        w = sym_sqrt(e, 0.0)
-        assert_allclose(w.data, np.full((2, 2), np.sqrt(0.5)), atol=1e-12)
+        root = spectral_root(SymmetricMatrix(np.ones((2, 2))), 0.0)
+        assert_allclose(dense(root), np.full((2, 2), np.sqrt(0.5)), atol=1e-12)
 
     def test_diagonal(self):
-        e = eigendecompose(SymmetricMatrix(np.diag([4.0, 9.0])))
-        assert_allclose(sym_sqrt(e).data, np.diag([2.0, 3.0]), atol=1e-12)
+        root = spectral_root(SymmetricMatrix(np.diag([4.0, 9.0])))
+        assert_allclose(dense(root), np.diag([2.0, 3.0]), atol=1e-12)
+        assert_allclose(root.col_norms(), [2.0, 3.0], atol=1e-12)
 
     def test_square_reconstructs(self, rng):
         from oracles import spd_matrix
 
         for k in range(10):
             s = spd_matrix(rng, 6, cond=10.0**k)
-            w = sym_sqrt(eigendecompose(SymmetricMatrix(s)))
-            assert_allclose(w.data @ w.data, s, atol=1e-9 * np.abs(s).max())
+            w = dense(spectral_root(SymmetricMatrix(s)))
+            assert_allclose(w @ w, s, atol=1e-9 * np.abs(s).max())
 
     def test_floor_lifts_small_eigenvalues(self):
         e = eigendecompose(SymmetricMatrix(np.ones((2, 2))))
-        w = sym_sqrt(e, floor=0.04)
-        vals = np.linalg.eigvalsh(w.data @ w.data)
+        w = dense(SpectralRoot(e, floor=0.04))
+        vals = np.linalg.eigvalsh(w @ w)
         assert_allclose(sorted(vals), [0.04, 2.0], atol=1e-12)
+        assert SpectralRoot(e, floor=0.04).floored
+        assert not SpectralRoot(e, floor=0.0).floored
+
+    def test_negative_floor_rejected(self):
+        with pytest.raises(InvalidMatrix):
+            spectral_root(SymmetricMatrix(np.eye(2)), -1e-12)
 
 
 class TestSolveSpd:
+    """Solves with the SPD root: SpectralRoot.solve applies root^{-1}, so
+    two solves apply S^{-1}."""
+
     def test_worked_example(self):
-        s = SymmetricMatrix([[1.0, 0.9], [0.9, 1.0]])
-        x = solve_spd(s, np.array([1.0, 0.0]))
+        root = spectral_root(SymmetricMatrix([[1.0, 0.9], [0.9, 1.0]]), 0.0)
+        x = root.solve(root.solve(np.array([1.0, 0.0])))
         assert_allclose(x, [1.0 / 0.19, -0.9 / 0.19], rtol=1e-12)
         assert_allclose(x, [5.2632, -4.7368], atol=5e-5)
 
@@ -107,21 +123,18 @@ class TestSolveSpd:
         for cond in (1.0, 1e2, 1e4, 1e6, 1e8):
             s = spd_matrix(rng, 10, cond=cond)
             b = rng.normal(size=10)
-            x = solve_spd(SymmetricMatrix(s), b)
+            root = spectral_root(SymmetricMatrix(s), 0.0)
+            x = root.solve(root.solve(b))
             assert np.linalg.norm(s @ x - b) <= 1e-6 * np.linalg.norm(b)
 
-    def test_ridge(self):
-        s = SymmetricMatrix(np.diag([1.0, 2.0]))
-        x = solve_spd(s, np.array([3.0, 3.0]), ridge=1.0)
-        assert_allclose(x, [1.5, 1.0])
-
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve_spd(SymmetricMatrix(np.ones((2, 2))), np.array([1.0, 0.0]))
+        root = spectral_root(SymmetricMatrix(np.ones((2, 2))), 0.0)
+        with pytest.raises(SingularMatrix, match="numerically singular"):
+            root.solve(np.array([1.0, 0.0]))
 
     def test_floor_rescues_singular(self):
-        s = SymmetricMatrix(np.ones((2, 2)))
-        x = solve_spd(s, np.array([1.0, 1.0]), floor=1e-6)
+        e = eigendecompose(SymmetricMatrix(np.ones((2, 2))))
+        x = SpectralRoot(e, floor=1e-6).solve(np.array([1.0, 1.0]))
         assert np.all(np.isfinite(x))
 
 

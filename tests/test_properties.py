@@ -3,10 +3,19 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
-from covlasso import LogitMatrix, accumulate, finalize, new_accumulator
+from covlasso import (
+    LogitMatrix,
+    SymmetricMatrix,
+    accumulate,
+    finalize,
+    new_accumulator,
+    spectral_root,
+)
 from covlasso.covariance import BLOCK_ROWS
+
+from oracles import dense_floored_root
 
 
 @st.composite
@@ -32,3 +41,31 @@ def test_accumulation_is_invariant_to_batching(stream):
             accumulate(parts, LogitMatrix(chunk))
     assert parts.count == whole.count
     assert_array_equal(finalize(parts).mat.data, finalize(whole).mat.data)
+
+
+@st.composite
+def floored_roots(draw):
+    """PSD matrices of order m <= 6, often rank-deficient, and a floor."""
+    m = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, m))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    rel = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(m, rank)) * scale
+    return g @ g.T, rel, rank == m, rng.normal(size=m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(floored_roots())
+def test_spectral_root_matches_dense_root(case):
+    mat, rel, full_rank, x = case
+    sym = SymmetricMatrix(mat)
+    root = spectral_root(sym, rel)
+    dense = dense_floored_root(sym.data, rel)
+    size = np.linalg.norm(dense, 2)
+    assert np.linalg.norm(root.apply(x) - dense @ x) <= 1e-10 * size * np.linalg.norm(x)
+    assert_allclose(root.col_norms(), np.linalg.norm(dense, axis=0), rtol=0, atol=1e-10 * size)
+    if rel > 0.0 or full_rank:  # with floor 0 a rank-deficient root is singular
+        ref = np.linalg.solve(dense, x)
+        assert np.linalg.norm(root.solve(x) - ref) <= 1e-8 * np.linalg.norm(ref)

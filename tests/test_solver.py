@@ -10,7 +10,6 @@ from covlasso import (
     SymmetricMatrix,
     dual_certificate,
     embed,
-    eigendecompose,
     kkt_residuals,
     lambda_max,
     prediction_error,
@@ -18,7 +17,7 @@ from covlasso import (
     soft_threshold,
     solution_path,
     solve,
-    sym_sqrt,
+    spectral_root,
 )
 from covlasso.solver import reduced_prediction_error
 
@@ -167,7 +166,7 @@ class TestKkt:
 
 class TestDualCertificate:
     def _root(self, rp):
-        return sym_sqrt(eigendecompose(rp.chat))
+        return spectral_root(rp.chat, 0.0)
 
     def test_univariate_optimum(self):
         rp = rp_1d()
