@@ -72,11 +72,9 @@ from .formats import (
 )
 from .linalg import (
     Eigendecomposition,
-    SpectralRoot,
     SymmetricMatrix,
     eigendecompose,
     log_det,
-    spectral_root,
 )
 from .reports import (
     DependencyReport,

@@ -5,6 +5,14 @@ given all the others), a sound pre-solve screening rule for coefficients
 forced to zero, a verified Lipschitz-style bound on how KKT residuals
 drift along the penalty path, a Markov-style tail certificate, and
 two-sided bounds on the error reduction achievable at a given penalty.
+
+Screening, slope bounds and error-reduction bounds are Gram-form: they
+read only Chat, bhat, diag(Chat) and cov_ii, through the lasso view
+min ||y - X c||^2 + lam ||c||_1 with X^T X = Chat, X^T y = bhat and
+||y||^2 = cov_ii.  That view, and every bound below, is valid whenever
+cov_ii >= bhat^T Chat^+ bhat, which holds for every problem
+``reduce_problem`` carves from a PSD Cov.  Only :func:`redundancy`
+eigendecomposes, because it inverts a possibly singular matrix.
 """
 
 from __future__ import annotations
@@ -23,12 +31,12 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_EIG_FLOOR_REL,
-    SpectralRoot,
     SymmetricMatrix,
+    eigendecompose,
     log_det,
-    spectral_root,
+    relative_floor,
 )
-from .solver import SolutionPath, ReducedSolution, dual_certificate, lambda_max
+from .solver import SolutionPath, ReducedSolution, lambda_max
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,8 @@ def redundancy(
     matrix and the target-deleted minor; route 3 expands the inverse
     diagonal entry in the eigenbasis.  When the spectrum dips below the
     relative floor all routes fall back to the floored eigenbasis and
-    ``floored`` is set.
+    ``floored`` is set.  One ``eigh`` of Cov serves routes 1 and 3; the
+    minor's log-determinant needs its eigenvalues only.
     """
     n = cov.n
     if n < 2:
@@ -87,26 +96,29 @@ def redundancy(
             f"category {target} has numerically zero second moment"
         )
 
-    root = spectral_root(cov.mat, eig_floor_rel)
-    lifted = np.maximum(root.eig.eigenvalues, root.floor)
-    weights = root.eig.eigenvectors[target, :]
+    eig = eigendecompose(cov.mat)
+    floor = relative_floor(eig.eigenvalues, eig_floor_rel)
+    lifted = np.maximum(eig.eigenvalues, floor)
+    floored = bool(np.min(eig.eigenvalues) < floor)
+    weights = eig.eigenvectors[target, :]
 
-    if not root.floored:
-        basis = np.zeros(n)
-        basis[target] = 1.0
-        inv_entry = float(np.linalg.solve(full, basis)[target])
-    elif np.min(lifted) < 1e-300:
+    if np.min(lifted) < 1e-300:
         raise SingularMatrix(
             f"matrix numerically singular: smallest effective eigenvalue "
             f"{np.min(lifted):.3e}"
         )
+    if not floored:
+        basis = np.zeros(n)
+        basis[target] = 1.0
+        inv_entry = float(np.linalg.solve(full, basis)[target])
     else:
-        inv_entry = float((root.eig.eigenvectors @ (weights / lifted))[target])
+        inv_entry = float((eig.eigenvectors @ (weights / lifted))[target])
     min_error = 1.0 / inv_entry
 
     keep = np.arange(n) != target
-    minor = spectral_root(SymmetricMatrix(full[np.ix_(keep, keep)]), eig_floor_rel)
-    ratio = log_det(root.eig, root.floor) - log_det(minor.eig, minor.floor)
+    minor = SymmetricMatrix(full[np.ix_(keep, keep)]).eigenvalues()
+    minor_floor = relative_floor(minor, eig_floor_rel)
+    ratio = log_det(eig.eigenvalues, floor) - log_det(minor, minor_floor)
     eigen_sum = float(np.sum(weights * weights / lifted))
 
     return RedundancyReport(
@@ -115,7 +127,7 @@ def redundancy(
         log_det_ratio=ratio,
         eigen_error_sum=eigen_sum,
         relative_error=min_error / cov_ii,
-        floored=root.floored or minor.floored,
+        floored=floored or bool(np.min(minor) < minor_floor),
     )
 
 
@@ -146,25 +158,32 @@ class ScreeningReport:
     certified_zero: frozenset[int]
     heuristic_zero: frozenset[int]
     per_category: tuple[ScreeningRow, ...]
-    floored: bool
 
 
-def screen(
-    cov: CovMatrix,
-    target: int,
-    lam: float,
-    eig_floor_rel: float = DEFAULT_EIG_FLOOR_REL,
-) -> ScreeningReport:
+def _drift_rates(rp: ReducedProblem) -> np.ndarray:
+    """Per-coordinate bound sqrt(Chat_jj cov_ii) on d(r_j / lam) / d(1/lam).
+
+    In the lasso view of the module docstring the dual point (y - X c)/lam
+    is the projection of y/lam onto a convex set, hence 1-Lipschitz in
+    1/lam with constant ||y|| = sqrt(cov_ii) (Ndiaye et al., 2017), and
+    r_j = X_j^T (X c - y) with ||X_j|| = sqrt(Chat_jj).  Valid whenever
+    cov_ii >= bhat^T Chat^+ bhat.
+    """
+    return np.sqrt(np.diag(rp.chat.data) * rp.cov_ii)
+
+
+def screen(cov: CovMatrix, target: int, lam: float) -> ScreeningReport:
     """Certify zero coefficients before solving.
 
     At the largest useful penalty the solution is zero and the KKT
     residual is -bhat.  The residual-over-penalty vector drifts at a
     bounded rate as the penalty shrinks, so a category whose normalized
     cross moment |bhat_j| / max|bhat| stays strictly below
-    1 - 2 ||root_j|| ||root^{-1} bhat|| |1/lam - 1/lam_max| can never
-    activate at this penalty; root, the floored square root of Chat, is
-    applied through one eigendecomposition and never formed.  A 1e-12
-    guard band keeps the strict comparison sound under roundoff.
+    1 - 2 sqrt(Chat_jj cov_ii) |1/lam - 1/lam_max| can never activate at
+    this penalty (see :func:`_drift_rates`; the rule is sound whenever
+    cov_ii >= bhat^T Chat^+ bhat, true for every problem carved from a
+    PSD Cov).  A 1e-12 guard band keeps the strict comparison sound
+    under roundoff.
     """
     rp = reduce_problem(cov, target)
     lmax = lambda_max(rp)
@@ -173,13 +192,9 @@ def screen(
             f"penalty must lie in (0, {lmax}) for screening, got {lam}"
         )
 
-    root = spectral_root(rp.chat, eig_floor_rel)
-    pulled_norm = float(np.linalg.norm(root.solve(rp.bhat)))
-    col_norms = root.col_norms()
-
     binf = float(np.max(np.abs(rp.bhat)))
     ratios = np.abs(rp.bhat) / binf
-    drift = 2.0 * col_norms * pulled_norm * abs(1.0 / lam - 1.0 / lmax)
+    drift = 2.0 * _drift_rates(rp) * abs(1.0 / lam - 1.0 / lmax)
     thresholds = 1.0 - drift
 
     certified: list[int] = []
@@ -208,7 +223,6 @@ def screen(
         certified_zero=frozenset(certified),
         heuristic_zero=frozenset(heuristic),
         per_category=tuple(rows),
-        floored=root.floored,
     )
 
 
@@ -219,33 +233,28 @@ class SlopeBoundCheck:
     One margin per consecutive grid pair: the worst-coordinate slack
     left in the drift bound (nonnegative margins everywhere means the
     bound held, which certifies the path solutions are mutually
-    consistent).  ``floored`` records whether the spectral floor engaged.
+    consistent).
     """
 
     margins: tuple[float, ...]
     passed: bool
-    floored: bool
 
     @property
     def pairs(self) -> int:
         return len(self.margins)
 
 
-def check_slope_bounds(
-    rp: ReducedProblem,
-    path: SolutionPath,
-    eig_floor_rel: float = DEFAULT_EIG_FLOOR_REL,
-) -> SlopeBoundCheck:
+def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundCheck:
     """Verify the residual drift bound on every consecutive path pair.
 
     For penalties lam1, lam2 in (0, lam_max] and each coordinate j the
     solved residuals r = Chat c - bhat must satisfy
 
         |r_j(lam1)/lam1 - r_j(lam2)/lam2|
-            <= ||root_j|| ||root^{-1} bhat|| |1/lam1 - 1/lam2|
+            <= sqrt(Chat_jj cov_ii) |1/lam1 - 1/lam2|
 
-    up to 1e-8 roundoff slack (root as in :func:`screen`).  All path
-    points must have converged.
+    up to 1e-8 roundoff slack (see :func:`_drift_rates`; valid whenever
+    cov_ii >= bhat^T Chat^+ bhat).  All path points must have converged.
     """
     if any(not s.converged for s in path.solutions):
         raise InvalidInput("slope bound check needs a fully converged path")
@@ -256,10 +265,7 @@ def check_slope_bounds(
             "the zero-solution threshold"
         )
 
-    root = spectral_root(rp.chat, eig_floor_rel)
-    pulled_norm = float(np.linalg.norm(root.solve(rp.bhat)))
-    col_norms = root.col_norms()
-
+    rates = _drift_rates(rp)
     chat = rp.chat.data
     margins: list[float] = []
     for k in range(len(path.lambdas) - 1):
@@ -267,12 +273,11 @@ def check_slope_bounds(
         r1 = chat @ path.solutions[k].coef - rp.bhat
         r2 = chat @ path.solutions[k + 1].coef - rp.bhat
         lhs = np.abs(r1 / l1 - r2 / l2)
-        rhs = col_norms * pulled_norm * abs(1.0 / l1 - 1.0 / l2) + 1e-8
+        rhs = rates * abs(1.0 / l1 - 1.0 / l2) + 1e-8
         margins.append(float(np.min(rhs - lhs)))
     return SlopeBoundCheck(
         margins=tuple(margins),
         passed=bool(all(m >= 0.0 for m in margins)),
-        floored=root.floored,
     )
 
 
@@ -326,20 +331,23 @@ class ErrorReductionBounds:
 
 
 def error_reduction_bounds(
-    rp: ReducedProblem,
-    lam: float,
-    sol: ReducedSolution,
-    root: SpectralRoot,
+    rp: ReducedProblem, lam: float, sol: ReducedSolution
 ) -> ErrorReductionBounds:
     """Two-sided bounds on how much the solved dependency reduces error.
 
-    Uses the dual identity
-    cov_ii - pred_error(lam) = ||root^{-1} bhat||^2 - (lam^2/2) ||xi(lam)||^2
-    together with the drift bound
-    ||xi(lam) - xi(lam_max)|| <= sqrt(2) ||root^{-1} bhat|| (1/lam - 1/lam_max),
-    which lower-bounds ||xi(lam)|| by reverse triangle inequality and so
-    upper-bounds the reduction.  The reduction is trivially nonnegative,
-    giving the lower end.  ``root`` is as in :func:`dual_certificate`.
+    The reduction cov_ii - pred_error(lam) equals 2 bhat^T c - c^T Chat c
+    at the solved point.  In the lasso view of the module docstring it is
+    ||y||^2 - lam^2 ||u(lam)||^2 at the optimal dual point
+    u = (y - X c)/lam, which moves at most ||y|| = sqrt(cov_ii) per unit
+    of 1/lam (see :func:`_drift_rates`) and equals y/lam_max at lam_max;
+    so ||u(lam)|| >= sqrt(cov_ii) (2/lam_max - 1/lam) and the reduction is
+    at most
+
+        cov_ii (1 - lam^2 max(0, 2/lam_max - 1/lam)^2),
+
+    valid whenever cov_ii >= bhat^T Chat^+ bhat (every problem carved
+    from a PSD Cov).  The reduction is trivially nonnegative, giving the
+    lower end.
     """
     if not sol.converged:
         raise InvalidInput("error reduction bounds need a converged solution")
@@ -349,17 +357,10 @@ def error_reduction_bounds(
     if not (np.isfinite(lam) and 0.0 < lam <= lmax * (1.0 + 1e-12)):
         raise OutOfRange(f"penalty must lie in (0, {lmax}], got {lam}")
 
-    pulled_norm = float(np.linalg.norm(root.solve(rp.bhat)))
-    pulled_sq = pulled_norm * pulled_norm
-    sqrt2 = float(np.sqrt(2.0))
-
-    xi = dual_certificate(rp, lam, sol.coef, root).xi
-    identity_value = pulled_sq - 0.5 * lam * lam * float(xi @ xi)
-
-    xi_at_max = sqrt2 * pulled_norm / lmax
-    drift = sqrt2 * pulled_norm * max(0.0, 1.0 / lam - 1.0 / lmax)
-    shrunk = max(0.0, xi_at_max - drift)
-    upper = pulled_sq - 0.5 * lam * lam * shrunk * shrunk
+    c = sol.coef
+    identity_value = float(2.0 * rp.bhat @ c - c @ rp.chat.data @ c)
+    shrunk = lam * max(0.0, 2.0 / lmax - 1.0 / lam)
+    upper = rp.cov_ii * (1.0 - shrunk * shrunk)
     return ErrorReductionBounds(lower=0.0, upper=upper, identity_value=identity_value)
 
 

@@ -9,10 +9,12 @@ byte-identical files and stdout.
 Exit codes: 0 success; 2 usage, parse or validation problems; 3 solver
 did not converge (outputs are still written); 4 numerical degeneracy
 (singular or degenerate inputs, diverged fits, or spectral flooring
-engaged while --strict is set).
+engaged in ``redundancy --strict``).
 
-The relative spectral floor (default 1e-12 of the largest eigenvalue)
-can be overridden through the ND_EIG_FLOOR environment variable.
+Certificates, screening and path checks need no spectral floor.  Only
+``redundancy`` inverts a possibly singular matrix; its relative floor
+(default 1e-12 of the largest eigenvalue) can be overridden through the
+ND_EIG_FLOOR environment variable, which no other command reads.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _model_dict(args) -> dict | None:
     }
 
 
-def cmd_cov(args, floor_rel: float) -> int:
+def cmd_cov(args) -> int:
     logits = _load_logits(args.input, args.labels_col)
     cov = finalize(accumulate(new_accumulator(logits.n), logits))
     Path(args.output).write_bytes(write_cov(cov))
@@ -130,7 +132,7 @@ def cmd_cov(args, floor_rel: float) -> int:
     return EXIT_OK
 
 
-def cmd_cross_cov(args, floor_rel: float) -> int:
+def cmd_cross_cov(args) -> int:
     f = _load_logits(args.f)
     g = _load_logits(args.g)
     cov = cross_covariance(f, g, args.target)
@@ -142,12 +144,12 @@ def cmd_cross_cov(args, floor_rel: float) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args, floor_rel: float) -> int:
+def cmd_solve(args) -> int:
     cov = _load_cov(args.cov)
     rp = reduce_problem(cov, args.target)
     lmax = solver.lambda_max(rp)
     sol = solver.solve(rp, args.lam)
-    dep = solver.embed(sol, rp, floor_rel)
+    dep = solver.embed(sol, rp)
 
     metrics = None
     names = None
@@ -167,13 +169,10 @@ def cmd_solve(args, floor_rel: float) -> int:
     _say("pred_error", dep.pred_error)
     _say("kkt_valid", dep.certificates.kkt_valid)
     _say("dual_gap", dep.certificates.dual_gap)
-    _say("floored", dep.certificates.floored)
     if metrics is not None:
         _say("acc", metrics.acc)
         _say("ori_acc", metrics.ori_acc)
     _say("output", args.output)
-    if args.strict and dep.certificates.floored:
-        return EXIT_DEGENERATE
     if not dep.converged:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -197,7 +196,7 @@ def _parse_grid(args, lmax: float) -> np.ndarray:
     return np.geomspace(lmax, lmax / 1000.0, args.auto_grid)
 
 
-def cmd_path(args, floor_rel: float) -> int:
+def cmd_path(args) -> int:
     cov = _load_cov(args.cov)
     rp = reduce_problem(cov, args.target)
     lmax = solver.lambda_max(rp)
@@ -208,8 +207,7 @@ def cmd_path(args, floor_rel: float) -> int:
     in_range = all(l <= lmax * (1.0 + 1e-12) for l in path.lambdas)
     slope = None
     if all_converged and in_range and len(path.lambdas) >= 2:
-        slope = analysis.check_slope_bounds(rp, path, floor_rel)
-    floored = slope is not None and slope.floored
+        slope = analysis.check_slope_bounds(rp, path)
 
     points = []
     for lam, sol, err in zip(path.lambdas, path.solutions, path.errors):
@@ -227,12 +225,11 @@ def cmd_path(args, floor_rel: float) -> int:
         )
     payload = {
         "schema": "dependency-path-report",
-        "version": 1,
+        "version": 2,
         "target": args.target,
         "lambda_max": lmax,
         "points": points,
         "monotone": path.monotone,
-        "floored": floored,
         "slope_check": None
         if slope is None
         else {
@@ -251,23 +248,20 @@ def cmd_path(args, floor_rel: float) -> int:
     if slope is not None:
         _say("slope_passed", slope.passed)
     _say("output", args.output)
-    if args.strict and floored:
-        return EXIT_DEGENERATE
     if not all_converged:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
-def cmd_screen(args, floor_rel: float) -> int:
+def cmd_screen(args) -> int:
     cov = _load_cov(args.cov)
-    rep = analysis.screen(cov, args.target, args.lam, floor_rel)
+    rep = analysis.screen(cov, args.target, args.lam)
     payload = {
         "schema": "screening-report",
-        "version": 1,
+        "version": 2,
         "target": rep.target,
         "lambda": rep.lam,
         "lambda_max": rep.lam_max,
-        "floored": rep.floored,
         "certified_zero": sorted(rep.certified_zero),
         "heuristic_zero": sorted(rep.heuristic_zero),
         "per_category": [
@@ -285,14 +279,12 @@ def cmd_screen(args, floor_rel: float) -> int:
     _say("lambda_max", rep.lam_max)
     _say("certified_zero", len(rep.certified_zero))
     _say("heuristic_zero", len(rep.heuristic_zero))
-    _say("floored", rep.floored)
     _say("output", args.output)
-    if args.strict and rep.floored:
-        return EXIT_DEGENERATE
     return EXIT_OK
 
 
-def cmd_redundancy(args, floor_rel: float) -> int:
+def cmd_redundancy(args) -> int:
+    floor_rel = _floor_rel()
     cov = _load_cov(args.cov)
     rep = analysis.redundancy(cov, args.target, floor_rel)
     payload = {
@@ -322,7 +314,7 @@ def cmd_redundancy(args, floor_rel: float) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, floor_rel: float) -> int:
+def cmd_eval(args) -> int:
     logits = _load_logits(args.logits, args.labels_col)
     report = reports.parse_report(Path(args.report).read_text("utf-8"))
     dep = reports.report_solution(report, logits.n)
@@ -351,7 +343,7 @@ def cmd_eval(args, floor_rel: float) -> int:
     return EXIT_OK
 
 
-def cmd_fit_extension(args, floor_rel: float) -> int:
+def cmd_fit_extension(args) -> int:
     base = _load_logits(args.logits, args.labels_col)
     if args.labels is not None:
         try:
@@ -407,7 +399,7 @@ def _parse_plant(text: str) -> synthetic.PlantedDependency:
         ) from None
 
 
-def cmd_synth(args, floor_rel: float) -> int:
+def cmd_synth(args) -> int:
     planted = _parse_plant(args.plant) if args.plant is not None else None
     spec = synthetic.SyntheticSpec(
         n=args.n,
@@ -441,7 +433,7 @@ def cmd_synth(args, floor_rel: float) -> int:
     return EXIT_OK
 
 
-def cmd_graph(args, floor_rel: float) -> int:
+def cmd_graph(args) -> int:
     parsed = [
         reports.parse_report(Path(p).read_text("utf-8")) for p in args.reports
     ]
@@ -484,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels-col", type=int, default=None)
     p.add_argument("--model-f", default=None)
     p.add_argument("--model-g", default=None)
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -499,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="log-spaced grid size from lambda_max down three decades",
     )
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_path)
 
@@ -507,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cov", required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_screen)
 
@@ -561,8 +550,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        floor_rel = _floor_rel()
-        return args.func(args, floor_rel)
+        return args.func(args)
     except (SingularMatrix, DegenerateTarget, Diverged) as exc:
         sys.stderr.write(f"covlasso: {exc}\n")
         return EXIT_DEGENERATE

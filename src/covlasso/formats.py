@@ -183,7 +183,7 @@ def write_cov(cov: CovMatrix) -> bytes:
     )
 
 
-def read_cov(buf: bytes, check_psd: bool = True) -> CovMatrix:
+def read_cov(buf: bytes) -> CovMatrix:
     r = _Reader(buf)
     _check_magic(r, COV_MAGIC, "second-moment")
     n = r.u64("matrix order")
@@ -208,7 +208,7 @@ def read_cov(buf: bytes, check_psd: bool = True) -> CovMatrix:
     mat[iu] = tri
     sym = SymmetricMatrix(mat + np.triu(mat, 1).T)
     # Roundoff-negative eigenvalues come back clamped to zero.
-    smallest = float(sym.eigenvalues()[-1]) if check_psd else 0.0
+    smallest = float(sym.eigenvalues()[-1])
     if smallest < 0.0:
         raise FormatError(
             f"matrix is not positive semidefinite: smallest eigenvalue "

@@ -3,9 +3,9 @@
 All heavy lifting is delegated to LAPACK through ``numpy.linalg.eigh``;
 this module adds the conventions the rest of the package relies on:
 eigenvalues sorted in descending order, roundoff-scale negative
-eigenvalues clamped to zero, an explicit spectral floor so near-singular
-second-moment matrices degrade predictably instead of blowing up, and
-matrix square roots applied to vectors in the eigenbasis, never formed.
+eigenvalues clamped to zero, and an explicit relative spectral floor so
+that inverting a near-singular second-moment matrix (zero-penalty
+redundancy) degrades predictably instead of blowing up.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidMatrix, SingularMatrix
 
 # Relative spectral floor: eigenvalues below REL * largest_eigenvalue are
-# treated as zero wherever a floor applies.  Overridable per call site.
+# lifted to that floor wherever a floor applies.  Overridable per call site.
 DEFAULT_EIG_FLOOR_REL = 1e-12
 
 # Eigenvalues of a PSD-by-construction matrix may come back slightly
@@ -112,74 +112,25 @@ def _clamp_roundoff(vals: np.ndarray, sym: SymmetricMatrix) -> tuple[np.ndarray,
     return np.where(clamp, 0.0, vals), int(clamp.sum())
 
 
-def log_det(eig: Eigendecomposition, floor: float = 0.0) -> float:
-    """Log-determinant computed in log space as sum(log(max(vals, floor))).
+def log_det(vals: np.ndarray, floor: float = 0.0) -> float:
+    """Log-determinant from descending eigenvalues: sum(log(max(vals, floor))).
 
     Raises SingularMatrix when ``floor`` is zero and the spectrum touches
     zero (or is negative), since the log-determinant is then undefined.
     """
     if floor < 0.0:
         raise InvalidMatrix("floor must be nonnegative")
-    vals = np.maximum(eig.eigenvalues, floor)
-    if np.any(vals <= 0.0):
+    lifted = np.maximum(vals, floor)
+    if np.any(lifted <= 0.0):
         raise SingularMatrix(
             "log_det undefined: nonpositive eigenvalue with floor=0"
         )
-    return float(np.sum(np.log(vals)))
+    return float(np.sum(np.log(lifted)))
 
 
-def relative_floor(eig: Eigendecomposition, rel: float = DEFAULT_EIG_FLOOR_REL) -> float:
-    """Absolute floor corresponding to a relative spectral threshold."""
-    top = float(eig.eigenvalues[0]) if eig.n else 0.0
-    return rel * max(top, 0.0)
-
-
-@dataclass(frozen=True)
-class SpectralRoot:
-    """Floored symmetric square root R = Q diag(d) Q^T, applied but never formed.
-
-    ``eig`` is S = Q diag(vals) Q^T and d = sqrt(max(vals, floor)); a product
-    with R or R^{-1} is two matrix-vector products (Higham, 2008, ch. 6).
-    """
-
-    eig: Eigendecomposition
-    floor: float
-
-    @property
-    def floored(self) -> bool:
-        """Whether the floor lifted any eigenvalue of S."""
-        return bool(np.min(self.eig.eigenvalues) < self.floor)
-
-    def _roots(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.eig.eigenvalues, self.floor))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """R x = Q (d * Q^T x)."""
-        q = self.eig.eigenvectors
-        return q @ (self._roots() * (q.T @ x))
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        """R^{-1} x = Q ((Q^T x) / d); SingularMatrix if some d < 1e-300."""
-        roots = self._roots()
-        if np.min(roots) < 1e-300:
-            raise SingularMatrix(
-                f"matrix numerically singular: smallest effective eigenvalue "
-                f"{np.min(roots):.3e}"
-            )
-        q = self.eig.eigenvectors
-        return q @ ((q.T @ x) / roots)
-
-    def col_norms(self) -> np.ndarray:
-        """Column norms of R: sqrt((Q*Q) max(vals, floor))."""
-        q = self.eig.eigenvectors
-        return np.sqrt((q * q) @ np.maximum(self.eig.eigenvalues, self.floor))
-
-
-def spectral_root(
-    sym: SymmetricMatrix, floor_rel: float = DEFAULT_EIG_FLOOR_REL
-) -> SpectralRoot:
-    """Square root of ``sym`` floored at ``floor_rel`` times its top eigenvalue."""
-    if floor_rel < 0.0:
+def relative_floor(vals: np.ndarray, rel: float = DEFAULT_EIG_FLOOR_REL) -> float:
+    """Absolute floor ``rel`` times the largest of descending eigenvalues ``vals``."""
+    if rel < 0.0:
         raise InvalidMatrix("floor must be nonnegative")
-    eig = eigendecompose(sym)
-    return SpectralRoot(eig, relative_floor(eig, floor_rel))
+    top = float(vals[0]) if vals.size else 0.0
+    return rel * max(top, 0.0)

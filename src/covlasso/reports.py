@@ -20,7 +20,7 @@ from .evaluation import EvalMetrics
 from .solver import SUPPORT_TOL, DependencySolution, SolutionCertificates
 
 SCHEMA = "dependency-report"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def format_float(value: float) -> str:
@@ -109,7 +109,6 @@ def build_report(
         "kkt_valid": bool(certs.kkt_valid),
         "dual_gap": float(certs.dual_gap),
         "dual_feasibility_violation": float(certs.dual_feasibility_violation),
-        "floored": bool(certs.floored),
     }
     metrics_dict = None
     if metrics is not None:
@@ -232,7 +231,6 @@ def report_solution(report: DependencyReport, n: int) -> DependencySolution:
         dual_feasibility_violation=float(
             certs.get("dual_feasibility_violation", 0.0)
         ),
-        floored=bool(certs.get("floored", False)),
     )
     return DependencySolution(
         target=report.target_index,

@@ -15,9 +15,9 @@ The minimizer is computed by cyclic coordinate descent with exact
 per-coordinate soft-threshold updates, followed by an exact linear
 solve on the detected active set (accepted only when it preserves the
 sign pattern and does not increase the objective).  Optimality is
-certified two ways: the subgradient (KKT) conditions, and a dual
-feasibility/gap check that applies the symmetric square root of Chat
-through one eigendecomposition of Chat, never forming the root matrix.
+certified two ways: the subgradient (KKT) conditions, and a duality gap
+in Gram form, evaluated from one product with Chat, bhat and cov_ii
+alone: no factorization, square root or spectral floor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .covariance import CovMatrix, ReducedProblem
 from .errors import DimMismatch, InvalidInput, InvalidMatrix, OutOfRange
-from .linalg import DEFAULT_EIG_FLOOR_REL, SpectralRoot, spectral_root
 
 # Stop a sweep pass once no coordinate moved more than this (relative to
 # the iterate's scale); hard cap on sweeps is 100 per coordinate.
@@ -69,22 +68,17 @@ class ReducedSolution:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Dual point derived from a primal iterate.
+    """Duality evidence for a primal iterate.
 
-    ``xi`` is the candidate dual solution from the primal-dual identity;
-    ``feasibility_violation`` measures how far it sits outside the dual
-    feasible box.  ``gap`` is the primal-dual objective difference
-    evaluated after scaling ``xi`` back into the feasible set, so weak
-    duality makes it nonnegative up to roundoff, and it vanishes exactly
-    when the primal iterate is optimal.
+    ``feasibility_violation`` measures how far the unscaled dual point
+    (the residual at the iterate) sits outside the dual feasible box.
+    ``gap`` is the primal-dual objective difference at that point scaled
+    back into the box, so weak duality makes it nonnegative up to
+    roundoff, and it vanishes exactly when the primal iterate is optimal.
     """
 
-    xi: np.ndarray
     feasibility_violation: float
     gap: float
-
-    def __post_init__(self):
-        self.xi.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ class SolutionCertificates:
     kkt_valid: bool
     dual_gap: float
     dual_feasibility_violation: float
-    floored: bool
 
 
 @dataclass(frozen=True)
@@ -283,43 +276,48 @@ def solve(
 
 
 def dual_certificate(
-    rp: ReducedProblem, lam: float, coef: np.ndarray, root: SpectralRoot
+    rp: ReducedProblem, lam: float, coef: np.ndarray
 ) -> DualCertificate:
-    """Dual point, feasibility and gap for a primal iterate.
+    """Dual feasibility and duality gap for a primal iterate, in Gram form.
 
-    ``root`` is the symmetric square root of Chat (possibly floored),
-    applied through Chat's eigenbasis.  The dual candidate follows the
-    primal-dual identity
-    xi = sqrt(2) (root^{-1} bhat - root c) / lam; the feasible set is
-    ||root xi||_inf <= sqrt(2)/2.  The gap compares the penalized
-    least-squares primal value against the dual objective at the
-    feasibility-scaled candidate, so an optimal primal iterate yields
-    gap 0 and any other iterate a strictly positive gap.
+    Write the reduced problem as a lasso min ||y - X c||^2 + lam ||c||_1
+    with X^T X = Chat, X^T y = bhat and ||y||^2 = cov_ii.  Such X and y
+    exist, and the gap below is a valid weak-duality bound, whenever
+    cov_ii >= bhat^T Chat^+ bhat; that holds for every problem
+    ``reduce_problem`` carves from a PSD Cov (a Schur complement).  The
+    dual point is the residual y - X c rescaled into the feasible set
+    ||X^T u||_inf <= lam/2 (Fercoq, Gramfort & Salmon, 2015):
+
+        r = bhat - Chat c,   s = min(1, (lam/2) / ||r||_inf)
+        gap = J(c) + (1-s)^2 cov_ii + 2 s (1-s) bhat^T c + s^2 c^T Chat c
+
+    with J(c) = c^T Chat c - 2 bhat^T c + lam ||c||_1.  The feasibility
+    violation is max(0, (sqrt(2)/lam) ||r||_inf - sqrt(2)/2).  Both come
+    from one product with Chat; an optimal iterate has s = 1 and gap 0.
     """
     if not np.isfinite(lam) or lam <= 0.0:
         raise OutOfRange(f"penalty must be positive and finite, got {lam}")
     c = np.asarray(coef, dtype=np.float64)
     if c.shape != (rp.m,):
         raise DimMismatch(f"coef shape {c.shape}, expected ({rp.m},)")
-    if root.eig.n != rp.m:
-        raise DimMismatch(f"root order {root.eig.n}, expected {rp.m}")
 
-    pulled = root.solve(rp.bhat)  # root^{-1} bhat, also root^{-T} bhat
+    chat_c = rp.chat.data @ c
+    r_inf = float(np.max(np.abs(rp.bhat - chat_c))) if c.size else 0.0
     sqrt2 = float(np.sqrt(2.0))
-    xi = sqrt2 * (pulled - root.apply(c)) / lam
-    box = sqrt2 / 2.0
-    image = root.apply(xi)
-    inf_norm = float(np.max(np.abs(image))) if image.size else 0.0
-    feas_violation = max(0.0, inf_norm - box)
+    feas_violation = max(0.0, sqrt2 / lam * r_inf - sqrt2 / 2.0)
 
-    scale = 1.0 if inf_norm <= box else box / inf_norm
-    shift = xi * scale - sqrt2 * pulled / lam
-    pulled_sq = float(pulled @ pulled)
-    dual_value = pulled_sq - 0.5 * lam * lam * float(shift @ shift)
-    primal_value = reduced_objective(rp, lam, c) + pulled_sq
-    return DualCertificate(
-        xi=xi, feasibility_violation=feas_violation, gap=primal_value - dual_value
+    half = 0.5 * lam
+    s = 1.0 if r_inf <= half else half / r_inf
+    b_c = float(rp.bhat @ c)
+    c_chat_c = float(c @ chat_c)
+    primal = c_chat_c - 2.0 * b_c + lam * float(np.abs(c).sum())
+    gap = (
+        primal
+        + (1.0 - s) ** 2 * rp.cov_ii
+        + 2.0 * s * (1.0 - s) * b_c
+        + s * s * c_chat_c
     )
+    return DualCertificate(feasibility_violation=feas_violation, gap=gap)
 
 
 def reduced_prediction_error(rp: ReducedProblem, coef: np.ndarray) -> float:
@@ -367,17 +365,12 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
     )
 
 
-def embed(
-    rs: ReducedSolution,
-    rp: ReducedProblem,
-    eig_floor_rel: float = DEFAULT_EIG_FLOOR_REL,
-) -> DependencySolution:
+def embed(rs: ReducedSolution, rp: ReducedProblem) -> DependencySolution:
     """Lift a reduced solution into full coordinates with certificates.
 
-    The target coordinate is fixed at -1.  KKT residuals are evaluated
-    directly; the dual certificate uses the floored square root of Chat
-    from one eigendecomposition (``floored`` in the certificates records
-    whether the floor actually engaged).
+    The target coordinate is fixed at -1.  KKT residuals and the Gram-form
+    dual certificate of :func:`dual_certificate` are evaluated directly
+    from Chat, bhat and cov_ii.
     """
     if rs.coef.shape != (rp.m,):
         raise DimMismatch(
@@ -395,14 +388,12 @@ def embed(
 
     _, kkt_valid = kkt_residuals(rp, rs.lam, rs.coef)
     worst = kkt_max_violation(rp, rs.lam, rs.coef)
-    root = spectral_root(rp.chat, eig_floor_rel)
-    dual = dual_certificate(rp, rs.lam, rs.coef, root)
+    dual = dual_certificate(rp, rs.lam, rs.coef)
     certs = SolutionCertificates(
         kkt_max_violation=worst,
         kkt_valid=kkt_valid,
         dual_gap=dual.gap,
         dual_feasibility_violation=dual.feasibility_violation,
-        floored=root.floored,
     )
     return DependencySolution(
         target=rp.target,

@@ -44,12 +44,16 @@ def enumerate_lasso(
 
     For each pattern s the stationary point on the active set solves
     chat_AA x = bhat_A - (lam/2) s_A.  A pattern is feasible when the
-    solved signs match s and every inactive coordinate satisfies the
-    subgradient bound.  The optimum is the feasible candidate with the
-    smallest objective (the all-zero pattern is always a candidate when
-    feasible, and for positive definite chat exactly one pattern is).
+    solved signs match s and its point satisfies the KKT conditions:
+    the active equations and every inactive subgradient bound, within
+    1e-9 of max(lam, max|chat|, max|bhat|).  The check matters for
+    singular chat, where a solve on a singular active block can return
+    a huge point that satisfies neither.  The optimum is the feasible
+    candidate with the smallest objective; some optimum always has a
+    nonsingular active block, so one is found even when chat is singular.
     """
     m = chat.shape[0]
+    tol = 1e-9 * max(lam, float(np.max(np.abs(chat))), float(np.max(np.abs(bhat))))
     best_c = np.zeros(m)
     best_val = np.inf
     for pattern in product((-1.0, 0.0, 1.0), repeat=m):
@@ -68,8 +72,10 @@ def enumerate_lasso(
                 continue
             c[active] = x
         r = chat @ c - bhat
-        inactive = np.setdiff1d(np.arange(m), active)
-        if np.any(np.abs(r[inactive]) > 0.5 * lam * (1.0 + 1e-12) + 1e-12):
+        inactive = s == 0.0
+        if np.any(np.abs(r[~inactive] + 0.5 * lam * s[~inactive]) > tol):
+            continue
+        if np.any(np.abs(r[inactive]) > 0.5 * lam + tol):
             continue
         val = objective(chat, bhat, lam, c)
         if val < best_val:
@@ -106,6 +112,30 @@ def dense_floored_root(sym: np.ndarray, rel: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(np.asarray(sym, dtype=np.float64))
     floor = rel * max(float(vals.max()), 0.0)
     return (vecs * np.sqrt(np.maximum(vals, floor))) @ vecs.T
+
+
+def root_form_gap(
+    chat: np.ndarray, bhat: np.ndarray, lam: float, c: np.ndarray, rel: float = 0.0
+) -> float:
+    """Duality gap through the symmetric root R of chat (floored at ``rel``).
+
+    The lasso is posed with design R and response R^+ bhat: the dual
+    candidate xi = sqrt(2) (R^+ bhat - R c) / lam is scaled into the box
+    ||R xi||_inf <= sqrt(2)/2 and the gap is J(c) + (lam^2/2) ||shift||^2
+    with shift = s xi - sqrt(2) R^+ bhat / lam.  Its squared response
+    norm is bhat^T chat^+ bhat where the Gram form uses cov_ii.  R^+
+    drops singular values below 1e-6 of the largest (eigenvalues of chat
+    below 1e-12 of the largest), so roundoff in a singular chat's null
+    space is not amplified.
+    """
+    root = dense_floored_root(chat, rel)
+    pulled = np.linalg.pinv(root, rcond=1e-6) @ bhat
+    sqrt2 = np.sqrt(2.0)
+    xi = sqrt2 * (pulled - root @ c) / lam
+    inf_norm = float(np.max(np.abs(root @ xi)))
+    scale = 1.0 if inf_norm <= sqrt2 / 2.0 else (sqrt2 / 2.0) / inf_norm
+    shift = xi * scale - sqrt2 * pulled / lam
+    return objective(chat, bhat, lam, c) + 0.5 * lam * lam * float(shift @ shift)
 
 
 def reference_normals(seed: int, count: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from covlasso import (
     InvalidInput,
     OutOfRange,
     ReducedProblem,
+    SingularMatrix,
     SymmetricMatrix,
     certify,
     check_slope_bounds,
@@ -21,9 +22,7 @@ from covlasso import (
     screen,
     solution_path,
     solve,
-    spectral_root,
 )
-from covlasso.linalg import DEFAULT_EIG_FLOOR_REL
 from covlasso.solver import SUPPORT_TOL
 
 from oracles import dense_floored_root, spd_matrix
@@ -57,6 +56,10 @@ class TestRedundancy:
         assert rep.floored
         assert rep.min_error <= 1e-9
         assert 0.0 <= rep.relative_error <= 1e-9
+
+    def test_singular_without_floor_raises(self):
+        with pytest.raises(SingularMatrix, match="numerically singular"):
+            redundancy(cov_of(np.ones((3, 3))), 0, eig_floor_rel=0.0)
 
     def test_degenerate_target(self):
         with pytest.raises(DegenerateTarget):
@@ -96,7 +99,8 @@ class TestScreen:
         row1 = next(r for r in rep.per_category if r.index == 1)
         assert row1.correlation_ratio == pytest.approx(1.0)
         row2 = next(r for r in rep.per_category if r.index == 2)
-        assert row2.certificate_threshold == pytest.approx(0.9411764705882353)
+        # 1 - 2 sqrt(Chat_22 cov_ii) (1/1.7 - 1/1.8) = 1 - 2 / 30.6
+        assert row2.certificate_threshold == pytest.approx(1.0 - 2.0 / 30.6, rel=1e-14)
 
     def test_worked_example_tight_penalty_certifies_nothing(self):
         rep = screen(cov_of(BLOCK), 0, 0.4)
@@ -180,18 +184,16 @@ class TestSlopeBounds:
         path = solution_path(rp, [lmax, 0.4 * lmax])
         check = check_slope_bounds(rp, path)
 
-        root = dense_floored_root(rp.chat.data, DEFAULT_EIG_FLOOR_REL)
-        pulled = np.linalg.solve(root, rp.bhat)
+        # The root's column norms are sqrt(diag Chat), and cov_ii bounds
+        # ||root^-1 bhat||^2 = bhat^T Chat^-1 bhat from above.
+        root = dense_floored_root(rp.chat.data, 0.0)
+        assert_allclose(np.linalg.norm(root, axis=0), np.sqrt(np.diag(rp.chat.data)), rtol=1e-12)
+        assert np.linalg.norm(np.linalg.solve(root, rp.bhat)) ** 2 <= rp.cov_ii
         l1, l2 = path.lambdas
         r1 = rp.chat.data @ path.solutions[0].coef - rp.bhat
         r2 = rp.chat.data @ path.solutions[1].coef - rp.bhat
         lhs = np.abs(r1 / l1 - r2 / l2)
-        rhs = (
-            np.linalg.norm(root, axis=0)
-            * np.linalg.norm(pulled)
-            * abs(1.0 / l1 - 1.0 / l2)
-            + 1e-8
-        )
+        rhs = np.sqrt(np.diag(rp.chat.data) * rp.cov_ii) * abs(1.0 / l1 - 1.0 / l2) + 1e-8
         assert check.margins[0] == pytest.approx(float(np.min(rhs - lhs)), rel=1e-9)
 
     def test_requires_converged_path(self):
@@ -260,9 +262,6 @@ class TestCertify:
 
 
 class TestErrorReductionBounds:
-    def _root(self, rp):
-        return spectral_root(rp.chat)
-
     def test_univariate_worked_example(self):
         rp = ReducedProblem(
             target=0,
@@ -272,10 +271,14 @@ class TestErrorReductionBounds:
             n=2,
         )
         sol = solve(rp, 1.0)
-        bounds = error_reduction_bounds(rp, 1.0, sol, self._root(rp))
+        bounds = error_reduction_bounds(rp, 1.0, sol)
         assert bounds.identity_value == pytest.approx(0.75, abs=1e-10)
         assert bounds.lower == 0.0
         assert bounds.upper == pytest.approx(1.0, abs=1e-10)
+        # lam = 1.6: c = 0.2, reduction 0.36; upper 1 - (1.6 (2/2 - 1/1.6))^2.
+        bounds = error_reduction_bounds(rp, 1.6, solve(rp, 1.6))
+        assert bounds.identity_value == pytest.approx(0.36, abs=1e-10)
+        assert bounds.upper == pytest.approx(0.64, abs=1e-12)
 
     def test_identity_matches_reduction_everywhere(self, rng):
         for _ in range(15):
@@ -283,11 +286,10 @@ class TestErrorReductionBounds:
             cov = cov_of(spd_matrix(rng, n, cond=1e3))
             rp = reduce_problem(cov, int(rng.integers(0, n)))
             lmax = lambda_max(rp)
-            root = self._root(rp)
             for frac in (1.0, 0.6, 0.2, 0.03):
                 lam = frac * lmax
                 sol = solve(rp, lam)
-                bounds = error_reduction_bounds(rp, lam, sol, root)
+                bounds = error_reduction_bounds(rp, lam, sol)
                 from covlasso.solver import reduced_prediction_error
 
                 reduction = rp.cov_ii - reduced_prediction_error(rp, sol.coef)
@@ -305,19 +307,18 @@ class TestErrorReductionBounds:
             cov_ii=1.0,
             n=2,
         )
-        root = self._root(rp)
         sol = solve(rp, 1.0)
         with pytest.raises(OutOfRange):
-            error_reduction_bounds(rp, 5.0, sol, root)  # above lambda_max
+            error_reduction_bounds(rp, 5.0, sol)  # above lambda_max
         with pytest.raises(OutOfRange):
-            error_reduction_bounds(rp, 0.0, sol, root)
+            error_reduction_bounds(rp, 0.0, sol)
         from covlasso import ReducedSolution
 
         fake = ReducedSolution(
             coef=np.zeros(1), lam=1.0, objective=0.0, iterations=1, converged=False
         )
         with pytest.raises(InvalidInput):
-            error_reduction_bounds(rp, 1.0, fake, root)
+            error_reduction_bounds(rp, 1.0, fake)
 
 
 class TestPairCovariance:

@@ -338,6 +338,7 @@ class TestPath:
         assert info["slope_passed"] == "true"
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "dependency-path-report"
+        assert payload["version"] == 2 and "floored" not in payload
         assert len(payload["points"]) == 12
         assert payload["slope_check"]["passed"] is True
 
@@ -388,6 +389,8 @@ class TestScreenRedundancy:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "screening-report"
+        assert payload["version"] == 2 and "floored" not in payload
+        assert "floored" not in stdout_dict(out)
         assert len(payload["per_category"]) == 7
         assert payload["lambda_max"] == pytest.approx(lmax)
 
@@ -412,6 +415,7 @@ class TestScreenRedundancy:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "redundancy-report"
+        assert payload["version"] == 1 and "floored" in payload
         assert 0.0 <= payload["relative_error"] <= 1.0 + 1e-9
         assert payload["max_disagreement"] < 1e-6
 
@@ -479,22 +483,32 @@ class TestExitCodes:
         assert code == 3
 
     def test_strict_flags_degenerate_cov(self, tmp_path):
+        # Only redundancy floors a spectrum, so only it takes --strict.
         mat = np.ones((3, 3))
         cov_path = tmp_path / "ones.cov"
         cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(mat), 2)))
         relaxed = run_cli(
-            "solve", "--cov", str(cov_path), "--target", "0",
-            "--lambda", "0.5", "--output", str(tmp_path / "a.json"),
+            "redundancy", "--cov", str(cov_path), "--target", "0",
+            "--output", str(tmp_path / "a.json"),
         )
         strict = run_cli(
-            "solve", "--cov", str(cov_path), "--target", "0",
-            "--lambda", "0.5", "--strict", "--output", str(tmp_path / "b.json"),
+            "redundancy", "--cov", str(cov_path), "--target", "0",
+            "--strict", "--output", str(tmp_path / "b.json"),
         )
         assert relaxed[0] == 0
+        assert stdout_dict(relaxed[1])["floored"] == "true"
         assert strict[0] == 4
         assert stdout_dict(strict[1])["floored"] == "true"
+        for command in ("solve", "screen"):
+            code, out, err = run_cli(
+                command, "--cov", str(cov_path), "--target", "0",
+                "--lambda", "0.5", "--strict", "--output", str(tmp_path / "c.json"),
+            )
+            assert code == 2 and "--strict" in err, command
 
     def test_singular_root_without_floor(self, tmp_path):
+        # Certificates take no root, so a singular Chat needs no floor;
+        # redundancy inverts Cov and reports it singular.
         cov_path = tmp_path / "ones.cov"
         cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(np.ones((3, 3))), 2)))
         for command in ("solve", "screen"):
@@ -503,8 +517,13 @@ class TestExitCodes:
                 "--lambda", "0.5", "--output", str(tmp_path / f"{command}.json"),
                 env={"ND_EIG_FLOOR": "0"},
             )
-            assert code == 4, command
-            assert "numerically singular" in err
+            assert code == 0, (command, err)
+        code, out, err = run_cli(
+            "redundancy", "--cov", str(cov_path), "--target", "0",
+            "--output", str(tmp_path / "r.json"), env={"ND_EIG_FLOOR": "0"},
+        )
+        assert code == 4
+        assert "numerically singular" in err
 
     def test_degenerate_target_auto_grid(self, tmp_path):
         mat = np.eye(3)
@@ -536,22 +555,33 @@ class TestExitCodes:
     def test_eig_floor_env(self, tmp_path):
         logits = synth(tmp_path)
         cov_path = build_cov(tmp_path, logits)
-        bad = run_cli(
-            "solve", "--cov", str(cov_path), "--target", "0",
-            "--lambda", "0.1", "--output", str(tmp_path / "r.json"),
-            env={"ND_EIG_FLOOR": "abc"},
-        )
-        assert bad[0] == 2
-        negative = run_cli(
-            "solve", "--cov", str(cov_path), "--target", "0",
-            "--lambda", "0.1", "--output", str(tmp_path / "r.json"),
-            env={"ND_EIG_FLOOR": "-1"},
-        )
-        assert negative[0] == 2
+        for value in ("abc", "-1"):
+            code, out, err = run_cli(
+                "redundancy", "--cov", str(cov_path), "--target", "0",
+                "--output", str(tmp_path / "r.json"), env={"ND_EIG_FLOOR": value},
+            )
+            assert code == 2, value
+            assert "ND_EIG_FLOOR" in err
         huge = run_cli(
-            "solve", "--cov", str(cov_path), "--target", "0",
-            "--lambda", "0.1", "--strict", "--output", str(tmp_path / "r.json"),
+            "redundancy", "--cov", str(cov_path), "--target", "0",
+            "--strict", "--output", str(tmp_path / "r.json"),
             env={"ND_EIG_FLOOR": "0.5"},
         )
         assert huge[0] == 4
         assert stdout_dict(huge[1])["floored"] == "true"
+
+    def test_eig_floor_env_ignored_outside_redundancy(self, tmp_path):
+        path = tmp_path / "logits.bin"
+        code, out, err = run_cli(
+            "synth", "--n", "6", "--samples", "200", "--latent-rank", "6",
+            "--output", str(path), env={"ND_EIG_FLOOR": "abc"},
+        )
+        assert code == 0, err
+        cov_path = build_cov(tmp_path, path)
+        code, out, err = run_cli(
+            "solve", "--cov", str(cov_path), "--target", "0",
+            "--lambda", "0.1", "--output", str(tmp_path / "r.json"),
+            env={"ND_EIG_FLOOR": "abc"},
+        )
+        assert code == 0, err
+        assert "floored" not in stdout_dict(out)

@@ -33,7 +33,7 @@ def _solution(theta, target=0, support=None):
         support=support,
         pred_error=0.0,
         converged=True,
-        certificates=SolutionCertificates(0.0, True, 0.0, 0.0, False),
+        certificates=SolutionCertificates(0.0, True, 0.0, 0.0),
     )
 
 

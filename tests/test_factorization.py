@@ -1,4 +1,4 @@
-"""Each reduced problem is factorized once: one ``eigh`` per certificate."""
+"""Certificates need no factorization; ``redundancy`` makes exactly one ``eigh``."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from covlasso import (
     embed,
     lambda_max,
     reduce_problem,
+    redundancy,
     screen,
     solution_path,
     solve,
@@ -39,24 +40,22 @@ def cov(rng):
 def test_embed(cov, eigh_calls):
     rp = reduce_problem(cov, 3)
     sol = solve(rp, 0.2 * lambda_max(rp))
-    eigh_calls.clear()
     embed(sol, rp)
-    assert eigh_calls == [(7, 7)]
+    assert eigh_calls == []
 
 
 def test_screen(cov, eigh_calls):
     rp = reduce_problem(cov, 3)
     screen(cov, 3, 0.5 * lambda_max(rp))
-    assert eigh_calls == [(7, 7)]
+    assert eigh_calls == []
 
 
 def test_check_slope_bounds(cov, eigh_calls):
     rp = reduce_problem(cov, 3)
     lmax = lambda_max(rp)
     path = solution_path(rp, np.geomspace(lmax, lmax / 100.0, 6))
-    eigh_calls.clear()
     check_slope_bounds(rp, path)
-    assert eigh_calls == [(7, 7)]
+    assert eigh_calls == []
 
 
 def test_path_job(cov, eigh_calls, tmp_path, capsys):
@@ -68,4 +67,9 @@ def test_path_job(cov, eigh_calls, tmp_path, capsys):
     )
     assert code == 0
     assert "slope_checked=true" in capsys.readouterr().out
-    assert eigh_calls == [(7, 7)]
+    assert eigh_calls == []
+
+
+def test_redundancy(cov, eigh_calls):
+    redundancy(cov, 3)
+    assert eigh_calls == [(8, 8)]

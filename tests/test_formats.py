@@ -168,8 +168,6 @@ class TestCovRoundTrip:
         buf = write_cov(bad)
         with pytest.raises(FormatError, match="positive semidefinite"):
             read_cov(buf)
-        loose = read_cov(buf, check_psd=False)
-        assert np.array_equal(loose.mat.data, bad.mat.data)
 
     def test_tiny_negative_eigenvalue_tolerated(self):
         c = 1.0 + 1e-12

@@ -3,19 +3,26 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from covlasso import (
+    CovMatrix,
     LogitMatrix,
     SymmetricMatrix,
     accumulate,
+    dual_certificate,
+    embed,
     finalize,
+    lambda_max,
     new_accumulator,
-    spectral_root,
+    reduce_problem,
+    screen,
+    solve,
 )
 from covlasso.covariance import BLOCK_ROWS
+from covlasso.solver import reduced_objective
 
-from oracles import dense_floored_root
+from oracles import enumerate_lasso, root_form_gap
 
 
 @st.composite
@@ -44,28 +51,77 @@ def test_accumulation_is_invariant_to_batching(stream):
 
 
 @st.composite
-def floored_roots(draw):
-    """PSD matrices of order m <= 6, often rank-deficient, and a floor."""
-    m = draw(st.integers(1, 6))
-    rank = draw(st.integers(1, m))
+def rank_deficient_problems(draw):
+    """A PSD Cov of order m + 1 <= 6 and rank 1..m + 1, a target and lam in (0, lam_max)."""
+    m = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, m + 1))
     scale = 10.0 ** draw(st.integers(-4, 4))
-    rel = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 0.5]))
     seed = draw(st.integers(0, 2**32 - 1))
+    frac = draw(st.floats(0.01, 0.99))
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(m, rank)) * scale
-    return g @ g.T, rel, rank == m, rng.normal(size=m)
+    g = rng.normal(size=(m + 1, rank)) * scale
+    cov = CovMatrix(SymmetricMatrix(g @ g.T), 10)
+    target = int(rng.integers(0, m + 1))
+    lmax = lambda_max(reduce_problem(cov, target))
+    return cov, target, frac * lmax
+
+
+def gap_scale(rp, lam, coef):
+    """|J(c)| + cov_ii, the size a duality gap is measured against."""
+    return abs(reduced_objective(rp, lam, coef)) + rp.cov_ii
 
 
 @settings(max_examples=200, deadline=None)
-@given(floored_roots())
-def test_spectral_root_matches_dense_root(case):
-    mat, rel, full_rank, x = case
-    sym = SymmetricMatrix(mat)
-    root = spectral_root(sym, rel)
-    dense = dense_floored_root(sym.data, rel)
-    size = np.linalg.norm(dense, 2)
-    assert np.linalg.norm(root.apply(x) - dense @ x) <= 1e-10 * size * np.linalg.norm(x)
-    assert_allclose(root.col_norms(), np.linalg.norm(dense, axis=0), rtol=0, atol=1e-10 * size)
-    if rel > 0.0 or full_rank:  # with floor 0 a rank-deficient root is singular
-        ref = np.linalg.solve(dense, x)
-        assert np.linalg.norm(root.solve(x) - ref) <= 1e-8 * np.linalg.norm(ref)
+@given(rank_deficient_problems())
+def test_certified_zeros_are_zero_at_the_oracle_optimum(case):
+    cov, target, lam = case
+    rp = reduce_problem(cov, target)
+    rep = screen(cov, target, lam)
+    oracle, _ = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+    for j in rep.certified_zero:
+        assert oracle[rp.reduced_index(j)] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient_problems())
+def test_gap_at_solve_output_bounds_suboptimality(case):
+    # The gap is never below -roundoff, never below the true
+    # suboptimality J(c) - J*, and small wherever c is optimal: always at
+    # the oracle optimum, and at solve's output when CD reached it (on
+    # collinear Chat CD can stop short, which the gap then reports).
+    cov, target, lam = case
+    rp = reduce_problem(cov, target)
+    sol = solve(rp, lam)
+    oracle, best = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+    gap = embed(sol, rp).certificates.dual_gap
+    size = gap_scale(rp, lam, sol.coef)
+    assert gap >= -1e-12 * size
+    assert gap >= sol.objective - best - 1e-12 * size
+    if sol.objective - best <= 1e-12 * size:
+        assert gap <= 1e-9 * size
+    assert dual_certificate(rp, lam, oracle).gap <= 1e-9 * gap_scale(rp, lam, oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient_problems(), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_gram_gap_matches_root_gap(case, seed, log_size):
+    # The two gaps differ by (1-s)^2 (cov_ii - bhat^T Chat^+ bhat) >= 0,
+    # which vanishes at s = 1.  The root form computes bhat^T Chat^+ bhat
+    # with relative error up to cond(Chat) u, hence the (1-s)^2 cov_ii slack.
+    cov, target, lam = case
+    rp = reduce_problem(cov, target)
+    # Around the solution, or anywhere on the scale of bhat / diag(Chat).
+    rng = np.random.default_rng(seed)
+    width = 10.0**log_size * np.max(np.abs(rp.bhat)) / max(np.max(np.diag(rp.chat.data)), 1e-300)
+    coef = rng.normal(size=rp.m) * width
+    if seed % 2:
+        coef = coef * 1e-3 + solve(rp, lam).coef
+    gram = dual_certificate(rp, lam, coef).gap
+    root = root_form_gap(rp.chat.data, rp.bhat, lam, coef)
+    tol = 1e-12 * gap_scale(rp, lam, coef)
+    r_inf = np.max(np.abs(rp.bhat - rp.chat.data @ coef))
+    if r_inf <= 0.5 * lam:
+        assert abs(gram - root) <= tol
+    else:
+        s = 0.5 * lam / r_inf
+        assert gram >= root - tol - 1e-9 * (1.0 - s) ** 2 * rp.cov_ii

@@ -34,7 +34,7 @@ def _solution(theta, target=0, lam=0.5, pred_error=0.25, converged=True):
         support=support,
         pred_error=pred_error,
         converged=converged,
-        certificates=SolutionCertificates(1e-9, True, 2e-8, 0.0, False),
+        certificates=SolutionCertificates(1e-9, True, 2e-8, 0.0),
     )
 
 
@@ -128,8 +128,10 @@ class TestReportRoundTrip:
             parse_report('{"schema":"other","version":1}')
         with pytest.raises(InvalidInput):
             parse_report('{"schema":"dependency-report","version":99}')
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="unsupported report version 1"):
             parse_report('{"schema":"dependency-report","version":1}')
+        with pytest.raises(InvalidInput, match="missing"):
+            parse_report('{"schema":"dependency-report","version":2}')
 
 
 class TestReportSolution:

@@ -17,7 +17,6 @@ from covlasso import (
     soft_threshold,
     solution_path,
     solve,
-    spectral_root,
 )
 from covlasso.solver import reduced_prediction_error
 
@@ -165,21 +164,23 @@ class TestKkt:
 
 
 class TestDualCertificate:
-    def _root(self, rp):
-        return spectral_root(rp.chat, 0.0)
-
     def test_univariate_optimum(self):
         rp = rp_1d()
-        cert = dual_certificate(rp, 1.0, np.array([0.5]), self._root(rp))
-        assert cert.xi[0] == pytest.approx(np.sqrt(2.0) * 0.5)
+        cert = dual_certificate(rp, 1.0, np.array([0.5]))
         assert cert.feasibility_violation <= 1e-12
         assert abs(cert.gap) <= 1e-12
 
+    def test_rescaled_residual_worked_example(self):
+        # c = 0, r = 1 > lam/2 so s = 1/2: gap = (1 - s)^2 cov_ii.
+        rp = rp_1d(cov_ii=2.0)
+        cert = dual_certificate(rp, 1.0, np.zeros(1))
+        assert cert.gap == pytest.approx(0.5, rel=1e-15)
+        assert cert.feasibility_violation == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-15)
+
     def test_gap_positive_off_optimum(self):
         rp = rp_1d()
-        root = self._root(rp)
         for c in (0.2, 0.8, -0.3):
-            cert = dual_certificate(rp, 1.0, np.array([c]), root)
+            cert = dual_certificate(rp, 1.0, np.array([c]))
             assert cert.gap > 1e-6
 
     def test_gap_nonnegative_and_small_at_solutions(self, rng):
@@ -188,7 +189,7 @@ class TestDualCertificate:
             rp = rp_from(spd_matrix(rng, m, cond=1e3), rng.normal(size=m))
             lam = float(rng.uniform(0.05, 1.3) * lambda_max(rp))
             sol = solve(rp, lam)
-            cert = dual_certificate(rp, lam, sol.coef, self._root(rp))
+            cert = dual_certificate(rp, lam, sol.coef)
             assert cert.gap >= -1e-9
             assert cert.gap <= 1e-6 * (1.0 + abs(sol.objective))
             assert cert.feasibility_violation <= 1e-6
@@ -196,7 +197,7 @@ class TestDualCertificate:
     def test_zero_solution_above_lambda_max(self, rng):
         rp = rp_from(spd_matrix(rng, 3), rng.normal(size=3))
         lam = 1.5 * lambda_max(rp)
-        cert = dual_certificate(rp, lam, np.zeros(3), self._root(rp))
+        cert = dual_certificate(rp, lam, np.zeros(3))
         assert cert.feasibility_violation <= 1e-12
         assert abs(cert.gap) <= 1e-10
 
@@ -273,7 +274,6 @@ class TestEmbed:
         assert dep.certificates.kkt_valid
         assert dep.certificates.kkt_max_violation <= 1e-10
         assert dep.certificates.dual_gap <= 1e-10
-        assert not dep.certificates.floored
 
     def test_empty_support_error_equals_target_moment(self):
         rp = rp_1d(cov_ii=1.0)

@@ -182,7 +182,7 @@ def _fake_solution(n, target, support):
         support=tuple(support),
         pred_error=0.0,
         converged=True,
-        certificates=SolutionCertificates(0.0, True, 0.0, 0.0, False),
+        certificates=SolutionCertificates(0.0, True, 0.0, 0.0),
     )
 
 
