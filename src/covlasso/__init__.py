@@ -90,13 +90,11 @@ from .reports import (
 )
 from .solver import (
     DependencySolution,
-    DualCertificate,
     ReducedSolution,
     SolutionCertificates,
     SolutionPath,
-    dual_certificate,
+    certificates,
     embed,
-    kkt_residuals,
     lambda_max,
     prediction_error,
     soft_threshold,

@@ -36,7 +36,7 @@ from .linalg import (
     log_det,
     relative_floor,
 )
-from .solver import SolutionPath, ReducedSolution, lambda_max
+from .solver import SolutionPath, ReducedSolution, _smooth_part, lambda_max
 
 
 @dataclass(frozen=True)
@@ -266,13 +266,11 @@ def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundChec
         )
 
     rates = _drift_rates(rp)
-    chat = rp.chat.data
+    residuals = [rp.chat.data @ s.coef - rp.bhat for s in path.solutions]
     margins: list[float] = []
     for k in range(len(path.lambdas) - 1):
         l1, l2 = path.lambdas[k], path.lambdas[k + 1]
-        r1 = chat @ path.solutions[k].coef - rp.bhat
-        r2 = chat @ path.solutions[k + 1].coef - rp.bhat
-        lhs = np.abs(r1 / l1 - r2 / l2)
+        lhs = np.abs(residuals[k] / l1 - residuals[k + 1] / l2)
         rhs = rates * abs(1.0 / l1 - 1.0 / l2) + 1e-8
         margins.append(float(np.min(rhs - lhs)))
     return SlopeBoundCheck(
@@ -357,8 +355,7 @@ def error_reduction_bounds(
     if not (np.isfinite(lam) and 0.0 < lam <= lmax * (1.0 + 1e-12)):
         raise OutOfRange(f"penalty must lie in (0, {lmax}], got {lam}")
 
-    c = sol.coef
-    identity_value = float(2.0 * rp.bhat @ c - c @ rp.chat.data @ c)
+    identity_value = -_smooth_part(rp, sol.coef)
     shrunk = lam * max(0.0, 2.0 / lmax - 1.0 / lam)
     upper = rp.cov_ii * (1.0 - shrunk * shrunk)
     return ErrorReductionBounds(lower=0.0, upper=upper, identity_value=identity_value)

@@ -189,6 +189,8 @@ def _parse_grid(args, lmax: float) -> np.ndarray:
         if not values:
             raise InvalidInput("--lambda-grid is empty")
         return np.asarray(values)
+    if args.auto_grid < 1:
+        raise InvalidInput("--auto-grid must be at least 1")
     if lmax <= 0.0:
         raise DegenerateTarget(
             "target is uncorrelated with every other category; no automatic grid"

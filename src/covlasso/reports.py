@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .solver import SUPPORT_TOL, DependencySolution, SolutionCertificates
 
 SCHEMA = "dependency-report"
 SCHEMA_VERSION = 2
+
+# A report's certificate block: each SolutionCertificates field, typed.
+_CERTIFICATE_TYPES = get_type_hints(SolutionCertificates)
 
 
 def format_float(value: float) -> str:
@@ -103,12 +107,9 @@ def build_report(
     coeffs = tuple(
         (j, name_of(j), float(solution.theta[j])) for j in solution.support
     )
-    certs = solution.certificates
     cert_dict = {
-        "kkt_max_violation": float(certs.kkt_max_violation),
-        "kkt_valid": bool(certs.kkt_valid),
-        "dual_gap": float(certs.dual_gap),
-        "dual_feasibility_violation": float(certs.dual_feasibility_violation),
+        key: kind(getattr(solution.certificates, key))
+        for key, kind in _CERTIFICATE_TYPES.items()
     }
     metrics_dict = None
     if metrics is not None:
@@ -189,12 +190,26 @@ def parse_report(text: str) -> DependencyReport:
             pred_error=float(payload["pred_error"]),
             converged=bool(payload["converged"]),
             coefficients=coeffs,
-            certificates=dict(payload["certificates"]),
+            certificates=_check_certificates(payload["certificates"]),
             metrics=payload["metrics"],
             models=payload["models"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"report is missing or mistypes a field: {exc}") from exc
+
+
+def _check_certificates(block) -> dict:
+    """Require exactly the SolutionCertificates fields, each of its JSON type."""
+    if not isinstance(block, dict) or block.keys() != _CERTIFICATE_TYPES.keys():
+        raise InvalidInput(
+            "report certificates must have exactly the fields "
+            f"{sorted(_CERTIFICATE_TYPES)}"
+        )
+    for key, kind in _CERTIFICATE_TYPES.items():
+        value = block[key]
+        if type(value) not in ((bool,) if kind is bool else (int, float)):
+            raise InvalidInput(f"report certificate {key!r} is mistyped: {value!r}")
+    return dict(block)
 
 
 def report_solution(report: DependencyReport, n: int) -> DependencySolution:
@@ -223,15 +238,6 @@ def report_solution(report: DependencyReport, n: int) -> DependencySolution:
     support = tuple(
         j for j, _, value in report.coefficients if abs(value) > SUPPORT_TOL
     )
-    certs = report.certificates
-    certificates = SolutionCertificates(
-        kkt_max_violation=float(certs.get("kkt_max_violation", 0.0)),
-        kkt_valid=bool(certs.get("kkt_valid", False)),
-        dual_gap=float(certs.get("dual_gap", 0.0)),
-        dual_feasibility_violation=float(
-            certs.get("dual_feasibility_violation", 0.0)
-        ),
-    )
     return DependencySolution(
         target=report.target_index,
         theta=theta,
@@ -239,7 +245,7 @@ def report_solution(report: DependencyReport, n: int) -> DependencySolution:
         support=support,
         pred_error=report.pred_error,
         converged=report.converged,
-        certificates=certificates,
+        certificates=SolutionCertificates(**report.certificates),
     )
 
 

@@ -15,9 +15,9 @@ The minimizer is computed by cyclic coordinate descent with exact
 per-coordinate soft-threshold updates, followed by an exact linear
 solve on the detected active set (accepted only when it preserves the
 sign pattern and does not increase the objective).  Optimality is
-certified two ways: the subgradient (KKT) conditions, and a duality gap
-in Gram form, evaluated from one product with Chat, bhat and cov_ii
-alone: no factorization, square root or spectral floor.
+certified by :func:`certificates`, from one product Chat c: the KKT
+conditions and a Gram-form duality gap, with no factorization, square
+root or spectral floor.  :func:`solve` certifies its final iterate once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovMatrix, ReducedProblem
-from .errors import DimMismatch, InvalidInput, InvalidMatrix, OutOfRange
+from .errors import DimMismatch, InvalidInput, InvalidMatrix
 
 # Stop a sweep pass once no coordinate moved more than this (relative to
 # the iterate's scale); hard cap on sweeps is 100 per coordinate.
@@ -52,43 +52,33 @@ def soft_threshold(x: float, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class ReducedSolution:
-    """Solver output in reduced coordinates."""
-
-    coef: np.ndarray
-    lam: float
-    objective: float
-    iterations: int
-    converged: bool
-    pinned: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        self.coef.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Duality evidence for a primal iterate.
-
-    ``feasibility_violation`` measures how far the unscaled dual point
-    (the residual at the iterate) sits outside the dual feasible box.
-    ``gap`` is the primal-dual objective difference at that point scaled
-    back into the box, so weak duality makes it nonnegative up to
-    roundoff, and it vanishes exactly when the primal iterate is optimal.
-    """
-
-    feasibility_violation: float
-    gap: float
-
-
-@dataclass(frozen=True)
 class SolutionCertificates:
-    """Optimality evidence attached to an embedded solution."""
+    """Optimality evidence for a primal iterate; see :func:`certificates`."""
 
     kkt_max_violation: float
     kkt_valid: bool
     dual_gap: float
     dual_feasibility_violation: float
+
+
+@dataclass(frozen=True)
+class ReducedSolution:
+    """Solver output in reduced coordinates, with its certificates."""
+
+    coef: np.ndarray
+    lam: float
+    objective: float
+    iterations: int
+    certificates: SolutionCertificates
+    pinned: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self.coef.flags.writeable = False
+
+    @property
+    def converged(self) -> bool:
+        """Whether the final iterate passed the KKT check."""
+        return self.certificates.kkt_valid
 
 
 @dataclass(frozen=True)
@@ -135,44 +125,14 @@ def lambda_max(rp: ReducedProblem) -> float:
     return 2.0 * float(np.max(np.abs(rp.bhat)))
 
 
+def _smooth_part(rp: ReducedProblem, c: np.ndarray) -> float:
+    """c^T Chat c - 2 bhat^T c, as (c^T Chat) c: reports hold its last bits."""
+    return float(c @ rp.chat.data @ c - 2.0 * rp.bhat @ c)
+
+
 def reduced_objective(rp: ReducedProblem, lam: float, coef: np.ndarray) -> float:
     c = np.asarray(coef, dtype=np.float64)
-    return float(c @ rp.chat.data @ c - 2.0 * rp.bhat @ c + lam * np.abs(c).sum())
-
-
-def kkt_residuals(
-    rp: ReducedProblem, lam: float, coef: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Subgradient residuals r = Chat c - bhat and their validity.
-
-    With tolerance tol = 1e-6 * max(lam, 1): an active coordinate
-    (c_j != 0) must satisfy |r_j + (lam/2) sign(c_j)| <= tol, an
-    inactive one |r_j| <= lam/2 + tol.
-    """
-    c = np.asarray(coef, dtype=np.float64)
-    if c.shape != (rp.m,):
-        raise DimMismatch(f"coef shape {c.shape}, expected ({rp.m},)")
-    r = rp.chat.data @ c - rp.bhat
-    tol = 1e-6 * max(lam, 1.0)
-    active = c != 0.0
-    ok_active = np.all(np.abs(r[active] + 0.5 * lam * np.sign(c[active])) <= tol)
-    ok_inactive = np.all(np.abs(r[~active]) <= 0.5 * lam + tol)
-    return r, bool(ok_active and ok_inactive)
-
-
-def kkt_max_violation(rp: ReducedProblem, lam: float, coef: np.ndarray) -> float:
-    """Worst-coordinate KKT violation (0 at an exact optimum)."""
-    c = np.asarray(coef, dtype=np.float64)
-    r = rp.chat.data @ c - rp.bhat
-    active = c != 0.0
-    viol_active = np.abs(r[active] + 0.5 * lam * np.sign(c[active]))
-    viol_inactive = np.maximum(np.abs(r[~active]) - 0.5 * lam, 0.0)
-    worst = 0.0
-    if viol_active.size:
-        worst = max(worst, float(viol_active.max()))
-    if viol_inactive.size:
-        worst = max(worst, float(viol_inactive.max()))
-    return worst
+    return _smooth_part(rp, c) + lam * float(np.abs(c).sum())
 
 
 def _polish_active_set(
@@ -219,8 +179,8 @@ def solve(
     coordinate.  Coordinates whose diagonal entry is numerically zero
     are pinned at 0 and reported in ``pinned``.
 
-    Non-convergence does not raise: the returned solution carries
-    ``converged=False`` when the final iterate fails the KKT check.
+    Non-convergence does not raise: ``converged`` is false when the
+    :func:`certificates` of the final iterate fail the KKT check.
     """
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidInput(f"penalty must be positive and finite, got {lam}")
@@ -264,49 +224,58 @@ def solve(
 
     obj = reduced_objective(rp, lam, coef)
     coef, obj = _polish_active_set(rp, lam, coef, obj)
-    _, valid = kkt_residuals(rp, lam, coef)
     return ReducedSolution(
         coef=coef,
         lam=float(lam),
         objective=obj,
         iterations=sweeps,
-        converged=valid,
+        certificates=certificates(rp, lam, coef),
         pinned=tuple(int(j) for j in np.flatnonzero(pinned_mask)),
     )
 
 
-def dual_certificate(
+def certificates(
     rp: ReducedProblem, lam: float, coef: np.ndarray
-) -> DualCertificate:
-    """Dual feasibility and duality gap for a primal iterate, in Gram form.
+) -> SolutionCertificates:
+    """KKT and Gram-form duality-gap certificates for a primal iterate.
 
-    Write the reduced problem as a lasso min ||y - X c||^2 + lam ||c||_1
+    Both read r = Chat c - bhat, formed once.  Coordinate j violates KKT
+    by |r_j + (lam/2) sign(c_j)| if c_j != 0, else by max(0, |r_j| - lam/2);
+    the iterate is KKT-valid if no violation exceeds 1e-6 * max(lam, 1).
+
+    For the gap, write the problem as a lasso min ||y - X c||^2 + lam ||c||_1
     with X^T X = Chat, X^T y = bhat and ||y||^2 = cov_ii.  Such X and y
-    exist, and the gap below is a valid weak-duality bound, whenever
+    exist, and the gap is a valid weak-duality bound, whenever
     cov_ii >= bhat^T Chat^+ bhat; that holds for every problem
     ``reduce_problem`` carves from a PSD Cov (a Schur complement).  The
     dual point is the residual y - X c rescaled into the feasible set
     ||X^T u||_inf <= lam/2 (Fercoq, Gramfort & Salmon, 2015):
 
-        r = bhat - Chat c,   s = min(1, (lam/2) / ||r||_inf)
+        s = min(1, (lam/2) / ||r||_inf)
         gap = J(c) + (1-s)^2 cov_ii + 2 s (1-s) bhat^T c + s^2 c^T Chat c
 
-    with J(c) = c^T Chat c - 2 bhat^T c + lam ||c||_1.  The feasibility
-    violation is max(0, (sqrt(2)/lam) ||r||_inf - sqrt(2)/2).  Both come
-    from one product with Chat; an optimal iterate has s = 1 and gap 0.
+    with J the objective.  The feasibility violation is
+    max(0, (sqrt(2)/lam) ||r||_inf - sqrt(2)/2).  At an optimum s = 1 and
+    the gap is 0.
     """
     if not np.isfinite(lam) or lam <= 0.0:
-        raise OutOfRange(f"penalty must be positive and finite, got {lam}")
+        raise InvalidInput(f"penalty must be positive and finite, got {lam}")
     c = np.asarray(coef, dtype=np.float64)
     if c.shape != (rp.m,):
         raise DimMismatch(f"coef shape {c.shape}, expected ({rp.m},)")
 
     chat_c = rp.chat.data @ c
-    r_inf = float(np.max(np.abs(rp.bhat - chat_c))) if c.size else 0.0
+    r = chat_c - rp.bhat
+    abs_r = np.abs(r)
+    half = 0.5 * lam
+    violation = np.where(
+        c != 0.0, np.abs(r + half * np.sign(c)), np.maximum(abs_r - half, 0.0)
+    )
+    worst = float(violation.max())
+    r_inf = float(abs_r.max())
+
     sqrt2 = float(np.sqrt(2.0))
     feas_violation = max(0.0, sqrt2 / lam * r_inf - sqrt2 / 2.0)
-
-    half = 0.5 * lam
     s = 1.0 if r_inf <= half else half / r_inf
     b_c = float(rp.bhat @ c)
     c_chat_c = float(c @ chat_c)
@@ -317,7 +286,12 @@ def dual_certificate(
         + 2.0 * s * (1.0 - s) * b_c
         + s * s * c_chat_c
     )
-    return DualCertificate(feasibility_violation=feas_violation, gap=gap)
+    return SolutionCertificates(
+        kkt_max_violation=worst,
+        kkt_valid=worst <= 1e-6 * max(lam, 1.0),
+        dual_gap=float(gap),
+        dual_feasibility_violation=feas_violation,
+    )
 
 
 def reduced_prediction_error(rp: ReducedProblem, coef: np.ndarray) -> float:
@@ -327,8 +301,7 @@ def reduced_prediction_error(rp: ReducedProblem, coef: np.ndarray) -> float:
     c^T Chat c - 2 bhat^T c + cov_ii, clamped below at zero.
     """
     c = np.asarray(coef, dtype=np.float64)
-    value = float(c @ rp.chat.data @ c - 2.0 * rp.bhat @ c + rp.cov_ii)
-    return max(0.0, value)
+    return max(0.0, _smooth_part(rp, c) + rp.cov_ii)
 
 
 def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
@@ -366,12 +339,7 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
 
 
 def embed(rs: ReducedSolution, rp: ReducedProblem) -> DependencySolution:
-    """Lift a reduced solution into full coordinates with certificates.
-
-    The target coordinate is fixed at -1.  KKT residuals and the Gram-form
-    dual certificate of :func:`dual_certificate` are evaluated directly
-    from Chat, bhat and cov_ii.
-    """
+    """Lift a reduced solution to full coordinates; its certificates carry over."""
     if rs.coef.shape != (rp.m,):
         raise DimMismatch(
             f"solution has {rs.coef.shape[0]} coordinates, problem has {rp.m}"
@@ -384,25 +352,14 @@ def embed(rs: ReducedSolution, rp: ReducedProblem) -> DependencySolution:
     support = tuple(
         int(j) for j in np.flatnonzero(mask & (np.abs(theta) > SUPPORT_TOL))
     )
-    pred_error = reduced_prediction_error(rp, rs.coef)
-
-    _, kkt_valid = kkt_residuals(rp, rs.lam, rs.coef)
-    worst = kkt_max_violation(rp, rs.lam, rs.coef)
-    dual = dual_certificate(rp, rs.lam, rs.coef)
-    certs = SolutionCertificates(
-        kkt_max_violation=worst,
-        kkt_valid=kkt_valid,
-        dual_gap=dual.gap,
-        dual_feasibility_violation=dual.feasibility_violation,
-    )
     return DependencySolution(
         target=rp.target,
         theta=theta,
         lam=rs.lam,
         support=support,
-        pred_error=pred_error,
+        pred_error=reduced_prediction_error(rp, rs.coef),
         converged=rs.converged,
-        certificates=certs,
+        certificates=rs.certificates,
     )
 
 

@@ -197,7 +197,7 @@ class TestSlopeBounds:
         assert check.margins[0] == pytest.approx(float(np.min(rhs - lhs)), rel=1e-9)
 
     def test_requires_converged_path(self):
-        from covlasso import ReducedSolution, SolutionPath
+        from covlasso import ReducedSolution, SolutionCertificates, SolutionPath
 
         rp = ReducedProblem(
             target=0,
@@ -207,7 +207,11 @@ class TestSlopeBounds:
             n=3,
         )
         fake = ReducedSolution(
-            coef=np.zeros(2), lam=1.0, objective=0.0, iterations=1, converged=False
+            coef=np.zeros(2),
+            lam=1.0,
+            objective=0.0,
+            iterations=1,
+            certificates=SolutionCertificates(0.0, False, 0.0, 0.0),
         )
         path = SolutionPath((1.0, 0.5), (fake, fake), (1.0, 1.0), True)
         with pytest.raises(InvalidInput):
@@ -312,10 +316,14 @@ class TestErrorReductionBounds:
             error_reduction_bounds(rp, 5.0, sol)  # above lambda_max
         with pytest.raises(OutOfRange):
             error_reduction_bounds(rp, 0.0, sol)
-        from covlasso import ReducedSolution
+        from covlasso import ReducedSolution, SolutionCertificates
 
         fake = ReducedSolution(
-            coef=np.zeros(1), lam=1.0, objective=0.0, iterations=1, converged=False
+            coef=np.zeros(1),
+            lam=1.0,
+            objective=0.0,
+            iterations=1,
+            certificates=SolutionCertificates(0.0, False, 0.0, 0.0),
         )
         with pytest.raises(InvalidInput):
             error_reduction_bounds(rp, 1.0, fake)

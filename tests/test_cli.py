@@ -364,6 +364,18 @@ class TestPath:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("size", ["-1", "0"])
+    def test_auto_grid_below_one_rejected(self, tmp_path, size):
+        logits = synth(tmp_path)
+        cov_path = build_cov(tmp_path, logits)
+        code, out, err = run_cli(
+            "path", "--cov", str(cov_path), "--target", "0",
+            "--auto-grid", size, "--output", str(tmp_path / "p.json"),
+        )
+        assert code == 2
+        assert "--auto-grid must be at least 1" in err
+        assert not (tmp_path / "p.json").exists()
+
     def test_grid_options_mutually_exclusive(self, tmp_path):
         logits = synth(tmp_path)
         cov_path = build_cov(tmp_path, logits)

@@ -10,7 +10,7 @@ from covlasso import (
     LogitMatrix,
     SymmetricMatrix,
     accumulate,
-    dual_certificate,
+    certificates,
     embed,
     finalize,
     lambda_max,
@@ -99,7 +99,7 @@ def test_gap_at_solve_output_bounds_suboptimality(case):
     assert gap >= sol.objective - best - 1e-12 * size
     if sol.objective - best <= 1e-12 * size:
         assert gap <= 1e-9 * size
-    assert dual_certificate(rp, lam, oracle).gap <= 1e-9 * gap_scale(rp, lam, oracle)
+    assert certificates(rp, lam, oracle).dual_gap <= 1e-9 * gap_scale(rp, lam, oracle)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,7 +116,7 @@ def test_gram_gap_matches_root_gap(case, seed, log_size):
     coef = rng.normal(size=rp.m) * width
     if seed % 2:
         coef = coef * 1e-3 + solve(rp, lam).coef
-    gram = dual_certificate(rp, lam, coef).gap
+    gram = certificates(rp, lam, coef).dual_gap
     root = root_form_gap(rp.chat.data, rp.bhat, lam, coef)
     tol = 1e-12 * gap_scale(rp, lam, coef)
     r_inf = np.max(np.abs(rp.bhat - rp.chat.data @ coef))

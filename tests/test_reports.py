@@ -133,6 +133,37 @@ class TestReportRoundTrip:
         with pytest.raises(InvalidInput, match="missing"):
             parse_report('{"schema":"dependency-report","version":2}')
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kkt_valid": "no"},
+            {"kkt_valid": 1},
+            {"dual_gap": True},
+            {"dual_gap": "0"},
+            {"spare": 0.0},
+            {},
+            [],
+        ],
+        ids=[
+            "kkt_valid_string",
+            "kkt_valid_int",
+            "gap_bool",
+            "gap_string",
+            "extra_field",
+            "empty_object",
+            "list",
+        ],
+    )
+    def test_parse_rejects_bad_certificate_block(self, fields):
+        # Non-empty dicts are merged into a valid block; {} and [] replace it.
+        payload = json.loads(emit_report(_solution([-1.0, 0.5])))
+        if fields:
+            payload["certificates"].update(fields)
+        else:
+            payload["certificates"] = fields
+        with pytest.raises(InvalidInput, match="certificate"):
+            parse_report(json.dumps(payload))
+
 
 class TestReportSolution:
     def test_rebuild_matches_original(self):
@@ -143,6 +174,7 @@ class TestReportSolution:
         assert rebuilt.support == sol.support
         assert rebuilt.lam == 0.7 and rebuilt.pred_error == 0.01
         assert rebuilt.converged
+        assert rebuilt.certificates == sol.certificates
 
     def test_validation(self):
         rep = parse_report(emit_report(_solution([-1.0, 0.5])))

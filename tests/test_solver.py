@@ -8,9 +8,8 @@ from covlasso import (
     InvalidInput,
     ReducedProblem,
     SymmetricMatrix,
-    dual_certificate,
+    certificates,
     embed,
-    kkt_residuals,
     lambda_max,
     prediction_error,
     reduce_problem,
@@ -18,6 +17,7 @@ from covlasso import (
     solution_path,
     solve,
 )
+from covlasso import solver
 from covlasso.solver import reduced_prediction_error
 
 from oracles import enumerate_lasso, solve_diagonal, solve_univariate, spd_matrix
@@ -137,20 +137,27 @@ class TestSolve:
 class TestKkt:
     def test_valid_at_univariate_optimum(self):
         rp = rp_1d()
-        r, ok = kkt_residuals(rp, 1.0, np.array([0.5]))
-        assert_allclose(r, [-0.5])
-        assert ok
+        cert = certificates(rp, 1.0, np.array([0.5]))
+        assert cert.kkt_max_violation == pytest.approx(0.0, abs=1e-15)
+        assert cert.kkt_valid
 
     def test_valid_with_inactive_coordinate(self):
         rp = rp_from(np.eye(2), [0.9, 0.0])
-        r, ok = kkt_residuals(rp, 0.4, np.array([0.7, 0.0]))
-        assert_allclose(r, [-0.2, 0.0], atol=1e-15)
-        assert ok
+        cert = certificates(rp, 0.4, np.array([0.7, 0.0]))
+        assert cert.kkt_max_violation == pytest.approx(0.0, abs=1e-15)
+        assert cert.kkt_valid
 
     def test_invalid_off_optimum(self):
-        r, ok = kkt_residuals(rp_1d(), 1.0, np.array([0.9]))
-        assert_allclose(r, [-0.1])
-        assert not ok
+        # r = 0.9 - 1 = -0.1 on an active coordinate: |r + lam/2| = 0.4.
+        cert = certificates(rp_1d(), 1.0, np.array([0.9]))
+        assert cert.kkt_max_violation == pytest.approx(0.4, rel=1e-15)
+        assert not cert.kkt_valid
+
+    def test_inactive_violation_is_excess_over_half_penalty(self):
+        # c = 0, r = -1: max(0, |r| - lam/2) = 0.5.
+        cert = certificates(rp_1d(), 1.0, np.zeros(1))
+        assert cert.kkt_max_violation == pytest.approx(0.5, rel=1e-15)
+        assert not cert.kkt_valid
 
     def test_solver_output_passes(self, rng):
         for _ in range(20):
@@ -158,30 +165,53 @@ class TestKkt:
             rp = rp_from(spd_matrix(rng, m), rng.normal(size=m))
             lam = float(rng.uniform(0.05, 1.5) * max(lambda_max(rp), 0.1))
             sol = solve(rp, lam)
-            _, ok = kkt_residuals(rp, lam, sol.coef)
+            ok = certificates(rp, lam, sol.coef).kkt_valid
             assert ok == sol.converged
             assert ok
+
+    def test_valid_iff_violation_within_tolerance(self, rng):
+        for _ in range(40):
+            m = int(rng.integers(1, 8))
+            rp = rp_from(spd_matrix(rng, m), rng.normal(size=m))
+            lam = float(10.0 ** rng.uniform(-3, 2))
+            coef = solve(rp, lam).coef
+            if rng.integers(2):
+                coef = coef + rng.normal(size=m) * 10.0 ** rng.uniform(-9, -3)
+            cert = certificates(rp, lam, coef)
+            assert cert.kkt_valid == (
+                cert.kkt_max_violation <= 1e-6 * max(lam, 1.0)
+            )
+
+    def test_inputs_validated(self):
+        with pytest.raises(InvalidInput):
+            certificates(rp_1d(), 0.0, np.zeros(1))
+        with pytest.raises(InvalidInput):
+            certificates(rp_1d(), float("nan"), np.zeros(1))
+        with pytest.raises(DimMismatch):
+            certificates(rp_1d(), 1.0, np.zeros(2))
 
 
 class TestDualCertificate:
     def test_univariate_optimum(self):
         rp = rp_1d()
-        cert = dual_certificate(rp, 1.0, np.array([0.5]))
-        assert cert.feasibility_violation <= 1e-12
-        assert abs(cert.gap) <= 1e-12
+        cert = certificates(rp, 1.0, np.array([0.5]))
+        assert cert.dual_feasibility_violation <= 1e-12
+        assert abs(cert.dual_gap) <= 1e-12
 
     def test_rescaled_residual_worked_example(self):
         # c = 0, r = 1 > lam/2 so s = 1/2: gap = (1 - s)^2 cov_ii.
         rp = rp_1d(cov_ii=2.0)
-        cert = dual_certificate(rp, 1.0, np.zeros(1))
-        assert cert.gap == pytest.approx(0.5, rel=1e-15)
-        assert cert.feasibility_violation == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-15)
+        cert = certificates(rp, 1.0, np.zeros(1))
+        assert cert.dual_gap == pytest.approx(0.5, rel=1e-15)
+        assert cert.dual_feasibility_violation == pytest.approx(
+            np.sqrt(2.0) / 2.0, rel=1e-15
+        )
 
     def test_gap_positive_off_optimum(self):
         rp = rp_1d()
         for c in (0.2, 0.8, -0.3):
-            cert = dual_certificate(rp, 1.0, np.array([c]))
-            assert cert.gap > 1e-6
+            cert = certificates(rp, 1.0, np.array([c]))
+            assert cert.dual_gap > 1e-6
 
     def test_gap_nonnegative_and_small_at_solutions(self, rng):
         for _ in range(20):
@@ -189,17 +219,17 @@ class TestDualCertificate:
             rp = rp_from(spd_matrix(rng, m, cond=1e3), rng.normal(size=m))
             lam = float(rng.uniform(0.05, 1.3) * lambda_max(rp))
             sol = solve(rp, lam)
-            cert = dual_certificate(rp, lam, sol.coef)
-            assert cert.gap >= -1e-9
-            assert cert.gap <= 1e-6 * (1.0 + abs(sol.objective))
-            assert cert.feasibility_violation <= 1e-6
+            cert = certificates(rp, lam, sol.coef)
+            assert cert.dual_gap >= -1e-9
+            assert cert.dual_gap <= 1e-6 * (1.0 + abs(sol.objective))
+            assert cert.dual_feasibility_violation <= 1e-6
 
     def test_zero_solution_above_lambda_max(self, rng):
         rp = rp_from(spd_matrix(rng, 3), rng.normal(size=3))
         lam = 1.5 * lambda_max(rp)
-        cert = dual_certificate(rp, lam, np.zeros(3))
-        assert cert.feasibility_violation <= 1e-12
-        assert abs(cert.gap) <= 1e-10
+        cert = certificates(rp, lam, np.zeros(3))
+        assert cert.dual_feasibility_violation <= 1e-12
+        assert abs(cert.dual_gap) <= 1e-10
 
 
 class TestSolutionPath:
@@ -274,6 +304,37 @@ class TestEmbed:
         assert dep.certificates.kkt_valid
         assert dep.certificates.kkt_max_violation <= 1e-10
         assert dep.certificates.dual_gap <= 1e-10
+
+    def test_certificates_come_from_solve(self, rng):
+        for _ in range(10):
+            m = int(rng.integers(1, 8))
+            rp = rp_from(spd_matrix(rng, m), rng.normal(size=m))
+            lam = float(rng.uniform(0.05, 1.5) * max(lambda_max(rp), 0.1))
+            sol = solve(rp, lam)
+            assert sol.certificates == certificates(rp, lam, sol.coef)
+            assert sol.converged == sol.certificates.kkt_valid
+            dep = embed(sol, rp)
+            assert dep.certificates is sol.certificates
+            assert dep.converged == sol.converged
+
+    def test_converged_is_read_only(self):
+        sol = solve(rp_1d(), 1.0)
+        with pytest.raises(AttributeError):
+            sol.converged = False
+
+    def test_one_certificate_pass_per_solve_and_embed(self, monkeypatch):
+        calls = []
+        original = solver.certificates
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "certificates", counting)
+        cov = CovMatrix(SymmetricMatrix(np.array([[2.0, 0.3], [0.3, 1.0]])), 10)
+        rp = reduce_problem(cov, 0)
+        embed(solve(rp, 0.1), rp)
+        assert len(calls) == 1
 
     def test_empty_support_error_equals_target_moment(self):
         rp = rp_1d(cov_ii=1.0)
