@@ -97,7 +97,6 @@ from .solver import (
     embed,
     lambda_max,
     prediction_error,
-    soft_threshold,
     solution_path,
     solve,
 )

@@ -227,7 +227,7 @@ def cmd_path(args) -> int:
         )
     payload = {
         "schema": "dependency-path-report",
-        "version": 2,
+        "version": 3,
         "target": args.target,
         "lambda_max": lmax,
         "points": points,

@@ -21,7 +21,7 @@ from .evaluation import EvalMetrics
 from .solver import SUPPORT_TOL, DependencySolution, SolutionCertificates
 
 SCHEMA = "dependency-report"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # A report's certificate block: each SolutionCertificates field, typed.
 _CERTIFICATE_TYPES = get_type_hints(SolutionCertificates)
@@ -78,7 +78,6 @@ class DependencyReport:
     target_name: str
     lam: float
     pred_error: float
-    converged: bool
     coefficients: tuple[tuple[int, str, float], ...]
     certificates: dict
     metrics: dict | None = None
@@ -128,7 +127,6 @@ def build_report(
         target_name=name_of(solution.target),
         lam=float(solution.lam),
         pred_error=float(solution.pred_error),
-        converged=bool(solution.converged),
         coefficients=coeffs,
         certificates=cert_dict,
         metrics=metrics_dict,
@@ -143,7 +141,6 @@ def serialize_report(report: DependencyReport) -> str:
         "target": {"index": report.target_index, "name": report.target_name},
         "lambda": float(report.lam),
         "pred_error": float(report.pred_error),
-        "converged": report.converged,
         "coefficients": [
             {"index": j, "name": name, "value": float(v)}
             for j, name, v in report.coefficients
@@ -168,7 +165,7 @@ def emit_report(
 def parse_report(text: str) -> DependencyReport:
     """Parse canonical report JSON back into a DependencyReport."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"report is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -188,7 +185,6 @@ def parse_report(text: str) -> DependencyReport:
             target_name=str(target["name"]),
             lam=float(payload["lambda"]),
             pred_error=float(payload["pred_error"]),
-            converged=bool(payload["converged"]),
             coefficients=coeffs,
             certificates=_check_certificates(payload["certificates"]),
             metrics=payload["metrics"],
@@ -196,6 +192,10 @@ def parse_report(text: str) -> DependencyReport:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"report is missing or mistypes a field: {exc}") from exc
+
+
+def _reject_constant(literal: str):
+    raise InvalidInput(f"reports cannot contain non-finite numbers: {literal}")
 
 
 def _check_certificates(block) -> dict:
@@ -244,7 +244,6 @@ def report_solution(report: DependencyReport, n: int) -> DependencySolution:
         lam=report.lam,
         support=support,
         pred_error=report.pred_error,
-        converged=report.converged,
         certificates=SolutionCertificates(**report.certificates),
     )
 

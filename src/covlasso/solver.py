@@ -11,13 +11,43 @@ prediction error  c^T Chat c - 2 bhat^T c + cov_ii,  the mean squared
 residual of approximating the target logit by a sparse combination of
 the others.
 
-The minimizer is computed by cyclic coordinate descent with exact
-per-coordinate soft-threshold updates, followed by an exact linear
-solve on the detected active set (accepted only when it preserves the
-sign pattern and does not increase the objective).  Optimality is
+The minimizer is followed exactly along the lasso homotopy (Osborne,
+Presnell & Turlach, 2000; Efron et al., "Least angle regression",
+2004) in mu = lam/2, from mu_0 = max|bhat|, where c = 0, downward.  With
+active set A, signs s and g = bhat - Chat c, the KKT conditions read
+g_A = mu s and |g_j| <= mu elsewhere, so on each segment
+
+    c_A(mu) = Chat_AA^{-1} (bhat_A - mu s_A),
+
+and g moves linearly in mu.  The segment ends at the first kink:
+
+- entry: an inactive |g_j| reaches mu.  It counts only where |g_j| - mu
+  grows as mu falls (1 - d_j > 0 on the +mu branch, 1 + d_j > 0 on the
+  -mu branch, d = Chat_:A Chat_AA^{-1} s_A the slope of g); the new
+  coefficient takes the branch's sign;
+- exit: an active coefficient moving toward 0 (s_j v_j < 0 with
+  v = Chat_AA^{-1} s_A) reaches it.
+
+One event is taken per kink, and events already due at the current mu
+are accepted there, so coordinates that tie enter one kink apart,
+lowest index first; the walk is deterministic.  An entry whose Schur
+complement Chat_jj - Chat_jA Chat_AA^{-1} Chat_Aj is at most m u Chat_jj
+(u the unit roundoff) would make Chat_AA singular; it is refused until
+the active set changes.  Its correlation is then a fixed combination of
+the active ones, so it stays feasible (Tibshirani, "The lasso problem
+and uniqueness", 2013).  A zero-curvature coordinate of a PSD Cov has a
+zero row and never enters.  The number of kinks can grow exponentially
+(Mairal & Yu, 2012), so the walk takes at most 10 m of them; a walk that
+runs out returns its last breakpoint, whose certificates then fail at
+the requested penalty.
+
+Each requested penalty is read off its segment by a direct solve of
+Chat_AA c_A = bhat_A - mu s_A, with coefficients whose sign disagrees
+with s set to 0.  :func:`solve` walks to one penalty, and
+:func:`solution_path` walks once through a whole grid.  Optimality is
 certified by :func:`certificates`, from one product Chat c: the KKT
 conditions and a Gram-form duality gap, with no factorization, square
-root or spectral floor.  :func:`solve` certifies its final iterate once.
+root or spectral floor; every returned point is certified once.
 """
 
 from __future__ import annotations
@@ -29,26 +59,11 @@ import numpy as np
 from .covariance import CovMatrix, ReducedProblem
 from .errors import DimMismatch, InvalidInput, InvalidMatrix
 
-# Stop a sweep pass once no coordinate moved more than this (relative to
-# the iterate's scale); hard cap on sweeps is 100 per coordinate.
-SWEEP_TOL = 1e-10
-SWEEP_CAP_PER_COORD = 100
-
-# Diagonal entries at or below this are treated as exactly zero
-# curvature; their coordinates are pinned to 0 for the whole solve.
-PIN_THRESHOLD = 1e-300
+# The homotopy takes at most this many kinks per coordinate.
+KINK_CAP_PER_COORD = 10
 
 # Coefficients with magnitude above this count as support members.
 SUPPORT_TOL = 1e-10
-
-
-def soft_threshold(x: float, t: float) -> float:
-    """Shrink x toward zero by t, clamping to zero inside [-t, t]."""
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,6 @@ class ReducedSolution:
     objective: float
     iterations: int
     certificates: SolutionCertificates
-    pinned: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.coef.flags.writeable = False
@@ -95,11 +109,15 @@ class DependencySolution:
     lam: float
     support: tuple[int, ...]
     pred_error: float
-    converged: bool
     certificates: SolutionCertificates
 
     def __post_init__(self):
         self.theta.flags.writeable = False
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solution passed the KKT check."""
+        return self.certificates.kkt_valid
 
     @property
     def n(self) -> int:
@@ -135,103 +153,107 @@ def reduced_objective(rp: ReducedProblem, lam: float, coef: np.ndarray) -> float
     return _smooth_part(rp, c) + lam * float(np.abs(c).sum())
 
 
-def _polish_active_set(
-    rp: ReducedProblem, lam: float, coef: np.ndarray, objective: float
-) -> tuple[np.ndarray, float]:
-    """Exact KKT solve on the detected active set, accepted only if safe.
+def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Walk the lasso path once; return (coef, kinks) at each grid penalty.
 
-    On the fixed sign pattern s the optimum solves
-    Chat_AA c_A = bhat_A - (lam/2) s.  The candidate replaces the CD
-    iterate only when it reproduces the sign pattern, stays finite and
-    does not increase the objective, so this refinement can only move
-    the iterate closer to the true minimizer.
+    ``lams`` must be positive and nonincreasing.  The walk is in
+    mu = lam/2 from mu_0 = max|bhat| down, one event per kink; see the
+    module docstring for the segment formula, the event and tie rules,
+    the refusal of singular entries and the kink budget.
     """
-    support = np.flatnonzero(coef)
-    if support.size == 0:
-        return coef, objective
-    sub = rp.chat.data[np.ix_(support, support)]
-    signs = np.sign(coef[support])
-    rhs = rp.bhat[support] - 0.5 * lam * signs
-    try:
-        sol = np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError:
-        return coef, objective
-    if not np.all(np.isfinite(sol)) or np.any(sol * signs <= 0.0):
-        return coef, objective
-    cand = np.zeros_like(coef)
-    cand[support] = sol
-    cand_obj = reduced_objective(rp, lam, cand)
-    if cand_obj <= objective + 1e-12 * (1.0 + abs(objective)):
-        return cand, cand_obj
-    return coef, objective
+    chat = rp.chat.data
+    bhat = rp.bhat
+    m = rp.m
+    mus = 0.5 * lams
+    schur_tol = m * np.finfo(np.float64).eps
+    budget = KINK_CAP_PER_COORD * m
+    in_a = np.zeros(m, dtype=bool)
+    active: list[int] = []
+    signs: list[float] = []
+    mu = float(np.max(np.abs(bhat)))
+    kinks = 0
+    points: list[tuple[np.ndarray, int]] = []
+    while True:
+        idx = np.asarray(active, dtype=np.intp)
+        s = np.asarray(signs, dtype=np.float64)
+        rows = chat[idx]
+        block = rows[:, idx]
+        c_a, v = np.linalg.solve(block, np.stack([bhat[idx] - mu * s, s], axis=1)).T
+        g = bhat - c_a @ rows  # -r at mu
+        d = v @ rows  # g(mu - t) = g(mu) - t d on this segment
+
+        # Entry at |g_j| = mu, only where |g_j| - mu grows as mu falls.
+        t_up = np.full(m, np.inf)
+        t_down = np.full(m, np.inf)
+        up, down = 1.0 - d > 0.0, 1.0 + d > 0.0
+        t_up[up] = (mu - g[up]) / (1.0 - d[up])
+        t_down[down] = (mu + g[down]) / (1.0 + d[down])
+        t = np.minimum(t_up, t_down)
+        # Exit where an active coefficient moves toward 0 and reaches it.
+        t[idx] = np.inf
+        shrinking = s * v < 0.0
+        t[idx[shrinking]] = -c_a[shrinking] / v[shrinking]
+        t = np.maximum(t, 0.0)
+
+        while True:
+            j = int(np.argmin(t))  # lowest index among ties
+            if not np.isfinite(t[j]) or in_a[j]:
+                break
+            w = np.linalg.solve(block, rows[:, j])
+            if chat[j, j] - rows[:, j] @ w > schur_tol * chat[j, j]:
+                break
+            t[j] = np.inf  # Chat_AA would turn singular: refuse j for now
+        mu_next = mu - float(t[j])
+
+        stop = len(points) + int(np.count_nonzero(mus[len(points):] >= mu_next))
+        read = mus[len(points):stop]
+        if stop < mus.size and kinks == budget:
+            # Out of kinks: the rest of the grid gets the last breakpoint.
+            read = np.concatenate([read, np.full(mus.size - stop, mu)])
+        # Direct solves, never u - mu v: at mu_0 the difference leaves a
+        # wrong-signed roundoff coefficient that fails KKT.
+        sol = np.linalg.solve(block, bhat[idx, None] - np.multiply.outer(s, read))
+        sol[sol * s[:, None] < 0.0] = 0.0
+        for col in sol.T:
+            coef = np.zeros(m)
+            coef[idx] = col
+            points.append((coef, kinks))
+        if len(points) == mus.size:
+            return points
+
+        kinks += 1
+        mu = mu_next
+        if in_a[j]:
+            pos = active.index(j)
+            del active[pos], signs[pos]
+        else:
+            active.append(j)
+            signs.append(1.0 if t_up[j] <= t_down[j] else -1.0)
+        in_a[j] = not in_a[j]
 
 
-def solve(
-    rp: ReducedProblem, lam: float, init: np.ndarray | None = None
-) -> ReducedSolution:
+def _point(rp: ReducedProblem, lam: float, coef: np.ndarray, kinks: int) -> ReducedSolution:
+    return ReducedSolution(
+        coef=coef,
+        lam=lam,
+        objective=reduced_objective(rp, lam, coef),
+        iterations=kinks,
+        certificates=certificates(rp, lam, coef),
+    )
+
+
+def solve(rp: ReducedProblem, lam: float) -> ReducedSolution:
     """Minimize the penalized reduced objective at one penalty value.
 
-    Cyclic coordinate descent in a fixed coordinate order; each update
-    is the exact scalar minimizer
-    soft_threshold(bhat_j - sum_{k != j} Chat_jk c_k, lam/2) / Chat_jj.
-    Sweeping stops once the largest coordinate change in a full pass
-    drops below 1e-10 * (1 + ||c||_inf) or after 100 sweeps per
-    coordinate.  Coordinates whose diagonal entry is numerically zero
-    are pinned at 0 and reported in ``pinned``.
-
-    Non-convergence does not raise: ``converged`` is false when the
-    :func:`certificates` of the final iterate fail the KKT check.
+    The homotopy walked from lambda_max down to ``lam``; ``iterations``
+    counts its kinks.  Non-convergence does not raise: ``converged`` is
+    false when the :func:`certificates` of the returned point fail the
+    KKT check, as after the kink budget runs out.
     """
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidInput(f"penalty must be positive and finite, got {lam}")
-    m = rp.m
-    chat = rp.chat.data
-    bhat = rp.bhat
-    diag = np.ascontiguousarray(np.diag(chat))
-    pinned_mask = diag <= PIN_THRESHOLD
-
-    if init is None:
-        coef = np.zeros(m)
-    else:
-        coef = np.asarray(init, dtype=np.float64).copy()
-        if coef.shape != (m,):
-            raise DimMismatch(f"init shape {coef.shape}, expected ({m},)")
-        if not np.all(np.isfinite(coef)):
-            raise InvalidInput("init has non-finite entries")
-    coef[pinned_mask] = 0.0
-
-    half = 0.5 * lam
-    prod = chat @ coef  # running Chat @ coef, updated per coordinate
-    cap = SWEEP_CAP_PER_COORD * m
-    sweeps = 0
-    while sweeps < cap:
-        max_delta = 0.0
-        for j in range(m):
-            if pinned_mask[j]:
-                continue
-            cj = coef[j]
-            g = bhat[j] - prod[j] + diag[j] * cj
-            new = soft_threshold(g, half) / diag[j]
-            if new != cj:
-                prod += chat[:, j] * (new - cj)
-                coef[j] = new
-                delta = abs(new - cj)
-                if delta > max_delta:
-                    max_delta = delta
-        sweeps += 1
-        if max_delta <= SWEEP_TOL * (1.0 + float(np.max(np.abs(coef)))):
-            break
-
-    obj = reduced_objective(rp, lam, coef)
-    coef, obj = _polish_active_set(rp, lam, coef, obj)
-    return ReducedSolution(
-        coef=coef,
-        lam=float(lam),
-        objective=obj,
-        iterations=sweeps,
-        certificates=certificates(rp, lam, coef),
-        pinned=tuple(int(j) for j in np.flatnonzero(pinned_mask)),
-    )
+    ((coef, kinks),) = _homotopy(rp, np.array([float(lam)]))
+    return _point(rp, float(lam), coef, kinks)
 
 
 def certificates(
@@ -305,12 +327,12 @@ def reduced_prediction_error(rp: ReducedProblem, coef: np.ndarray) -> float:
 
 
 def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
-    """Solve along a descending penalty grid with warm starts.
+    """Solve along a descending penalty grid with one homotopy walk.
 
-    The grid must be positive and nonincreasing (ties allowed).  The
+    The grid must be positive and nonincreasing (ties allowed); each
+    point's ``iterations`` counts the kinks walked to reach it.  The
     recorded ``monotone`` flag checks that prediction errors do not
-    increase as the penalty decreases, with 1e-9 slack for solver
-    tolerance.
+    increase as the penalty decreases, with 1e-9 slack for roundoff.
     """
     lams = np.asarray(grid, dtype=np.float64)
     if lams.ndim != 1 or lams.size == 0:
@@ -320,21 +342,16 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
     if np.any(np.diff(lams) > 0.0):
         raise InvalidInput("penalty grid must be nonincreasing")
 
-    solutions: list[ReducedSolution] = []
-    errors: list[float] = []
-    warm: np.ndarray | None = None
-    for lam in lams:
-        sol = solve(rp, float(lam), warm)
-        warm = sol.coef
-        solutions.append(sol)
-        errors.append(reduced_prediction_error(rp, sol.coef))
-    err = np.asarray(errors)
-    monotone = bool(np.all(np.diff(err) <= 1e-9))
+    solutions = tuple(
+        _point(rp, float(lam), coef, kinks)
+        for lam, (coef, kinks) in zip(lams, _homotopy(rp, lams))
+    )
+    errors = tuple(reduced_prediction_error(rp, s.coef) for s in solutions)
     return SolutionPath(
         lambdas=tuple(float(v) for v in lams),
-        solutions=tuple(solutions),
-        errors=tuple(errors),
-        monotone=monotone,
+        solutions=solutions,
+        errors=errors,
+        monotone=bool(np.all(np.diff(errors) <= 1e-9)),
     )
 
 
@@ -358,7 +375,6 @@ def embed(rs: ReducedSolution, rp: ReducedProblem) -> DependencySolution:
         lam=rs.lam,
         support=support,
         pred_error=reduced_prediction_error(rp, rs.coef),
-        converged=rs.converged,
         certificates=rs.certificates,
     )
 

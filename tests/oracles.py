@@ -33,6 +33,35 @@ def solve_diagonal(diag: np.ndarray, bhat: np.ndarray, lam: float) -> np.ndarray
     )
 
 
+def coordinate_descent(
+    chat: np.ndarray,
+    bhat: np.ndarray,
+    lam: float,
+    init: np.ndarray | None = None,
+    tol: float = 1e-12,
+    max_sweeps: int = 100_000,
+) -> np.ndarray:
+    """Cyclic coordinate descent with exact soft-threshold updates.
+
+    Each update is soft(bhat_j - sum_{k != j} chat_jk c_k, lam/2) / chat_jj;
+    coordinates with chat_jj <= 0 stay at 0.  Sweeps stop once no
+    coordinate moved more than tol * (1 + ||c||_inf).
+    """
+    c = np.zeros(bhat.shape[0]) if init is None else np.array(init, dtype=np.float64)
+    for _ in range(max_sweeps):
+        moved = 0.0
+        for j in range(c.size):
+            if chat[j, j] <= 0.0:
+                continue
+            g = bhat[j] - chat[j] @ c + chat[j, j] * c[j]
+            new = soft(g, lam / 2.0) / chat[j, j]
+            moved = max(moved, abs(new - c[j]))
+            c[j] = new
+        if moved <= tol * (1.0 + float(np.max(np.abs(c)))):
+            break
+    return c
+
+
 def objective(chat: np.ndarray, bhat: np.ndarray, lam: float, c: np.ndarray) -> float:
     return float(c @ chat @ c - 2.0 * bhat @ c + lam * np.abs(c).sum())
 

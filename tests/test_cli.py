@@ -19,6 +19,7 @@ from covlasso import (
     reduce_problem,
     write_cov,
 )
+from covlasso import solver
 from covlasso.cli import main
 from covlasso.solver import lambda_max
 
@@ -338,7 +339,7 @@ class TestPath:
         assert info["slope_passed"] == "true"
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "dependency-path-report"
-        assert payload["version"] == 2 and "floored" not in payload
+        assert payload["version"] == 3 and "floored" not in payload
         assert len(payload["points"]) == 12
         assert payload["slope_check"]["passed"] is True
 
@@ -473,7 +474,18 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
-    def test_not_converged_still_writes_report(self, tmp_path):
+    def test_hilbert_converges(self, tmp_path):
+        cov_path = hilbert_cov(tmp_path)
+        code, out, err = run_cli(
+            "solve", "--cov", str(cov_path), "--target", "0",
+            "--lambda", "1e-10", "--output", str(tmp_path / "r.json"),
+        )
+        assert code == 0, err
+        assert stdout_dict(out)["kkt_valid"] == "true"
+
+    def test_not_converged_still_writes_report(self, tmp_path, monkeypatch):
+        # The walk to 1e-10 on the Hilbert matrix needs 55 kinks; 9 run out.
+        monkeypatch.setattr(solver, "KINK_CAP_PER_COORD", 1)
         cov_path = hilbert_cov(tmp_path)
         report_path = tmp_path / "r.json"
         code, out, err = run_cli(
@@ -483,16 +495,21 @@ class TestExitCodes:
         assert code == 3
         info = stdout_dict(out)
         assert info["converged"] == "false"
+        assert info["kkt_valid"] == "false"
         rep = parse_report(report_path.read_text())
-        assert rep.converged is False
+        assert rep.certificates["kkt_valid"] is False
 
-    def test_not_converged_path(self, tmp_path):
+    def test_not_converged_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "KINK_CAP_PER_COORD", 1)
         cov_path = hilbert_cov(tmp_path)
+        out_path = tmp_path / "p.json"
         code, out, err = run_cli(
             "path", "--cov", str(cov_path), "--target", "0",
-            "--lambda-grid", "1e-10", "--output", str(tmp_path / "p.json"),
+            "--lambda-grid", "1e-10", "--output", str(out_path),
         )
         assert code == 3
+        (point,) = json.loads(out_path.read_text())["points"]
+        assert point["converged"] is False and point["iterations"] == 9
 
     def test_strict_flags_degenerate_cov(self, tmp_path):
         # Only redundancy floors a spectrum, so only it takes --strict.

@@ -32,7 +32,6 @@ def _solution(theta, target=0, support=None):
         lam=1.0,
         support=support,
         pred_error=0.0,
-        converged=True,
         certificates=SolutionCertificates(0.0, True, 0.0, 0.0),
     )
 

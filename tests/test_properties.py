@@ -1,7 +1,7 @@
 """Property tests over randomly drawn shapes, data and batchings."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -66,6 +66,27 @@ def rank_deficient_problems(draw):
     return cov, target, frac * lmax
 
 
+@st.composite
+def degenerate_problems(draw):
+    """A PSD Cov of order m + 1 <= 7: full rank, rank-deficient, rank 1 or
+    with an exactly duplicated category, at scales 1e-4 to 1e4; a target
+    and lam in (0, lam_max)."""
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["full", "deficient", "rank1", "duplicate"]))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    frac = draw(st.floats(0.001, 0.999))
+    rng = np.random.default_rng(seed)
+    rank = {"full": m + 1, "deficient": int(rng.integers(1, m + 1)), "rank1": 1}.get(kind, m + 1)
+    g = rng.normal(size=(m + 1, rank))
+    if kind == "duplicate":
+        a, b = rng.choice(m + 1, size=2, replace=False)
+        g[a] = g[b]
+    cov = CovMatrix(SymmetricMatrix((g @ g.T) * scale), 10)
+    target = int(rng.integers(0, m + 1))
+    return cov, target, frac * lambda_max(reduce_problem(cov, target))
+
+
 def gap_scale(rp, lam, coef):
     """|J(c)| + cov_ii, the size a duality gap is measured against."""
     return abs(reduced_objective(rp, lam, coef)) + rp.cov_ii
@@ -86,9 +107,8 @@ def test_certified_zeros_are_zero_at_the_oracle_optimum(case):
 @given(rank_deficient_problems())
 def test_gap_at_solve_output_bounds_suboptimality(case):
     # The gap is never below -roundoff, never below the true
-    # suboptimality J(c) - J*, and small wherever c is optimal: always at
-    # the oracle optimum, and at solve's output when CD reached it (on
-    # collinear Chat CD can stop short, which the gap then reports).
+    # suboptimality J(c) - J*, and small wherever c is optimal to
+    # roundoff: at the oracle optimum and at solve's output.
     cov, target, lam = case
     rp = reduce_problem(cov, target)
     sol = solve(rp, lam)
@@ -125,3 +145,13 @@ def test_gram_gap_matches_root_gap(case, seed, log_size):
     else:
         s = 0.5 * lam / r_inf
         assert gram >= root - tol - 1e-9 * (1.0 - s) ** 2 * rp.cov_ii
+
+
+@settings(max_examples=300, deadline=None)
+@given(degenerate_problems())
+def test_homotopy_never_above_the_oracle_optimum(case):
+    cov, target, lam = case
+    assume(lam > 0.0)
+    rp = reduce_problem(cov, target)
+    _, best = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+    assert solve(rp, lam).objective <= best + 1e-9 * (abs(best) + rp.cov_ii)

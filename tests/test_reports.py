@@ -33,8 +33,7 @@ def _solution(theta, target=0, lam=0.5, pred_error=0.25, converged=True):
         lam=lam,
         support=support,
         pred_error=pred_error,
-        converged=converged,
-        certificates=SolutionCertificates(1e-9, True, 2e-8, 0.0),
+        certificates=SolutionCertificates(1e-9, converged, 2e-8, 0.0),
     )
 
 
@@ -131,7 +130,33 @@ class TestReportRoundTrip:
         with pytest.raises(InvalidInput, match="unsupported report version 1"):
             parse_report('{"schema":"dependency-report","version":1}')
         with pytest.raises(InvalidInput, match="missing"):
-            parse_report('{"schema":"dependency-report","version":2}')
+            parse_report('{"schema":"dependency-report","version":3}')
+
+    def test_version_2_report_rejected(self):
+        # Version 2 carried a top-level "converged" beside kkt_valid.
+        payload = json.loads(emit_report(_solution([-1.0, 0.5])))
+        payload.update(version=2, converged=True)
+        with pytest.raises(InvalidInput, match="unsupported report version 2"):
+            parse_report(json.dumps(payload))
+
+    def test_no_top_level_converged(self):
+        payload = json.loads(emit_report(_solution([-1.0, 0.5], converged=False)))
+        assert payload["version"] == 3
+        assert "converged" not in payload
+        assert payload["certificates"]["kkt_valid"] is False
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "place",
+        ['"lambda":0.5', '"value":0.5', '"dual_gap":2e-08'],
+        ids=["lambda", "coefficient", "certificate"],
+    )
+    def test_parse_rejects_non_finite_literals(self, place, literal):
+        text = emit_report(_solution([-1.0, 0.5]))
+        assert text.count(place) == 1
+        bad = text.replace(place, place.split(":")[0] + ":" + literal)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            parse_report(bad)
 
     @pytest.mark.parametrize(
         "fields",
@@ -176,6 +201,12 @@ class TestReportSolution:
         assert rebuilt.converged
         assert rebuilt.certificates == sol.certificates
 
+    def test_converged_follows_kkt_valid(self):
+        sol = _solution([-1.0, 0.5], converged=False)
+        rebuilt = report_solution(parse_report(emit_report(sol)), 2)
+        assert not rebuilt.converged
+        assert not rebuilt.certificates.kkt_valid
+
     def test_validation(self):
         rep = parse_report(emit_report(_solution([-1.0, 0.5])))
         with pytest.raises(InvalidInput):
@@ -198,7 +229,6 @@ class DependencyReportStub:
             "target_name",
             "lam",
             "pred_error",
-            "converged",
             "coefficients",
             "certificates",
             "metrics",

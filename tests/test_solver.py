@@ -13,14 +13,20 @@ from covlasso import (
     lambda_max,
     prediction_error,
     reduce_problem,
-    soft_threshold,
     solution_path,
     solve,
 )
 from covlasso import solver
 from covlasso.solver import reduced_prediction_error
 
-from oracles import enumerate_lasso, solve_diagonal, solve_univariate, spd_matrix
+from oracles import (
+    coordinate_descent,
+    enumerate_lasso,
+    objective,
+    solve_diagonal,
+    solve_univariate,
+    spd_matrix,
+)
 
 
 def rp_1d(chat=1.0, bhat=1.0, cov_ii=1.0):
@@ -42,14 +48,6 @@ def rp_from(chat, bhat, cov_ii=1.0):
         cov_ii=cov_ii,
         n=chat.shape[0] + 1,
     )
-
-
-class TestSoftThreshold:
-    def test_values(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-        assert soft_threshold(-3.0, 1.0) == -2.0
-        assert soft_threshold(0.5, 1.0) == 0.0
-        assert soft_threshold(-1.0, 1.0) == 0.0
 
 
 class TestLambdaMax:
@@ -106,32 +104,74 @@ class TestSolve:
             assert abs(sol.objective - oracle_val) <= 1e-8 * (1.0 + abs(oracle_val))
             assert_allclose(sol.coef, oracle_c, atol=1e-7)
 
-    def test_warm_start_agrees_with_cold(self, rng):
+    def test_matches_coordinate_descent_reference(self, rng):
         for _ in range(10):
             m = int(rng.integers(2, 7))
             rp = rp_from(spd_matrix(rng, m), rng.normal(size=m))
             lam = 0.3 * lambda_max(rp)
-            cold = solve(rp, lam)
-            warm = solve(rp, lam, init=rng.normal(size=m))
-            assert_allclose(cold.coef, warm.coef, atol=1e-8)
+            ref = coordinate_descent(rp.chat.data, rp.bhat, lam, init=rng.normal(size=m))
+            assert_allclose(solve(rp, lam).coef, ref, atol=1e-8)
 
-    def test_pinned_zero_curvature_coordinate(self):
+    def test_zero_curvature_coordinate_never_enters(self):
         rp = rp_from(np.diag([1.0, 0.0]), [0.5, 0.0])
         sol = solve(rp, 0.2)
-        assert sol.pinned == (1,)
         assert sol.coef[1] == 0.0
         assert sol.coef[0] == pytest.approx(0.4)
         assert sol.converged
+
+    def test_iterations_count_kinks(self):
+        # bhat = (0.9, 0.5) on the identity: entries at mu = 0.9 and 0.5.
+        rp = rp_from(np.eye(2), [0.9, 0.5])
+        assert [solve(rp, lam).iterations for lam in (2.0, 1.8, 1.2, 0.4)] == [0, 0, 1, 2]
+
+    def test_tied_coordinates_enter_one_kink_each(self):
+        rp = rp_from(np.eye(3), [0.5, -0.5, 0.5])
+        sol = solve(rp, 0.4)
+        assert_allclose(sol.coef, [0.3, -0.3, 0.3], atol=1e-15)
+        assert sol.iterations == 3
+        assert sol.converged
+
+    def test_exact_duplicate_category_is_refused(self):
+        # Coordinates 0 and 1 are the same category; Chat_AA with both
+        # would be singular, so only the lower index enters.
+        chat = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])
+        rp = rp_from(chat, [0.8, 0.8, 0.3])
+        for lam in (1.0, 0.1, 1e-6):
+            sol = solve(rp, lam)
+            assert sol.coef[1] == 0.0
+            assert sol.converged
+            _, best = enumerate_lasso(chat, rp.bhat, lam)
+            assert sol.objective <= best + 1e-12
+
+    def test_rank_one_cov_reaches_optimum(self):
+        # On rank-1 Chat every coordinate is a multiple of every other, so
+        # the optimum is not unique; seeds 47, 61 and 71 stall a cyclic
+        # coordinate method 1e-4 to 1e-3 of |J| + cov_ii above it.
+        for seed in range(40, 80):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 7))
+            x = rng.normal(size=n)
+            rp = reduce_problem(CovMatrix(SymmetricMatrix(np.outer(x, x)), 10), 0)
+            lam = 0.1 * lambda_max(rp)
+            sol = solve(rp, lam)
+            _, best = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+            assert sol.objective - best <= 1e-9 * (abs(best) + rp.cov_ii)
+            assert sol.converged
+
+    def test_kink_budget_returns_last_breakpoint(self, monkeypatch):
+        monkeypatch.setattr(solver, "KINK_CAP_PER_COORD", 0)
+        rp = rp_from(np.eye(2), [0.9, 0.5])
+        sol = solve(rp, 0.4)
+        assert sol.iterations == 0
+        assert np.all(sol.coef == 0.0)
+        assert not sol.converged
+        assert solve(rp, 1.8).converged
 
     def test_invalid_penalty(self):
         with pytest.raises(InvalidInput):
             solve(rp_1d(), 0.0)
         with pytest.raises(InvalidInput):
             solve(rp_1d(), -1.0)
-
-    def test_init_shape_checked(self):
-        with pytest.raises(DimMismatch):
-            solve(rp_1d(), 1.0, init=np.zeros(3))
 
 
 class TestKkt:
@@ -240,6 +280,47 @@ class TestSolutionPath:
         assert_allclose(coefs, [0.0, 0.5, 0.75], atol=1e-12)
         assert_allclose(path.errors, [1.0, 0.25, 0.0625], atol=1e-12)
         assert path.monotone
+
+    def test_points_match_solve(self, rng):
+        for _ in range(10):
+            m = int(rng.integers(1, 9))
+            rp = rp_from(spd_matrix(rng, m, cond=1e3), rng.normal(size=m))
+            lmax = lambda_max(rp)
+            grid = np.geomspace(1.5 * lmax, lmax / 100.0, 9)
+            path = solution_path(rp, grid)
+            for lam, point in zip(grid, path.solutions):
+                alone = solve(rp, lam)
+                assert_allclose(point.coef, alone.coef, rtol=1e-13, atol=1e-15)
+                assert point.iterations == alone.iterations
+                assert point.certificates == certificates(rp, lam, point.coef)
+
+    def test_supports_match_coordinate_descent(self, rng):
+        for _ in range(6):
+            n = int(rng.integers(2, 31))
+            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond=100.0)), 100)
+            rp = reduce_problem(cov, int(rng.integers(0, n)))
+            lmax = lambda_max(rp)
+            grid = np.geomspace(lmax, lmax / 1000.0, 12)
+            path = solution_path(rp, grid)
+            ref = None
+            for lam, point in zip(grid, path.solutions):
+                ref = coordinate_descent(rp.chat.data, rp.bhat, lam, init=ref)
+                assert np.array_equal(
+                    np.abs(point.coef) > solver.SUPPORT_TOL, np.abs(ref) > solver.SUPPORT_TOL
+                )
+                assert point.objective <= objective(rp.chat.data, rp.bhat, lam, ref) + 1e-12
+
+    def test_one_certificate_pass_per_point(self, monkeypatch):
+        calls = []
+        original = solver.certificates
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "certificates", counting)
+        solution_path(rp_from(np.eye(2), [0.9, 0.5]), [2.0, 1.0, 0.5, 0.5])
+        assert [args[1] for args in calls] == [2.0, 1.0, 0.5, 0.5]
 
     def test_duplicate_grid_values_give_identical_solutions(self):
         rp = rp_1d()

@@ -181,7 +181,6 @@ def _fake_solution(n, target, support):
         lam=1.0,
         support=tuple(support),
         pred_error=0.0,
-        converged=True,
         certificates=SolutionCertificates(0.0, True, 0.0, 0.0),
     )
 
