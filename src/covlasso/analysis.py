@@ -7,12 +7,14 @@ drift along the penalty path, a Markov-style tail certificate, and
 two-sided bounds on the error reduction achievable at a given penalty.
 
 Screening, slope bounds and error-reduction bounds are Gram-form: they
-read only Chat, bhat, diag(Chat) and cov_ii, through the lasso view
+read only Chat c, bhat, diag(Chat) and cov_ii, through the lasso view
 min ||y - X c||^2 + lam ||c||_1 with X^T X = Chat, X^T y = bhat and
 ||y||^2 = cov_ii.  That view, and every bound below, is valid whenever
 cov_ii >= bhat^T Chat^+ bhat, which holds for every problem
-``reduce_problem`` carves from a PSD Cov.  Only :func:`redundancy`
-eigendecomposes, because it inverts a possibly singular matrix.
+``reduce_problem`` views in a PSD Cov.  As in the solver, vectors are
+indexed like Cov, and screening rows and slope margins skip the target.
+Only :func:`redundancy` eigendecomposes, because it inverts a possibly
+singular matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .linalg import (
     log_det,
     relative_floor,
 )
-from .solver import SolutionPath, ReducedSolution, _smooth_part, lambda_max
+from .solver import ReducedSolution, SolutionPath, _residual, _smooth_part, lambda_max
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,10 @@ def redundancy(
     matrix and the target-deleted minor; route 3 expands the inverse
     diagonal entry in the eigenbasis.  When the spectrum dips below the
     relative floor all routes fall back to the floored eigenbasis and
-    ``floored`` is set.  One ``eigh`` of Cov serves routes 1 and 3; the
-    minor's log-determinant needs its eigenvalues only.
+    ``floored`` is set.  That route's ``min_error`` is clamped to cov_ii:
+    no least-squares error exceeds it, but the inverse of a spectrum
+    lifted by a large floor can.  One ``eigh`` of Cov serves routes 1
+    and 3; the minor's log-determinant needs its eigenvalues only.
     """
     n = cov.n
     if n < 2:
@@ -110,10 +114,10 @@ def redundancy(
     if not floored:
         basis = np.zeros(n)
         basis[target] = 1.0
-        inv_entry = float(np.linalg.solve(full, basis)[target])
+        min_error = 1.0 / float(np.linalg.solve(full, basis)[target])
     else:
         inv_entry = float((eig.eigenvectors @ (weights / lifted))[target])
-    min_error = 1.0 / inv_entry
+        min_error = min(1.0 / inv_entry, cov_ii)
 
     keep = np.arange(n) != target
     minor = SymmetricMatrix(full[np.ix_(keep, keep)]).eigenvalues()
@@ -133,7 +137,7 @@ def redundancy(
 
 @dataclass(frozen=True)
 class ScreeningRow:
-    """Per-category screening data, in full coordinates."""
+    """Per-category screening data; ``index`` is the category's index in Cov."""
 
     index: int
     correlation_ratio: float
@@ -169,7 +173,7 @@ def _drift_rates(rp: ReducedProblem) -> np.ndarray:
     r_j = X_j^T (X c - y) with ||X_j|| = sqrt(Chat_jj).  Valid whenever
     cov_ii >= bhat^T Chat^+ bhat.
     """
-    return np.sqrt(np.diag(rp.chat.data) * rp.cov_ii)
+    return np.sqrt(np.diag(rp.cov.mat.data) * rp.cov_ii)
 
 
 def screen(cov: CovMatrix, target: int, lam: float) -> ScreeningReport:
@@ -201,16 +205,17 @@ def screen(cov: CovMatrix, target: int, lam: float) -> ScreeningReport:
     heuristic: list[int] = []
     rows: list[ScreeningRow] = []
     half = 0.5 * lam
-    for j in range(rp.m):
-        full_j = rp.full_index(j)
+    for j in range(rp.n):
+        if j == target:
+            continue
         guard = 1e-12 * max(1.0, abs(float(thresholds[j])))
         if ratios[j] < thresholds[j] - guard:
-            certified.append(full_j)
+            certified.append(j)
         if abs(float(rp.bhat[j])) < half:
-            heuristic.append(full_j)
+            heuristic.append(j)
         rows.append(
             ScreeningRow(
-                index=full_j,
+                index=j,
                 correlation_ratio=float(ratios[j]),
                 certificate_threshold=float(thresholds[j]),
             )
@@ -247,8 +252,8 @@ class SlopeBoundCheck:
 def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundCheck:
     """Verify the residual drift bound on every consecutive path pair.
 
-    For penalties lam1, lam2 in (0, lam_max] and each coordinate j the
-    solved residuals r = Chat c - bhat must satisfy
+    For penalties lam1, lam2 in (0, lam_max] and each off-target
+    coordinate j the solved residuals r = Chat c - bhat must satisfy
 
         |r_j(lam1)/lam1 - r_j(lam2)/lam2|
             <= sqrt(Chat_jj cov_ii) |1/lam1 - 1/lam2|
@@ -266,13 +271,14 @@ def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundChec
         )
 
     rates = _drift_rates(rp)
-    residuals = [rp.chat.data @ s.coef - rp.bhat for s in path.solutions]
+    residuals = [_residual(rp, s.coef) for s in path.solutions]
     margins: list[float] = []
     for k in range(len(path.lambdas) - 1):
         l1, l2 = path.lambdas[k], path.lambdas[k + 1]
         lhs = np.abs(residuals[k] / l1 - residuals[k + 1] / l2)
-        rhs = rates * abs(1.0 / l1 - 1.0 / l2) + 1e-8
-        margins.append(float(np.min(rhs - lhs)))
+        slack = rates * abs(1.0 / l1 - 1.0 / l2) + 1e-8 - lhs
+        slack[rp.target] = np.inf  # the target has no residual
+        margins.append(float(np.min(slack)))
     return SlopeBoundCheck(
         margins=tuple(margins),
         passed=bool(all(m >= 0.0 for m in margins)),

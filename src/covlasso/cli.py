@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -266,14 +267,7 @@ def cmd_screen(args) -> int:
         "lambda_max": rep.lam_max,
         "certified_zero": sorted(rep.certified_zero),
         "heuristic_zero": sorted(rep.heuristic_zero),
-        "per_category": [
-            {
-                "index": row.index,
-                "correlation_ratio": row.correlation_ratio,
-                "certificate_threshold": row.certificate_threshold,
-            }
-            for row in rep.per_category
-        ],
+        "per_category": [asdict(row) for row in rep.per_category],
     }
     _write_text(args.output, canonical_json(payload))
     _say("target", rep.target)
@@ -289,27 +283,16 @@ def cmd_redundancy(args) -> int:
     floor_rel = _floor_rel()
     cov = _load_cov(args.cov)
     rep = analysis.redundancy(cov, args.target, floor_rel)
+    fields = asdict(rep)
     payload = {
         "schema": "redundancy-report",
         "version": 1,
-        "target": rep.target,
-        "min_error": rep.min_error,
-        "log_det_ratio": rep.log_det_ratio,
-        "eigen_error_sum": rep.eigen_error_sum,
-        "relative_error": rep.relative_error,
-        "floored": rep.floored,
+        **fields,
         "max_disagreement": rep.max_disagreement(),
     }
     _write_text(args.output, canonical_json(payload))
-    for key in (
-        "target",
-        "min_error",
-        "log_det_ratio",
-        "eigen_error_sum",
-        "relative_error",
-        "floored",
-    ):
-        _say(key, payload[key])
+    for key, value in fields.items():
+        _say(key, value)
     _say("output", args.output)
     if args.strict and rep.floored:
         return EXIT_DEGENERATE
@@ -321,27 +304,14 @@ def cmd_eval(args) -> int:
     report = reports.parse_report(Path(args.report).read_text("utf-8"))
     dep = reports.report_solution(report, logits.n)
     metrics = evaluation.evaluate(logits, dep)
-    payload = {
-        "schema": "eval-metrics",
-        "version": 1,
-        "target": metrics.target,
-        "samples": metrics.samples,
-        "abs_err": metrics.abs_err,
-        "rel_err": metrics.rel_err,
-        "acc": metrics.acc,
-        "ori_acc": metrics.ori_acc,
-        "positives": metrics.positives,
-        "pos_acc": metrics.pos_acc,
-        "ori_pos_acc": metrics.ori_pos_acc,
-    }
+    fields = asdict(metrics)
     if args.output is not None:
+        payload = {"schema": "eval-metrics", "version": 1, **fields}
         _write_text(args.output, canonical_json(payload))
         _say("output", args.output)
-    for key in ("target", "samples", "abs_err", "rel_err", "acc", "ori_acc", "positives"):
-        _say(key, payload[key])
-    if metrics.pos_acc is not None:
-        _say("pos_acc", metrics.pos_acc)
-        _say("ori_pos_acc", metrics.ori_pos_acc)
+    for key, value in fields.items():
+        if value is not None:  # pos_acc and ori_pos_acc without positives
+            _say(key, value)
     return EXIT_OK
 
 
@@ -416,15 +386,7 @@ def cmd_synth(args) -> int:
     if args.truth_output is not None:
         if truth is None:
             raise InvalidSpec("--truth-output needs a planted dependency")
-        payload = {
-            "schema": "planted-truth",
-            "version": 1,
-            "n": truth.n,
-            "target": truth.target,
-            "support": list(truth.support),
-            "coefficients": list(truth.coefficients),
-            "noise_sigma": truth.noise_sigma,
-        }
+        payload = {"schema": "planted-truth", "version": 1, **asdict(truth)}
         _write_text(args.truth_output, canonical_json(payload))
         _say("truth_output", args.truth_output)
     _say("n", logits.n)

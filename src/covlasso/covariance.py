@@ -238,48 +238,41 @@ def cross_covariance(f: LogitMatrix, g: LogitMatrix, target: int) -> CovMatrix:
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    """The target-row-deleted quadratic program data for one category.
+    """One category's regression on all the others, as a view of Cov.
 
-    For target i this holds the (n-1)x(n-1) minor of the second-moment
-    matrix (``chat``), the target column with entry i removed (``bhat``),
-    and the target's own second moment ``cov_ii``.  Reduced coordinate j
-    maps back to full coordinate j + 1 if j >= i else j.
+    For target i this keeps ``cov`` itself, Cov's column i with entry i
+    set to 0 (``bhat``) and the target's own second moment ``cov_ii``.
+    Coefficient vectors are indexed like Cov, with the target entry held
+    at exactly 0, so Chat, the target-deleted minor, is never formed:
+    every product with Cov meets a zero coefficient at the target.
     """
 
+    cov: CovMatrix
     target: int
-    chat: SymmetricMatrix
     bhat: np.ndarray
     cov_ii: float
-    n: int
 
     def __post_init__(self):
         self.bhat.flags.writeable = False
 
     @property
+    def n(self) -> int:
+        return self.cov.n
+
+    @property
     def m(self) -> int:
-        """Number of reduced (off-target) coordinates."""
+        """Number of free (off-target) coordinates."""
         return self.n - 1
-
-    def full_index(self, j: int) -> int:
-        """Full-matrix coordinate of reduced coordinate j."""
-        return j + 1 if j >= self.target else j
-
-    def reduced_index(self, j: int) -> int:
-        """Reduced coordinate of full coordinate j (j must differ from target)."""
-        if j == self.target:
-            raise OutOfRange("target has no reduced coordinate")
-        return j - 1 if j > self.target else j
 
 
 def reduce_problem(cov: CovMatrix, target: int) -> ReducedProblem:
-    """Carve the one-vs-rest regression data for ``target`` out of ``cov``."""
+    """The one-vs-rest regression data for ``target``, viewing ``cov``."""
     n = cov.n
     if n < 2:
         raise DimTooSmall("need at least two categories to form a reduced problem")
     if not 0 <= target < n:
         raise OutOfRange(f"target {target} outside [0, {n})")
-    keep = np.arange(n) != target
     full = cov.mat.data
-    chat = SymmetricMatrix(full[np.ix_(keep, keep)])
-    bhat = full[keep, target].copy()
-    return ReducedProblem(target, chat, bhat, float(full[target, target]), n)
+    bhat = full[:, target].copy()
+    bhat[target] = 0.0
+    return ReducedProblem(cov, target, bhat, float(full[target, target]))

@@ -11,7 +11,7 @@ sorted order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
 import numpy as np
@@ -112,16 +112,8 @@ def build_report(
     }
     metrics_dict = None
     if metrics is not None:
-        metrics_dict = {
-            "samples": metrics.samples,
-            "abs_err": metrics.abs_err,
-            "rel_err": metrics.rel_err,
-            "acc": metrics.acc,
-            "ori_acc": metrics.ori_acc,
-            "positives": metrics.positives,
-            "pos_acc": metrics.pos_acc,
-            "ori_pos_acc": metrics.ori_pos_acc,
-        }
+        metrics_dict = asdict(metrics)
+        del metrics_dict["target"]  # the report names its target once
     return DependencyReport(
         target_index=solution.target,
         target_name=name_of(solution.target),

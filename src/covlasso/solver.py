@@ -1,15 +1,19 @@
 """L1-penalized dependency solver on reduced second-moment problems.
 
-For a reduced problem (Chat, bhat, cov_ii) and penalty lam > 0 the
+For target i of a second-moment matrix Cov and penalty lam > 0 the
 solver minimizes
 
     J(c) = c^T Chat c - 2 bhat^T c + lam * ||c||_1
 
-over coefficient vectors c for the off-target categories.  Plugging the
-minimizer back in with the fixed -1 coefficient on the target gives the
-prediction error  c^T Chat c - 2 bhat^T c + cov_ii,  the mean squared
-residual of approximating the target logit by a sparse combination of
-the others.
+over coefficients c of the off-target categories, where Chat is Cov
+without row and column i and bhat is Cov's column i with entry i set
+to 0.  Coefficient vectors are indexed like Cov with c_i held at
+exactly 0, so Chat is never formed: off the target Cov c equals
+Chat c, the target entry of every residual is read as 0, and the
+target never enters the active set.  Plugging the minimizer back in
+with the fixed -1 coefficient on the target gives the prediction error
+c^T Chat c - 2 bhat^T c + cov_ii, the mean squared residual of
+approximating the target logit by a sparse combination of the others.
 
 The minimizer is followed exactly along the lasso homotopy (Osborne,
 Presnell & Turlach, 2000; Efron et al., "Least angle regression",
@@ -78,7 +82,7 @@ class SolutionCertificates:
 
 @dataclass(frozen=True)
 class ReducedSolution:
-    """Solver output in reduced coordinates, with its certificates."""
+    """Solver output indexed like Cov (0 at the target), with its certificates."""
 
     coef: np.ndarray
     lam: float
@@ -97,11 +101,11 @@ class ReducedSolution:
 
 @dataclass(frozen=True)
 class DependencySolution:
-    """A solution embedded back into full category coordinates.
+    """A solution with the target's fixed -1 coefficient in place.
 
     ``theta`` has the fixed -1 at the target and the solved coefficients
-    elsewhere; ``support`` lists the full-coordinate categories with
-    coefficients beyond the support tolerance.
+    elsewhere; ``support`` lists the categories with coefficients beyond
+    the support tolerance.
     """
 
     target: int
@@ -145,7 +149,14 @@ def lambda_max(rp: ReducedProblem) -> float:
 
 def _smooth_part(rp: ReducedProblem, c: np.ndarray) -> float:
     """c^T Chat c - 2 bhat^T c, as (c^T Chat) c: reports hold its last bits."""
-    return float(c @ rp.chat.data @ c - 2.0 * rp.bhat @ c)
+    return float(c @ rp.cov.mat.data @ c - 2.0 * rp.bhat @ c)
+
+
+def _residual(rp: ReducedProblem, c: np.ndarray) -> np.ndarray:
+    """r = Chat c - bhat, indexed like Cov with r_target = 0."""
+    r = rp.cov.mat.data @ c - rp.bhat
+    r[rp.target] = 0.0
+    return r
 
 
 def reduced_objective(rp: ReducedProblem, lam: float, coef: np.ndarray) -> float:
@@ -161,13 +172,13 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
     module docstring for the segment formula, the event and tie rules,
     the refusal of singular entries and the kink budget.
     """
-    chat = rp.chat.data
+    cov = rp.cov.mat.data
     bhat = rp.bhat
-    m = rp.m
+    n = rp.n
     mus = 0.5 * lams
-    schur_tol = m * np.finfo(np.float64).eps
-    budget = KINK_CAP_PER_COORD * m
-    in_a = np.zeros(m, dtype=bool)
+    schur_tol = rp.m * np.finfo(np.float64).eps
+    budget = KINK_CAP_PER_COORD * rp.m
+    in_a = np.zeros(n, dtype=bool)
     active: list[int] = []
     signs: list[float] = []
     mu = float(np.max(np.abs(bhat)))
@@ -176,19 +187,20 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
     while True:
         idx = np.asarray(active, dtype=np.intp)
         s = np.asarray(signs, dtype=np.float64)
-        rows = chat[idx]
+        rows = cov[idx]
         block = rows[:, idx]
         c_a, v = np.linalg.solve(block, np.stack([bhat[idx] - mu * s, s], axis=1)).T
         g = bhat - c_a @ rows  # -r at mu
         d = v @ rows  # g(mu - t) = g(mu) - t d on this segment
 
         # Entry at |g_j| = mu, only where |g_j| - mu grows as mu falls.
-        t_up = np.full(m, np.inf)
-        t_down = np.full(m, np.inf)
+        t_up = np.full(n, np.inf)
+        t_down = np.full(n, np.inf)
         up, down = 1.0 - d > 0.0, 1.0 + d > 0.0
         t_up[up] = (mu - g[up]) / (1.0 - d[up])
         t_down[down] = (mu + g[down]) / (1.0 + d[down])
         t = np.minimum(t_up, t_down)
+        t[rp.target] = np.inf  # the target never enters
         # Exit where an active coefficient moves toward 0 and reaches it.
         t[idx] = np.inf
         shrinking = s * v < 0.0
@@ -200,7 +212,7 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
             if not np.isfinite(t[j]) or in_a[j]:
                 break
             w = np.linalg.solve(block, rows[:, j])
-            if chat[j, j] - rows[:, j] @ w > schur_tol * chat[j, j]:
+            if cov[j, j] - rows[:, j] @ w > schur_tol * cov[j, j]:
                 break
             t[j] = np.inf  # Chat_AA would turn singular: refuse j for now
         mu_next = mu - float(t[j])
@@ -215,7 +227,7 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
         sol = np.linalg.solve(block, bhat[idx, None] - np.multiply.outer(s, read))
         sol[sol * s[:, None] < 0.0] = 0.0
         for col in sol.T:
-            coef = np.zeros(m)
+            coef = np.zeros(n)
             coef[idx] = col
             points.append((coef, kinks))
         if len(points) == mus.size:
@@ -261,7 +273,8 @@ def certificates(
 ) -> SolutionCertificates:
     """KKT and Gram-form duality-gap certificates for a primal iterate.
 
-    Both read r = Chat c - bhat, formed once.  Coordinate j violates KKT
+    Both read r = Chat c - bhat, formed once, with r = 0 at the target,
+    whose coefficient must be 0.  Coordinate j violates KKT
     by |r_j + (lam/2) sign(c_j)| if c_j != 0, else by max(0, |r_j| - lam/2);
     the iterate is KKT-valid if no violation exceeds 1e-6 * max(lam, 1).
 
@@ -283,11 +296,12 @@ def certificates(
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidInput(f"penalty must be positive and finite, got {lam}")
     c = np.asarray(coef, dtype=np.float64)
-    if c.shape != (rp.m,):
-        raise DimMismatch(f"coef shape {c.shape}, expected ({rp.m},)")
+    if c.shape != (rp.n,):
+        raise DimMismatch(f"coef shape {c.shape}, expected ({rp.n},)")
+    if c[rp.target] != 0.0:
+        raise InvalidInput(f"coefficient of target {rp.target} must be 0")
 
-    chat_c = rp.chat.data @ c
-    r = chat_c - rp.bhat
+    r = _residual(rp, c)
     abs_r = np.abs(r)
     half = 0.5 * lam
     violation = np.where(
@@ -300,7 +314,7 @@ def certificates(
     feas_violation = max(0.0, sqrt2 / lam * r_inf - sqrt2 / 2.0)
     s = 1.0 if r_inf <= half else half / r_inf
     b_c = float(rp.bhat @ c)
-    c_chat_c = float(c @ chat_c)
+    c_chat_c = float(c @ r) + b_c
     primal = c_chat_c - 2.0 * b_c + lam * float(np.abs(c).sum())
     gap = (
         primal
@@ -317,7 +331,7 @@ def certificates(
 
 
 def reduced_prediction_error(rp: ReducedProblem, coef: np.ndarray) -> float:
-    """Mean squared target residual for reduced coefficients.
+    """Mean squared target residual for coefficients with 0 at the target.
 
     Expands theta^T Cov theta with the -1 target coefficient folded in:
     c^T Chat c - 2 bhat^T c + cov_ii, clamped below at zero.
@@ -356,19 +370,14 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
 
 
 def embed(rs: ReducedSolution, rp: ReducedProblem) -> DependencySolution:
-    """Lift a reduced solution to full coordinates; its certificates carry over."""
-    if rs.coef.shape != (rp.m,):
+    """Set the target's fixed -1 coefficient; the certificates carry over."""
+    if rs.coef.shape != (rp.n,):
         raise DimMismatch(
-            f"solution has {rs.coef.shape[0]} coordinates, problem has {rp.m}"
+            f"solution has {rs.coef.shape[0]} coordinates, problem has {rp.n}"
         )
-    theta = np.empty(rp.n)
+    theta = rs.coef.copy()
     theta[rp.target] = -1.0
-    mask = np.arange(rp.n) != rp.target
-    theta[mask] = rs.coef
-
-    support = tuple(
-        int(j) for j in np.flatnonzero(mask & (np.abs(theta) > SUPPORT_TOL))
-    )
+    support = tuple(int(j) for j in np.flatnonzero(np.abs(rs.coef) > SUPPORT_TOL))
     return DependencySolution(
         target=rp.target,
         theta=theta,

@@ -113,6 +113,18 @@ def enumerate_lasso(
     return best_c, best_val
 
 
+def minor(rp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit copies (Chat, bhat, keep) of a reduced problem's data.
+
+    Chat is Cov with the target row and column deleted, bhat the target
+    column without its target entry, and keep the indices of Cov that
+    they retain, so an oracle's answer x corresponds to coef[keep].
+    """
+    keep = np.flatnonzero(np.arange(rp.n) != rp.target)
+    full = rp.cov.mat.data
+    return full[np.ix_(keep, keep)].copy(), full[keep, rp.target].copy(), keep
+
+
 def second_moment_exact(data: np.ndarray) -> np.ndarray:
     """Correctly rounded E[f f^T]: every product and sum in exact rationals."""
     rows = [[Fraction(float(v)) for v in row] for row in np.asarray(data)]

@@ -15,7 +15,6 @@ import pytest
 from covlasso import (
     CovMatrix,
     PlantedDependency,
-    ReducedProblem,
     SymmetricMatrix,
     SyntheticSpec,
     accumulate,
@@ -46,7 +45,8 @@ from covlasso.evaluation import extension_loss_grad
 from covlasso.linalg import DEFAULT_EIG_FLOOR_REL
 from covlasso.solver import SUPPORT_TOL, lambda_max, reduced_objective
 
-from oracles import enumerate_lasso, solve_diagonal, solve_univariate, spd_matrix
+from conftest import rp_from
+from oracles import enumerate_lasso, minor, solve_diagonal, solve_univariate, spd_matrix
 from test_cli import run_cli, stdout_dict
 
 
@@ -62,9 +62,7 @@ def random_problem(rng, m, cond=100.0):
     cov_ii = float(bhat @ np.linalg.solve(chat, bhat)) + float(
         rng.uniform(0.1, 2.0)
     )  # keeps the full matrix PSD
-    return ReducedProblem(
-        target=0, chat=SymmetricMatrix(chat), bhat=bhat, cov_ii=cov_ii, n=m + 1
-    )
+    return rp_from(chat, bhat, cov_ii)
 
 
 @pytest.fixture(scope="module")
@@ -95,29 +93,17 @@ class TestAcceptance:
                 c = float(rng.uniform(0.2, 4.0))
                 b = float(rng.uniform(-3.0, 3.0))
                 lam = float(rng.uniform(0.01, 3.0))
-                rp = ReducedProblem(
-                    target=0,
-                    chat=SymmetricMatrix([[c]]),
-                    bhat=np.array([b]),
-                    cov_ii=b * b / c + 0.5,
-                    n=2,
-                )
+                rp = rp_from([[c]], [b], b * b / c + 0.5)
                 expect = np.array([solve_univariate(c, b, lam)])
             else:
                 m = int(rng.integers(2, 9))
                 diag = rng.uniform(0.2, 4.0, size=m)
                 bhat = rng.standard_normal(m)
                 lam = float(rng.uniform(0.01, 3.0))
-                rp = ReducedProblem(
-                    target=0,
-                    chat=SymmetricMatrix(np.diag(diag)),
-                    bhat=bhat,
-                    cov_ii=float(bhat @ (bhat / diag)) + 0.5,
-                    n=m + 1,
-                )
+                rp = rp_from(np.diag(diag), bhat, float(bhat @ (bhat / diag)) + 0.5)
                 expect = solve_diagonal(diag, bhat, lam)
             sol = solve(rp, lam)
-            worst = max(worst, float(np.abs(sol.coef - expect).max()))
+            worst = max(worst, float(np.abs(sol.coef[1:] - expect).max()))
         elapsed = time.perf_counter() - start
         record(
             1,
@@ -134,7 +120,8 @@ class TestAcceptance:
             rp = random_problem(rng, m)
             lam = float(rng.uniform(0.05, 1.5) * max(lambda_max(rp), 0.1))
             sol = solve(rp, lam)
-            _, best_objective = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+            chat, bhat, _ = minor(rp)
+            _, best_objective = enumerate_lasso(chat, bhat, lam)
             gap = reduced_objective(rp, lam, sol.coef) - best_objective
             worst = max(worst, gap)
         elapsed = time.perf_counter() - start
@@ -214,12 +201,8 @@ class TestAcceptance:
                 if not rep.certified_zero:
                     continue
                 sol = solve(rp, float(lam))
-                support_full = {
-                    rp.full_index(j)
-                    for j in range(rp.m)
-                    if abs(sol.coef[j]) > SUPPORT_TOL
-                }
-                unsound += len(rep.certified_zero & support_full)
+                support = set(np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL))
+                unsound += len(rep.certified_zero & support)
         record(
             6,
             unsound == 0,

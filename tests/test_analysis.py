@@ -8,7 +8,6 @@ from covlasso import (
     DimTooSmall,
     InvalidInput,
     OutOfRange,
-    ReducedProblem,
     SingularMatrix,
     SymmetricMatrix,
     certify,
@@ -25,7 +24,8 @@ from covlasso import (
 )
 from covlasso.solver import SUPPORT_TOL
 
-from oracles import dense_floored_root, spd_matrix
+from conftest import rp_from
+from oracles import dense_floored_root, minor, spd_matrix
 
 
 def cov_of(mat, count=100):
@@ -56,6 +56,14 @@ class TestRedundancy:
         assert rep.floored
         assert rep.min_error <= 1e-9
         assert 0.0 <= rep.relative_error <= 1e-9
+
+    def test_large_floor_never_reports_more_than_cov_ii(self):
+        # The floored inverse of ones((3, 3)) at a 0.5 floor gives
+        # 1 / 0.555... = 1.8 > cov_ii = 1.
+        rep = redundancy(cov_of(np.ones((3, 3))), 0, eig_floor_rel=0.5)
+        assert rep.floored
+        assert rep.min_error == 1.0
+        assert rep.relative_error == 1.0
 
     def test_singular_without_floor_raises(self):
         with pytest.raises(SingularMatrix, match="numerically singular"):
@@ -102,6 +110,23 @@ class TestScreen:
         # 1 - 2 sqrt(Chat_22 cov_ii) (1/1.7 - 1/1.8) = 1 - 2 / 30.6
         assert row2.certificate_threshold == pytest.approx(1.0 - 2.0 / 30.6, rel=1e-14)
 
+    def test_rows_cover_every_category_but_the_target(self, rng):
+        cov = cov_of(spd_matrix(rng, 6))
+        rep = screen(cov, 3, 0.5 * lambda_max(reduce_problem(cov, 3)))
+        assert [r.index for r in rep.per_category] == [0, 1, 2, 4, 5]
+        assert 3 not in rep.certified_zero | rep.heuristic_zero
+
+    def test_slope_margins_ignore_the_target(self):
+        # Category 1's drift rate sqrt(4 cov_ii) = 2 exceeds the target's
+        # sqrt(cov_ii cov_ii) = 1, so counting the target would lower the
+        # margin to 1.
+        rp = reduce_problem(cov_of([[1.0, 0.5], [0.5, 4.0]]), 0)
+        path = solution_path(rp, [1.0, 0.5])
+        r1, r2 = (4.0 * float(s.coef[1]) - 0.5 for s in path.solutions)
+        expect = 2.0 * (1.0 / 0.5 - 1.0 / 1.0) + 1e-8 - abs(r1 / 1.0 - r2 / 0.5)
+        assert expect > 1.5
+        assert check_slope_bounds(rp, path).margins == (pytest.approx(expect, rel=1e-12),)
+
     def test_worked_example_tight_penalty_certifies_nothing(self):
         rep = screen(cov_of(BLOCK), 0, 0.4)
         assert rep.certified_zero == frozenset()
@@ -134,10 +159,7 @@ class TestScreen:
                 rep = screen(cov, target, lam)
                 sol = solve(rp, lam)
                 assert sol.converged
-                active = {
-                    rp.full_index(j)
-                    for j in np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL)
-                }
+                active = set(np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL))
                 assert not (rep.certified_zero & active)
 
     def test_heuristic_violation_rate_is_reported_not_asserted(self, rng):
@@ -152,10 +174,7 @@ class TestScreen:
             lam = float(rng.uniform(0.05, 0.95)) * lambda_max(rp)
             rep = screen(cov, target, lam)
             sol = solve(rp, lam)
-            active = {
-                rp.full_index(j)
-                for j in np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL)
-            }
+            active = set(np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL))
             checked += len(rep.heuristic_zero)
             violations += len(rep.heuristic_zero & active)
         rate = violations / checked if checked else 0.0
@@ -186,28 +205,23 @@ class TestSlopeBounds:
 
         # The root's column norms are sqrt(diag Chat), and cov_ii bounds
         # ||root^-1 bhat||^2 = bhat^T Chat^-1 bhat from above.
-        root = dense_floored_root(rp.chat.data, 0.0)
-        assert_allclose(np.linalg.norm(root, axis=0), np.sqrt(np.diag(rp.chat.data)), rtol=1e-12)
-        assert np.linalg.norm(np.linalg.solve(root, rp.bhat)) ** 2 <= rp.cov_ii
+        chat, bhat, keep = minor(rp)
+        root = dense_floored_root(chat, 0.0)
+        assert_allclose(np.linalg.norm(root, axis=0), np.sqrt(np.diag(chat)), rtol=1e-12)
+        assert np.linalg.norm(np.linalg.solve(root, bhat)) ** 2 <= rp.cov_ii
         l1, l2 = path.lambdas
-        r1 = rp.chat.data @ path.solutions[0].coef - rp.bhat
-        r2 = rp.chat.data @ path.solutions[1].coef - rp.bhat
+        r1 = chat @ path.solutions[0].coef[keep] - bhat
+        r2 = chat @ path.solutions[1].coef[keep] - bhat
         lhs = np.abs(r1 / l1 - r2 / l2)
-        rhs = np.sqrt(np.diag(rp.chat.data) * rp.cov_ii) * abs(1.0 / l1 - 1.0 / l2) + 1e-8
+        rhs = np.sqrt(np.diag(chat) * rp.cov_ii) * abs(1.0 / l1 - 1.0 / l2) + 1e-8
         assert check.margins[0] == pytest.approx(float(np.min(rhs - lhs)), rel=1e-9)
 
     def test_requires_converged_path(self):
         from covlasso import ReducedSolution, SolutionCertificates, SolutionPath
 
-        rp = ReducedProblem(
-            target=0,
-            chat=SymmetricMatrix(np.eye(2)),
-            bhat=np.array([0.9, 0.0]),
-            cov_ii=1.0,
-            n=3,
-        )
+        rp = rp_from(np.eye(2), [0.9, 0.0])
         fake = ReducedSolution(
-            coef=np.zeros(2),
+            coef=np.zeros(3),
             lam=1.0,
             objective=0.0,
             iterations=1,
@@ -218,13 +232,7 @@ class TestSlopeBounds:
             check_slope_bounds(rp, path)
 
     def test_rejects_penalties_above_lambda_max(self):
-        rp = ReducedProblem(
-            target=0,
-            chat=SymmetricMatrix(np.eye(2)),
-            bhat=np.array([0.9, 0.0]),
-            cov_ii=1.0,
-            n=3,
-        )
+        rp = rp_from(np.eye(2), [0.9, 0.0])
         path = solution_path(rp, [2.5, 0.9])  # 2.5 > lambda_max = 1.8
         with pytest.raises(InvalidInput):
             check_slope_bounds(rp, path)
@@ -232,13 +240,7 @@ class TestSlopeBounds:
 
 class TestCertify:
     def _solution(self, pred_error=0.04):
-        rp = ReducedProblem(
-            target=0,
-            chat=SymmetricMatrix([[1.0]]),
-            bhat=np.array([np.sqrt(1.0 - pred_error)]),
-            cov_ii=1.0,
-            n=2,
-        )
+        rp = rp_from([[1.0]], [np.sqrt(1.0 - pred_error)])
         sol = solve(rp, 1e-9)
         dep = embed(sol, rp)
         assert dep.pred_error == pytest.approx(pred_error, rel=1e-6)
@@ -267,13 +269,7 @@ class TestCertify:
 
 class TestErrorReductionBounds:
     def test_univariate_worked_example(self):
-        rp = ReducedProblem(
-            target=0,
-            chat=SymmetricMatrix([[1.0]]),
-            bhat=np.array([1.0]),
-            cov_ii=1.0,
-            n=2,
-        )
+        rp = rp_from([[1.0]], [1.0])
         sol = solve(rp, 1.0)
         bounds = error_reduction_bounds(rp, 1.0, sol)
         assert bounds.identity_value == pytest.approx(0.75, abs=1e-10)
@@ -304,13 +300,7 @@ class TestErrorReductionBounds:
                 assert reduction <= bounds.upper + 1e-9
 
     def test_validates_inputs(self):
-        rp = ReducedProblem(
-            target=0,
-            chat=SymmetricMatrix([[1.0]]),
-            bhat=np.array([1.0]),
-            cov_ii=1.0,
-            n=2,
-        )
+        rp = rp_from([[1.0]], [1.0])
         sol = solve(rp, 1.0)
         with pytest.raises(OutOfRange):
             error_reduction_bounds(rp, 5.0, sol)  # above lambda_max
@@ -319,7 +309,7 @@ class TestErrorReductionBounds:
         from covlasso import ReducedSolution, SolutionCertificates
 
         fake = ReducedSolution(
-            coef=np.zeros(1),
+            coef=np.zeros(2),
             lam=1.0,
             objective=0.0,
             iterations=1,

@@ -599,6 +599,21 @@ class TestExitCodes:
         assert huge[0] == 4
         assert stdout_dict(huge[1])["floored"] == "true"
 
+    def test_large_floor_keeps_relative_error_in_unit_interval(self, tmp_path):
+        logits = synth(tmp_path, n="3", samples="2", **{"latent-rank": "1", "plant": None, "seed": "1"})
+        cov_path = build_cov(tmp_path, logits)
+        for target in ("0", "1"):
+            out_path = tmp_path / f"r{target}.json"
+            argv = ("redundancy", "--cov", str(cov_path), "--target", target, "--output", str(out_path))
+            code, out, err = run_cli(*argv, env={"ND_EIG_FLOOR": "0.5"})
+            assert code == 0, err
+            payload = json.loads(out_path.read_text())
+            assert payload["floored"] is True
+            assert 0.0 <= payload["relative_error"] <= 1.0
+            assert float(stdout_dict(out)["relative_error"]) == payload["relative_error"]
+            strict = run_cli(*argv, "--strict", env={"ND_EIG_FLOOR": "0.5"})
+            assert strict[0] == 4
+
     def test_eig_floor_env_ignored_outside_redundancy(self, tmp_path):
         path = tmp_path / "logits.bin"
         code, out, err = run_cli(

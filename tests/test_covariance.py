@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -249,8 +251,8 @@ class TestReduce:
     def test_worked_example(self):
         cov = self._cov([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
         rp = reduce_problem(cov, 0)
-        assert_allclose(rp.chat.data, np.eye(2))
-        assert_allclose(rp.bhat, [0.9, 0.0])
+        assert rp.cov is cov
+        assert_allclose(rp.bhat, [0.0, 0.9, 0.0])
         assert rp.cov_ii == 1.0
         assert rp.m == 2 and rp.n == 3
 
@@ -258,12 +260,21 @@ class TestReduce:
         cov = self._cov(np.arange(1, 10).reshape(3, 3).astype(float))
         rp = reduce_problem(cov, 1)
         sym = cov.mat.data
-        assert_allclose(rp.chat.data, sym[np.ix_([0, 2], [0, 2])])
-        assert_allclose(rp.bhat, [sym[0, 1], sym[2, 1]])
-        assert rp.full_index(0) == 0 and rp.full_index(1) == 2
-        assert rp.reduced_index(0) == 0 and rp.reduced_index(2) == 1
-        with pytest.raises(OutOfRange):
-            rp.reduced_index(1)
+        assert rp.cov is cov and rp.target == 1
+        assert_array_equal(rp.bhat, [sym[0, 1], 0.0, sym[2, 1]])
+        assert rp.cov_ii == sym[1, 1]
+        assert not rp.bhat.flags.writeable
+
+    def test_views_cov_instead_of_copying_the_minor(self):
+        n = 400
+        cov = self._cov(np.eye(n))
+        tracemalloc.start()
+        try:
+            reduce_problem(cov, n // 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n
 
     def test_too_small(self):
         with pytest.raises(DimTooSmall):

@@ -22,7 +22,7 @@ from covlasso import (
 from covlasso.covariance import BLOCK_ROWS
 from covlasso.solver import reduced_objective
 
-from oracles import enumerate_lasso, root_form_gap
+from oracles import enumerate_lasso, minor, root_form_gap
 
 
 @st.composite
@@ -98,9 +98,12 @@ def test_certified_zeros_are_zero_at_the_oracle_optimum(case):
     cov, target, lam = case
     rp = reduce_problem(cov, target)
     rep = screen(cov, target, lam)
-    oracle, _ = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+    chat, bhat, keep = minor(rp)
+    oracle, _ = enumerate_lasso(chat, bhat, lam)
+    coef = np.zeros(rp.n)
+    coef[keep] = oracle
     for j in rep.certified_zero:
-        assert oracle[rp.reduced_index(j)] == 0.0
+        assert coef[j] == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,14 +115,17 @@ def test_gap_at_solve_output_bounds_suboptimality(case):
     cov, target, lam = case
     rp = reduce_problem(cov, target)
     sol = solve(rp, lam)
-    oracle, best = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+    chat, bhat, keep = minor(rp)
+    oracle, best = enumerate_lasso(chat, bhat, lam)
     gap = embed(sol, rp).certificates.dual_gap
     size = gap_scale(rp, lam, sol.coef)
     assert gap >= -1e-12 * size
     assert gap >= sol.objective - best - 1e-12 * size
     if sol.objective - best <= 1e-12 * size:
         assert gap <= 1e-9 * size
-    assert certificates(rp, lam, oracle).dual_gap <= 1e-9 * gap_scale(rp, lam, oracle)
+    coef = np.zeros(rp.n)
+    coef[keep] = oracle
+    assert certificates(rp, lam, coef).dual_gap <= 1e-9 * gap_scale(rp, lam, coef)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,16 +136,19 @@ def test_gram_gap_matches_root_gap(case, seed, log_size):
     # with relative error up to cond(Chat) u, hence the (1-s)^2 cov_ii slack.
     cov, target, lam = case
     rp = reduce_problem(cov, target)
+    chat, bhat, keep = minor(rp)
     # Around the solution, or anywhere on the scale of bhat / diag(Chat).
     rng = np.random.default_rng(seed)
-    width = 10.0**log_size * np.max(np.abs(rp.bhat)) / max(np.max(np.diag(rp.chat.data)), 1e-300)
-    coef = rng.normal(size=rp.m) * width
+    width = 10.0**log_size * np.max(np.abs(bhat)) / max(np.max(np.diag(chat)), 1e-300)
+    x = rng.normal(size=rp.m) * width
     if seed % 2:
-        coef = coef * 1e-3 + solve(rp, lam).coef
+        x = x * 1e-3 + solve(rp, lam).coef[keep]
+    coef = np.zeros(rp.n)
+    coef[keep] = x
     gram = certificates(rp, lam, coef).dual_gap
-    root = root_form_gap(rp.chat.data, rp.bhat, lam, coef)
+    root = root_form_gap(chat, bhat, lam, x)
     tol = 1e-12 * gap_scale(rp, lam, coef)
-    r_inf = np.max(np.abs(rp.bhat - rp.chat.data @ coef))
+    r_inf = np.max(np.abs(bhat - chat @ x))
     if r_inf <= 0.5 * lam:
         assert abs(gram - root) <= tol
     else:
@@ -153,5 +162,44 @@ def test_homotopy_never_above_the_oracle_optimum(case):
     cov, target, lam = case
     assume(lam > 0.0)
     rp = reduce_problem(cov, target)
-    _, best = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+    chat, bhat, _ = minor(rp)
+    _, best = enumerate_lasso(chat, bhat, lam)
     assert solve(rp, lam).objective <= best + 1e-9 * (abs(best) + rp.cov_ii)
+
+
+@st.composite
+def permuted_problems(draw):
+    """A PSD Cov of order m + 1 <= 9 (full rank or not), a target, lam in
+    (0, lam_max) and a permutation of the categories."""
+    m = draw(st.integers(1, 8))
+    full_rank = draw(st.booleans())
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    frac = draw(st.floats(0.001, 0.999))
+    rng = np.random.default_rng(seed)
+    rank = m + 1 if full_rank else int(rng.integers(1, m + 1))
+    g = rng.normal(size=(m + 1, rank))
+    cov = CovMatrix(SymmetricMatrix((g @ g.T) * scale), 10)
+    target = int(rng.integers(0, m + 1))
+    perm = rng.permutation(m + 1)
+    return cov, target, frac * lambda_max(reduce_problem(cov, target)), perm, full_rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_problems())
+def test_permuting_categories_permutes_the_solution(case):
+    # Category perm[k] of Cov is category k of the permuted matrix.
+    cov, target, lam, perm, full_rank = case
+    assume(lam > 0.0)
+    moved = CovMatrix(SymmetricMatrix(cov.mat.data[np.ix_(perm, perm)]), 10)
+    moved_target = int(np.flatnonzero(perm == target)[0])
+    rp = reduce_problem(cov, target)
+    rp_moved = reduce_problem(moved, moved_target)
+    sol, sol_moved = solve(rp, lam), solve(rp_moved, lam)
+    assert sol_moved.coef[moved_target] == 0.0
+    assert abs(sol_moved.objective - sol.objective) <= 1e-12 * (
+        abs(sol.objective) + rp.cov_ii
+    )
+    if full_rank:
+        support = embed(sol, rp).support
+        assert sorted(int(perm[k]) for k in embed(sol_moved, rp_moved).support) == list(support)

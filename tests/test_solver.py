@@ -6,7 +6,6 @@ from covlasso import (
     CovMatrix,
     DimMismatch,
     InvalidInput,
-    ReducedProblem,
     SymmetricMatrix,
     certificates,
     embed,
@@ -19,9 +18,11 @@ from covlasso import (
 from covlasso import solver
 from covlasso.solver import reduced_prediction_error
 
+from conftest import rp_from
 from oracles import (
     coordinate_descent,
     enumerate_lasso,
+    minor,
     objective,
     solve_diagonal,
     solve_univariate,
@@ -30,24 +31,7 @@ from oracles import (
 
 
 def rp_1d(chat=1.0, bhat=1.0, cov_ii=1.0):
-    return ReducedProblem(
-        target=0,
-        chat=SymmetricMatrix([[chat]]),
-        bhat=np.array([bhat]),
-        cov_ii=cov_ii,
-        n=2,
-    )
-
-
-def rp_from(chat, bhat, cov_ii=1.0):
-    chat = np.atleast_2d(np.asarray(chat, dtype=float))
-    return ReducedProblem(
-        target=0,
-        chat=SymmetricMatrix(chat),
-        bhat=np.asarray(bhat, dtype=float),
-        cov_ii=cov_ii,
-        n=chat.shape[0] + 1,
-    )
+    return rp_from([[chat]], [bhat], cov_ii)
 
 
 class TestLambdaMax:
@@ -66,12 +50,12 @@ class TestLambdaMax:
 
 class TestSolve:
     def test_univariate_worked_examples(self):
-        assert solve(rp_1d(), 1.0).coef[0] == pytest.approx(0.5, abs=1e-12)
-        assert solve(rp_1d(), 3.0).coef[0] == 0.0
+        assert solve(rp_1d(), 1.0).coef[1] == pytest.approx(0.5, abs=1e-12)
+        assert solve(rp_1d(), 3.0).coef[1] == 0.0
 
     def test_diagonal_worked_example(self):
         sol = solve(rp_from(np.eye(2), [0.9, 0.0]), 0.4)
-        assert_allclose(sol.coef, [0.7, 0.0], atol=1e-12)
+        assert_allclose(sol.coef, [0.0, 0.7, 0.0], atol=1e-12)
         assert sol.converged
 
     def test_univariate_closed_form_sweep(self, rng):
@@ -79,7 +63,7 @@ class TestSolve:
             chat = float(rng.uniform(0.1, 5.0))
             bhat = float(rng.normal() * 3.0)
             lam = float(rng.uniform(0.01, 4.0))
-            got = solve(rp_1d(chat, bhat), lam).coef[0]
+            got = solve(rp_1d(chat, bhat), lam).coef[1]
             assert got == pytest.approx(solve_univariate(chat, bhat, lam), abs=1e-10)
 
     def test_diagonal_closed_form_sweep(self, rng):
@@ -88,7 +72,7 @@ class TestSolve:
             diag = rng.uniform(0.1, 4.0, size=m)
             bhat = rng.normal(size=m) * 2.0
             lam = float(rng.uniform(0.01, 3.0))
-            got = solve(rp_from(np.diag(diag), bhat), lam).coef
+            got = solve(rp_from(np.diag(diag), bhat), lam).coef[1:]
             assert_allclose(got, solve_diagonal(diag, bhat, lam), atol=1e-10)
 
     def test_matches_enumeration_oracle(self, rng):
@@ -102,21 +86,22 @@ class TestSolve:
             oracle_c, oracle_val = enumerate_lasso(chat, bhat, lam)
             assert sol.objective <= oracle_val + 1e-8
             assert abs(sol.objective - oracle_val) <= 1e-8 * (1.0 + abs(oracle_val))
-            assert_allclose(sol.coef, oracle_c, atol=1e-7)
+            assert_allclose(sol.coef[1:], oracle_c, atol=1e-7)
 
     def test_matches_coordinate_descent_reference(self, rng):
         for _ in range(10):
             m = int(rng.integers(2, 7))
             rp = rp_from(spd_matrix(rng, m), rng.normal(size=m))
             lam = 0.3 * lambda_max(rp)
-            ref = coordinate_descent(rp.chat.data, rp.bhat, lam, init=rng.normal(size=m))
-            assert_allclose(solve(rp, lam).coef, ref, atol=1e-8)
+            chat, bhat, keep = minor(rp)
+            ref = coordinate_descent(chat, bhat, lam, init=rng.normal(size=m))
+            assert_allclose(solve(rp, lam).coef[keep], ref, atol=1e-8)
 
     def test_zero_curvature_coordinate_never_enters(self):
         rp = rp_from(np.diag([1.0, 0.0]), [0.5, 0.0])
         sol = solve(rp, 0.2)
-        assert sol.coef[1] == 0.0
-        assert sol.coef[0] == pytest.approx(0.4)
+        assert sol.coef[2] == 0.0
+        assert sol.coef[1] == pytest.approx(0.4)
         assert sol.converged
 
     def test_iterations_count_kinks(self):
@@ -127,20 +112,21 @@ class TestSolve:
     def test_tied_coordinates_enter_one_kink_each(self):
         rp = rp_from(np.eye(3), [0.5, -0.5, 0.5])
         sol = solve(rp, 0.4)
-        assert_allclose(sol.coef, [0.3, -0.3, 0.3], atol=1e-15)
+        assert_allclose(sol.coef, [0.0, 0.3, -0.3, 0.3], atol=1e-15)
         assert sol.iterations == 3
         assert sol.converged
 
     def test_exact_duplicate_category_is_refused(self):
-        # Coordinates 0 and 1 are the same category; Chat_AA with both
-        # would be singular, so only the lower index enters.
+        # Categories 1 and 2 are the same; Chat_AA with both would be
+        # singular, so only the lower index enters.
         chat = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])
-        rp = rp_from(chat, [0.8, 0.8, 0.3])
+        bhat = np.array([0.8, 0.8, 0.3])
+        rp = rp_from(chat, bhat)
         for lam in (1.0, 0.1, 1e-6):
             sol = solve(rp, lam)
-            assert sol.coef[1] == 0.0
+            assert sol.coef[2] == 0.0
             assert sol.converged
-            _, best = enumerate_lasso(chat, rp.bhat, lam)
+            _, best = enumerate_lasso(chat, bhat, lam)
             assert sol.objective <= best + 1e-12
 
     def test_rank_one_cov_reaches_optimum(self):
@@ -154,9 +140,23 @@ class TestSolve:
             rp = reduce_problem(CovMatrix(SymmetricMatrix(np.outer(x, x)), 10), 0)
             lam = 0.1 * lambda_max(rp)
             sol = solve(rp, lam)
-            _, best = enumerate_lasso(rp.chat.data, rp.bhat, lam)
+            chat, bhat, _ = minor(rp)
+            _, best = enumerate_lasso(chat, bhat, lam)
             assert sol.objective - best <= 1e-9 * (abs(best) + rp.cov_ii)
             assert sol.converged
+
+    def test_target_coefficient_is_exactly_zero(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 10))
+            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n)), 10)
+            for target in range(n):
+                rp = reduce_problem(cov, target)
+                lmax = lambda_max(rp)
+                path = solution_path(rp, np.geomspace(lmax, lmax / 1000.0, 5))
+                for sol in (solve(rp, 0.01 * lmax), *path.solutions):
+                    assert sol.coef.shape == (n,)
+                    assert sol.coef[target] == 0.0
+                    assert sol.converged
 
     def test_kink_budget_returns_last_breakpoint(self, monkeypatch):
         monkeypatch.setattr(solver, "KINK_CAP_PER_COORD", 0)
@@ -177,25 +177,25 @@ class TestSolve:
 class TestKkt:
     def test_valid_at_univariate_optimum(self):
         rp = rp_1d()
-        cert = certificates(rp, 1.0, np.array([0.5]))
+        cert = certificates(rp, 1.0, np.array([0.0, 0.5]))
         assert cert.kkt_max_violation == pytest.approx(0.0, abs=1e-15)
         assert cert.kkt_valid
 
     def test_valid_with_inactive_coordinate(self):
         rp = rp_from(np.eye(2), [0.9, 0.0])
-        cert = certificates(rp, 0.4, np.array([0.7, 0.0]))
+        cert = certificates(rp, 0.4, np.array([0.0, 0.7, 0.0]))
         assert cert.kkt_max_violation == pytest.approx(0.0, abs=1e-15)
         assert cert.kkt_valid
 
     def test_invalid_off_optimum(self):
         # r = 0.9 - 1 = -0.1 on an active coordinate: |r + lam/2| = 0.4.
-        cert = certificates(rp_1d(), 1.0, np.array([0.9]))
+        cert = certificates(rp_1d(), 1.0, np.array([0.0, 0.9]))
         assert cert.kkt_max_violation == pytest.approx(0.4, rel=1e-15)
         assert not cert.kkt_valid
 
     def test_inactive_violation_is_excess_over_half_penalty(self):
         # c = 0, r = -1: max(0, |r| - lam/2) = 0.5.
-        cert = certificates(rp_1d(), 1.0, np.zeros(1))
+        cert = certificates(rp_1d(), 1.0, np.zeros(2))
         assert cert.kkt_max_violation == pytest.approx(0.5, rel=1e-15)
         assert not cert.kkt_valid
 
@@ -216,7 +216,8 @@ class TestKkt:
             lam = float(10.0 ** rng.uniform(-3, 2))
             coef = solve(rp, lam).coef
             if rng.integers(2):
-                coef = coef + rng.normal(size=m) * 10.0 ** rng.uniform(-9, -3)
+                coef = coef.copy()
+                coef[1:] += rng.normal(size=m) * 10.0 ** rng.uniform(-9, -3)
             cert = certificates(rp, lam, coef)
             assert cert.kkt_valid == (
                 cert.kkt_max_violation <= 1e-6 * max(lam, 1.0)
@@ -224,24 +225,35 @@ class TestKkt:
 
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
-            certificates(rp_1d(), 0.0, np.zeros(1))
+            certificates(rp_1d(), 0.0, np.zeros(2))
         with pytest.raises(InvalidInput):
-            certificates(rp_1d(), float("nan"), np.zeros(1))
+            certificates(rp_1d(), float("nan"), np.zeros(2))
         with pytest.raises(DimMismatch):
-            certificates(rp_1d(), 1.0, np.zeros(2))
+            certificates(rp_1d(), 1.0, np.zeros(1))
+        with pytest.raises(DimMismatch):
+            certificates(rp_1d(), 1.0, np.zeros(3))
+
+    def test_nonzero_target_coefficient_rejected(self):
+        cov = CovMatrix(SymmetricMatrix(spd_matrix(np.random.default_rng(3), 4)), 10)
+        rp = reduce_problem(cov, 2)
+        coef = solve(rp, 0.1 * lambda_max(rp)).coef.copy()
+        assert coef[2] == 0.0
+        coef[2] = 1e-300
+        with pytest.raises(InvalidInput):
+            certificates(rp, 0.1, coef)
 
 
 class TestDualCertificate:
     def test_univariate_optimum(self):
         rp = rp_1d()
-        cert = certificates(rp, 1.0, np.array([0.5]))
+        cert = certificates(rp, 1.0, np.array([0.0, 0.5]))
         assert cert.dual_feasibility_violation <= 1e-12
         assert abs(cert.dual_gap) <= 1e-12
 
     def test_rescaled_residual_worked_example(self):
         # c = 0, r = 1 > lam/2 so s = 1/2: gap = (1 - s)^2 cov_ii.
         rp = rp_1d(cov_ii=2.0)
-        cert = certificates(rp, 1.0, np.zeros(1))
+        cert = certificates(rp, 1.0, np.zeros(2))
         assert cert.dual_gap == pytest.approx(0.5, rel=1e-15)
         assert cert.dual_feasibility_violation == pytest.approx(
             np.sqrt(2.0) / 2.0, rel=1e-15
@@ -250,7 +262,7 @@ class TestDualCertificate:
     def test_gap_positive_off_optimum(self):
         rp = rp_1d()
         for c in (0.2, 0.8, -0.3):
-            cert = certificates(rp, 1.0, np.array([c]))
+            cert = certificates(rp, 1.0, np.array([0.0, c]))
             assert cert.dual_gap > 1e-6
 
     def test_gap_nonnegative_and_small_at_solutions(self, rng):
@@ -267,7 +279,7 @@ class TestDualCertificate:
     def test_zero_solution_above_lambda_max(self, rng):
         rp = rp_from(spd_matrix(rng, 3), rng.normal(size=3))
         lam = 1.5 * lambda_max(rp)
-        cert = certificates(rp, lam, np.zeros(3))
+        cert = certificates(rp, lam, np.zeros(4))
         assert cert.dual_feasibility_violation <= 1e-12
         assert abs(cert.dual_gap) <= 1e-10
 
@@ -276,7 +288,7 @@ class TestSolutionPath:
     def test_univariate_worked_example(self):
         rp = rp_1d()
         path = solution_path(rp, [2.0, 1.0, 0.5])
-        coefs = [s.coef[0] for s in path.solutions]
+        coefs = [s.coef[1] for s in path.solutions]
         assert_allclose(coefs, [0.0, 0.5, 0.75], atol=1e-12)
         assert_allclose(path.errors, [1.0, 0.25, 0.0625], atol=1e-12)
         assert path.monotone
@@ -302,13 +314,14 @@ class TestSolutionPath:
             lmax = lambda_max(rp)
             grid = np.geomspace(lmax, lmax / 1000.0, 12)
             path = solution_path(rp, grid)
+            chat, bhat, keep = minor(rp)
             ref = None
             for lam, point in zip(grid, path.solutions):
-                ref = coordinate_descent(rp.chat.data, rp.bhat, lam, init=ref)
+                ref = coordinate_descent(chat, bhat, lam, init=ref)
                 assert np.array_equal(
-                    np.abs(point.coef) > solver.SUPPORT_TOL, np.abs(ref) > solver.SUPPORT_TOL
+                    np.abs(point.coef[keep]) > solver.SUPPORT_TOL, np.abs(ref) > solver.SUPPORT_TOL
                 )
-                assert point.objective <= objective(rp.chat.data, rp.bhat, lam, ref) + 1e-12
+                assert point.objective <= objective(chat, bhat, lam, ref) + 1e-12
 
     def test_one_certificate_pass_per_point(self, monkeypatch):
         calls = []
@@ -325,7 +338,7 @@ class TestSolutionPath:
     def test_duplicate_grid_values_give_identical_solutions(self):
         rp = rp_1d()
         path = solution_path(rp, [1.0, 1.0, 0.5])
-        assert path.solutions[0].coef[0] == path.solutions[1].coef[0]
+        assert path.solutions[0].coef[1] == path.solutions[1].coef[1]
 
     def test_grid_validation(self):
         rp = rp_1d()
@@ -347,7 +360,6 @@ class TestSolutionPath:
             assert path.monotone
             assert all(s.converged for s in path.solutions)
             inv = np.linalg.inv(cov.mat.data)
-            keep = np.arange(n) != rp.target
             err0 = 1.0 / inv[rp.target, rp.target]
             for err in path.errors:
                 assert err >= err0 - 1e-6 * max(1.0, err0)
@@ -363,9 +375,10 @@ class TestEmbed:
         rp = reduce_problem(cov, 1)
         sol = solve(rp, 0.1)
         dep = embed(sol, rp)
+        assert sol.coef[1] == 0.0
         assert dep.theta[1] == -1.0
         assert dep.theta[0] == sol.coef[0]
-        assert dep.theta[2] == sol.coef[1]
+        assert dep.theta[2] == sol.coef[2]
         assert dep.target == 1
         # embedded prediction error equals the full quadratic form
         assert dep.pred_error == pytest.approx(
@@ -446,10 +459,10 @@ class TestPredictionError:
             cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n)), 10)
             target = int(rng.integers(0, n))
             rp = reduce_problem(cov, target)
-            coef = rng.normal(size=n - 1)
-            theta = np.empty(n)
+            coef = np.zeros(n)
+            coef[np.arange(n) != target] = rng.normal(size=n - 1)
+            theta = coef.copy()
             theta[target] = -1.0
-            theta[np.arange(n) != target] = coef
             assert reduced_prediction_error(rp, coef) == pytest.approx(
                 prediction_error(cov, theta), rel=1e-10, abs=1e-12
             )
