@@ -70,12 +70,7 @@ from .formats import (
     write_cov,
     write_logits,
 )
-from .linalg import (
-    Eigendecomposition,
-    SymmetricMatrix,
-    eigendecompose,
-    log_det,
-)
+from .linalg import SymmetricMatrix, log_det
 from .reports import (
     DependencyReport,
     build_report,

@@ -14,7 +14,8 @@ cov_ii >= bhat^T Chat^+ bhat, which holds for every problem
 ``reduce_problem`` views in a PSD Cov.  As in the solver, vectors are
 indexed like Cov, and screening rows and slope margins skip the target.
 Only :func:`redundancy` eigendecomposes, because it inverts a possibly
-singular matrix.
+singular matrix; eigenvalues below ``EIG_FLOOR_REL`` times the largest
+are lifted to that floor, and the report says so.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .linalg import (
-    DEFAULT_EIG_FLOOR_REL,
-    SymmetricMatrix,
-    eigendecompose,
-    log_det,
-    relative_floor,
-)
+from .linalg import SymmetricMatrix, log_det
 from .solver import ReducedSolution, SolutionPath, _residual, _smooth_part, lambda_max
+
+# Relative spectral floor of :func:`redundancy`: eigenvalues below this
+# times the largest are lifted to it, and the report is ``floored``.
+EIG_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,11 @@ class RedundancyReport:
     rescales by the target's own second moment into [0, 1]: 0 means the
     category is an exact linear combination of the rest, 1 means the
     rest carry no information about it.
+
+    The routes agree only when ``floored`` is false.  Cov and its
+    target-deleted minor are each floored relative to their own largest
+    eigenvalue, so a floored ``log_det_ratio`` is not the log-determinant
+    ratio of one lifted matrix, and ``max_disagreement`` can be large.
     """
 
     target: int
@@ -64,7 +68,10 @@ class RedundancyReport:
     floored: bool
 
     def max_disagreement(self) -> float:
-        """Largest relative deviation between the three computation routes."""
+        """Largest relative deviation between the three computation routes.
+
+        A cross-check only when ``floored`` is false; see the class docstring.
+        """
         ref = self.min_error
         if ref <= 0.0:
             return float("inf")
@@ -73,20 +80,18 @@ class RedundancyReport:
         return max(abs(via_det - ref), abs(via_eig - ref)) / ref
 
 
-def redundancy(
-    cov: CovMatrix, target: int, eig_floor_rel: float = DEFAULT_EIG_FLOOR_REL
-) -> RedundancyReport:
+def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
     """Zero-penalty prediction error of ``target``, three ways.
 
     Route 1 solves Cov x = e_target (LU) and inverts the target entry;
     route 2 takes exp of the log-determinant difference between the full
     matrix and the target-deleted minor; route 3 expands the inverse
     diagonal entry in the eigenbasis.  When the spectrum dips below the
-    relative floor all routes fall back to the floored eigenbasis and
-    ``floored`` is set.  That route's ``min_error`` is clamped to cov_ii:
-    no least-squares error exceeds it, but the inverse of a spectrum
-    lifted by a large floor can.  One ``eigh`` of Cov serves routes 1
-    and 3; the minor's log-determinant needs its eigenvalues only.
+    relative floor ``EIG_FLOOR_REL``, every route reads the floored
+    spectrum and ``floored`` is set; ``min_error`` is then route 3's,
+    clamped to cov_ii, which no least-squares error exceeds.  One
+    ``eigh`` of Cov serves routes 1 and 3; the minor's log-determinant
+    needs its eigenvalues only.
     """
     n = cov.n
     if n < 2:
@@ -100,30 +105,32 @@ def redundancy(
             f"category {target} has numerically zero second moment"
         )
 
-    eig = eigendecompose(cov.mat)
-    floor = relative_floor(eig.eigenvalues, eig_floor_rel)
-    lifted = np.maximum(eig.eigenvalues, floor)
-    floored = bool(np.min(eig.eigenvalues) < floor)
-    weights = eig.eigenvectors[target, :]
-
+    vals, vecs = np.linalg.eigh(full)
+    vals, weights = vals[::-1], vecs[target, ::-1]
+    floor = EIG_FLOOR_REL * float(vals[0])
+    lifted = np.maximum(vals, floor)
+    floored = bool(np.min(vals) < floor)
     if np.min(lifted) < 1e-300:
         raise SingularMatrix(
             f"matrix numerically singular: smallest effective eigenvalue "
             f"{np.min(lifted):.3e}"
         )
+    eigen_sum = float(np.sum(weights * weights / lifted))
     if not floored:
         basis = np.zeros(n)
         basis[target] = 1.0
         min_error = 1.0 / float(np.linalg.solve(full, basis)[target])
     else:
-        inv_entry = float((eig.eigenvectors @ (weights / lifted))[target])
-        min_error = min(1.0 / inv_entry, cov_ii)
+        min_error = min(1.0 / eigen_sum, cov_ii)
 
     keep = np.arange(n) != target
     minor = SymmetricMatrix(full[np.ix_(keep, keep)]).eigenvalues()
-    minor_floor = relative_floor(minor, eig_floor_rel)
-    ratio = log_det(eig.eigenvalues, floor) - log_det(minor, minor_floor)
-    eigen_sum = float(np.sum(weights * weights / lifted))
+    if minor[0] <= 0.0:
+        raise SingularMatrix(
+            f"every category other than {target} has zero second moment"
+        )
+    minor_floor = EIG_FLOOR_REL * float(minor[0])
+    ratio = log_det(lifted) - log_det(minor, minor_floor)
 
     return RedundancyReport(
         target=target,

@@ -12,15 +12,14 @@ did not converge (outputs are still written); 4 numerical degeneracy
 engaged in ``redundancy --strict``).
 
 Certificates, screening and path checks need no spectral floor.  Only
-``redundancy`` inverts a possibly singular matrix; its relative floor
-(default 1e-12 of the largest eigenvalue) can be overridden through the
-ND_EIG_FLOOR environment variable, which no other command reads.
+``redundancy`` inverts a possibly singular matrix; its relative floor is
+the constant ``analysis.EIG_FLOOR_REL``.  No command reads the process
+environment, so argv and the input files alone determine every output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -53,7 +52,6 @@ from .formats import (
     write_cov,
     write_logits,
 )
-from .linalg import DEFAULT_EIG_FLOOR_REL
 from .reports import canonical_json, format_float
 
 EXIT_OK = 0
@@ -81,6 +79,10 @@ def _write_text(path: str, text: str) -> None:
 def _load_logits(path: str, labels_col: int | None = None) -> LogitMatrix:
     raw = Path(path).read_bytes()
     if raw[:4] == LOGIT_MAGIC:
+        if labels_col is not None:
+            raise InvalidInput(
+                "--labels-col applies to CSV input; NDLM files carry their labels"
+            )
         return read_logits(raw)
     try:
         text = raw.decode("utf-8")
@@ -93,19 +95,6 @@ def _load_logits(path: str, labels_col: int | None = None) -> LogitMatrix:
 
 def _load_cov(path: str):
     return read_cov(Path(path).read_bytes())
-
-
-def _floor_rel() -> float:
-    raw = os.environ.get("ND_EIG_FLOOR")
-    if raw is None:
-        return DEFAULT_EIG_FLOOR_REL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise InvalidInput(f"ND_EIG_FLOOR is not a number: {raw!r}") from None
-    if not np.isfinite(value) or value < 0.0:
-        raise InvalidInput(f"ND_EIG_FLOOR must be a nonnegative number, got {raw!r}")
-    return value
 
 
 def _model_dict(args) -> dict | None:
@@ -280,9 +269,8 @@ def cmd_screen(args) -> int:
 
 
 def cmd_redundancy(args) -> int:
-    floor_rel = _floor_rel()
     cov = _load_cov(args.cov)
-    rep = analysis.redundancy(cov, args.target, floor_rel)
+    rep = analysis.redundancy(cov, args.target)
     fields = asdict(rep)
     payload = {
         "schema": "redundancy-report",

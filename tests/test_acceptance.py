@@ -42,7 +42,6 @@ from covlasso import (
 )
 from covlasso.covariance import LogitMatrix
 from covlasso.evaluation import extension_loss_grad
-from covlasso.linalg import DEFAULT_EIG_FLOOR_REL
 from covlasso.solver import SUPPORT_TOL, lambda_max, reduced_objective
 
 from conftest import rp_from

@@ -58,16 +58,43 @@ class TestRedundancy:
         assert 0.0 <= rep.relative_error <= 1e-9
 
     def test_large_floor_never_reports_more_than_cov_ii(self):
-        # The floored inverse of ones((3, 3)) at a 0.5 floor gives
-        # 1 / 0.555... = 1.8 > cov_ii = 1.
-        rep = redundancy(cov_of(np.ones((3, 3))), 0, eig_floor_rel=0.5)
-        assert rep.floored
-        assert rep.min_error == 1.0
-        assert rep.relative_error == 1.0
+        # A floored min_error is route 3's 1/eigen_error_sum, capped at
+        # cov_ii, which no least-squares error exceeds.
+        mats = [
+            np.ones((3, 3)),
+            np.ones((2, 2)),
+            np.diag([1.0, 0.0, 2.0]),
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 5.0]],
+        ]
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            n = int(rng.integers(3, 9))
+            g = rng.normal(size=(n, int(rng.integers(1, n))))
+            mats.append(g @ g.T)
+        for mat in mats:
+            cov = cov_of(mat)
+            for target in range(cov.n):
+                cov_ii = float(cov.mat.data[target, target])
+                if cov_ii <= 1e-300:
+                    continue
+                rep = redundancy(cov, target)
+                assert rep.floored
+                assert rep.min_error == min(1.0 / rep.eigen_error_sum, cov_ii)
+                assert rep.relative_error == rep.min_error / cov_ii
+                assert 0.0 <= rep.relative_error <= 1.0
 
     def test_singular_without_floor_raises(self):
+        # The floor is relative, so a spectrum at the bottom of the float
+        # range lifts to a floor that is itself numerically zero.
         with pytest.raises(SingularMatrix, match="numerically singular"):
-            redundancy(cov_of(np.ones((3, 3))), 0, eig_floor_rel=0.0)
+            redundancy(cov_of(1e-295 * np.ones((3, 3))), 0)
+
+    def test_all_zero_minor_raises(self):
+        # Every other category has zero second moment: the minor has no
+        # spectrum to floor, so its log-determinant is undefined.
+        with pytest.raises(SingularMatrix, match="zero second moment") as info:
+            redundancy(cov_of(np.diag([1.0, 0.0, 0.0])), 0)
+        assert "floor" not in str(info.value)
 
     def test_degenerate_target(self):
         with pytest.raises(DegenerateTarget):

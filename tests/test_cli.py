@@ -146,6 +146,23 @@ class TestCov:
         info = stdout_dict(out)
         assert info["n"] == "2" and info["samples"] == "3"
 
+    def test_labels_col_rejected_on_ndlm_input(self, tmp_path):
+        logits = synth(tmp_path)
+        cov_path = build_cov(tmp_path, logits)
+        runs = {
+            "cov": ("cov", "--input", str(logits), "--output", str(tmp_path / "c.bin")),
+            "solve": (
+                "solve", "--cov", str(cov_path), "--target", "0", "--lambda", "0.1",
+                "--logits", str(logits), "--output", str(tmp_path / "r.json"),
+            ),
+        }
+        for name, argv in runs.items():
+            code, out, err = run_cli(*argv, "--labels-col", "2")
+            assert code == 2, name
+            assert "--labels-col applies to CSV input; NDLM files carry their labels" in err
+            assert out == ""
+        assert not (tmp_path / "c.bin").exists() and not (tmp_path / "r.json").exists()
+
     def test_cross_cov_same_file_matches_cov(self, tmp_path):
         logits = synth(tmp_path)
         plain = build_cov(tmp_path, logits)
@@ -537,22 +554,39 @@ class TestExitCodes:
 
     def test_singular_root_without_floor(self, tmp_path):
         # Certificates take no root, so a singular Chat needs no floor;
-        # redundancy inverts Cov and reports it singular.
+        # redundancy inverts Cov, and a spectrum whose relative floor is
+        # itself numerically zero is reported singular.
         cov_path = tmp_path / "ones.cov"
         cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(np.ones((3, 3))), 2)))
         for command in ("solve", "screen"):
             code, out, err = run_cli(
                 command, "--cov", str(cov_path), "--target", "0",
                 "--lambda", "0.5", "--output", str(tmp_path / f"{command}.json"),
-                env={"ND_EIG_FLOOR": "0"},
             )
             assert code == 0, (command, err)
+        tiny_path = tmp_path / "tiny.cov"
+        tiny_path.write_bytes(
+            write_cov(CovMatrix(SymmetricMatrix(1e-295 * np.ones((3, 3))), 2))
+        )
         code, out, err = run_cli(
-            "redundancy", "--cov", str(cov_path), "--target", "0",
-            "--output", str(tmp_path / "r.json"), env={"ND_EIG_FLOOR": "0"},
+            "redundancy", "--cov", str(tiny_path), "--target", "0",
+            "--output", str(tmp_path / "r.json"),
         )
         assert code == 4
         assert "numerically singular" in err
+
+    def test_all_zero_minor_names_its_cause(self, tmp_path):
+        cov_path = tmp_path / "diag.cov"
+        cov_path.write_bytes(
+            write_cov(CovMatrix(SymmetricMatrix(np.diag([1.0, 0.0, 0.0])), 2))
+        )
+        code, out, err = run_cli(
+            "redundancy", "--cov", str(cov_path), "--target", "0",
+            "--output", str(tmp_path / "r.json"),
+        )
+        assert code == 4
+        assert "every category other than 0 has zero second moment" in err
+        assert "floor" not in err
 
     def test_degenerate_target_auto_grid(self, tmp_path):
         mat = np.eye(3)
@@ -581,23 +615,20 @@ class TestExitCodes:
         )
         assert code == 4
 
-    def test_eig_floor_env(self, tmp_path):
-        logits = synth(tmp_path)
-        cov_path = build_cov(tmp_path, logits)
-        for value in ("abc", "-1"):
-            code, out, err = run_cli(
-                "redundancy", "--cov", str(cov_path), "--target", "0",
-                "--output", str(tmp_path / "r.json"), env={"ND_EIG_FLOOR": value},
-            )
-            assert code == 2, value
-            assert "ND_EIG_FLOOR" in err
-        huge = run_cli(
-            "redundancy", "--cov", str(cov_path), "--target", "0",
-            "--strict", "--output", str(tmp_path / "r.json"),
-            env={"ND_EIG_FLOOR": "0.5"},
-        )
-        assert huge[0] == 4
-        assert stdout_dict(huge[1])["floored"] == "true"
+    def test_eig_floor_env(self, tmp_path, monkeypatch):
+        # The floor is a constant: ND_EIG_FLOOR, set or not, valid or
+        # not, changes no exit code, stream or report byte.
+        cov_path = tmp_path / "ones.cov"
+        cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(np.ones((3, 3))), 2)))
+        out_path = tmp_path / "r.json"
+        argv = ("redundancy", "--cov", str(cov_path), "--target", "0", "--output", str(out_path))
+        monkeypatch.delenv("ND_EIG_FLOOR", raising=False)
+        unset = (*run_cli(*argv), out_path.read_bytes())
+        assert unset[0] == 0 and stdout_dict(unset[1])["floored"] == "true"
+        for value in ("abc", "-1", "0", "0.5"):
+            out_path.unlink()
+            got = (*run_cli(*argv, env={"ND_EIG_FLOOR": value}), out_path.read_bytes())
+            assert got == unset, value
 
     def test_large_floor_keeps_relative_error_in_unit_interval(self, tmp_path):
         logits = synth(tmp_path, n="3", samples="2", **{"latent-rank": "1", "plant": None, "seed": "1"})
@@ -605,13 +636,13 @@ class TestExitCodes:
         for target in ("0", "1"):
             out_path = tmp_path / f"r{target}.json"
             argv = ("redundancy", "--cov", str(cov_path), "--target", target, "--output", str(out_path))
-            code, out, err = run_cli(*argv, env={"ND_EIG_FLOOR": "0.5"})
+            code, out, err = run_cli(*argv)
             assert code == 0, err
             payload = json.loads(out_path.read_text())
             assert payload["floored"] is True
             assert 0.0 <= payload["relative_error"] <= 1.0
             assert float(stdout_dict(out)["relative_error"]) == payload["relative_error"]
-            strict = run_cli(*argv, "--strict", env={"ND_EIG_FLOOR": "0.5"})
+            strict = run_cli(*argv, "--strict")
             assert strict[0] == 4
 
     def test_eig_floor_env_ignored_outside_redundancy(self, tmp_path):

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covlasso import (
-    InvalidMatrix,
-    SingularMatrix,
-    SymmetricMatrix,
-    eigendecompose,
-    log_det,
-)
-from covlasso.linalg import relative_floor
+from covlasso import InvalidMatrix, SingularMatrix, SymmetricMatrix, log_det
 
 
 class TestSymmetricMatrix:
@@ -32,39 +25,49 @@ class TestSymmetricMatrix:
 
 
 class TestEigendecompose:
+    """The spectrum conventions of ``SymmetricMatrix.eigenvalues``."""
+
     def test_identity(self):
-        e = eigendecompose(SymmetricMatrix(np.eye(2)))
-        assert_allclose(e.eigenvalues, [1.0, 1.0])
+        vals = SymmetricMatrix(np.eye(2)).eigenvalues()
+        assert_allclose(vals, [1.0, 1.0])
 
     def test_rank_one_all_ones(self):
-        e = eigendecompose(SymmetricMatrix(np.ones((2, 2))))
-        assert_allclose(e.eigenvalues, [2.0, 0.0], atol=1e-12)
+        vals = SymmetricMatrix(np.ones((2, 2))).eigenvalues()
+        assert_allclose(vals, [2.0, 0.0], atol=1e-12)
 
     def test_block_example(self):
         s = SymmetricMatrix([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        e = eigendecompose(s)
-        assert_allclose(e.eigenvalues, [1.9, 1.0, 0.1], atol=1e-12)
+        assert_allclose(s.eigenvalues(), [1.9, 1.0, 0.1], atol=1e-12)
 
-    def test_descending_orthonormal_reconstruction(self, rng):
+    def test_descending_and_equal_to_raw_spectrum(self, rng):
+        # Indefinite input: no eigenvalue sits in the roundoff band, so
+        # nothing is clamped and the values are eigvalsh's, reversed.
         for _ in range(25):
             n = int(rng.integers(1, 12))
             s = SymmetricMatrix(rng.normal(size=(n, n)))
-            e = eigendecompose(s)
-            assert np.all(np.diff(e.eigenvalues) <= 1e-12)
-            q = e.eigenvectors
-            assert_allclose(q.T @ q, np.eye(n), atol=1e-10)
-            recon = (q * e.eigenvalues) @ q.T
-            assert np.max(np.abs(recon - s.data)) <= 1e-8 * (1.0 + s.max_abs())
+            vals = s.eigenvalues()
+            assert np.all(np.diff(vals) <= 0.0)
+            raw = np.linalg.eigvalsh(s.data)[::-1]
+            if not np.any((raw < 0.0) & (raw >= -1e-8 * s.max_abs())):
+                assert np.array_equal(vals, raw)
+            assert_allclose(np.sum(vals), np.trace(s.data), atol=1e-10 * (1.0 + s.max_abs()))
 
     def test_psd_clamping(self, rng):
         # Gram matrices can acquire tiny negative eigenvalues from
-        # roundoff; after clamping the spectrum is nonnegative.
+        # roundoff; after clamping the spectrum is nonnegative, and only
+        # those roundoff negatives changed.
+        clamped = 0
         for _ in range(10):
             g = rng.normal(size=(20, 8))
             s = SymmetricMatrix(g @ g.T)  # rank 8 of 20: exact zeros expected
-            e = eigendecompose(s)
-            assert np.min(e.eigenvalues) >= 0.0
-            assert e.min_raw_eigenvalue >= -1e-8 * s.max_abs()
+            vals = s.eigenvalues()
+            raw = np.linalg.eigvalsh(s.data)[::-1]
+            assert np.min(vals) >= 0.0
+            assert np.min(raw) >= -1e-8 * s.max_abs()
+            changed = vals != raw
+            assert np.all(raw[changed] < 0.0) and np.all(vals[changed] == 0.0)
+            clamped += int(changed.sum())
+        assert clamped > 0
 
 
 class TestLogDet:
@@ -98,13 +101,7 @@ class TestLogDet:
                     full, minor + np.log(1.0 / inv[i, i]), rtol=1e-6
                 )
 
-    def test_relative_floor_helper(self):
-        vals = SymmetricMatrix(np.diag([4.0, 1.0])).eigenvalues()
-        assert relative_floor(vals, 1e-12) == pytest.approx(4e-12)
-
     def test_negative_floor_rejected(self):
         vals = SymmetricMatrix(np.eye(2)).eigenvalues()
-        with pytest.raises(InvalidMatrix):
-            relative_floor(vals, -1e-12)
         with pytest.raises(InvalidMatrix):
             log_det(vals, -1e-12)

@@ -1,10 +1,17 @@
-"""The test configuration itself: a failing property must be reported, not crash pytest."""
+"""Checks on the project itself rather than on its numerics.
 
+A failing property must be reported, not crash pytest, and no module of
+the package may read the process environment.
+"""
+
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "covlasso"
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -37,3 +44,19 @@ def test_failing_property_is_reported_under_the_project_config(tmp_path):
     out = proc.stdout + proc.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_package_never_reads_the_environment():
+    # Outputs are a function of argv and the input files only: no module
+    # may consult os.environ, os.environb or os.getenv.
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in readers]
+    assert found == []
