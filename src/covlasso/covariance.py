@@ -39,6 +39,23 @@ from .errors import (
 from .linalg import SymmetricMatrix
 
 
+def check_labels(labels, samples: int, categories: int) -> np.ndarray:
+    """Validate one integer label per sample in [0, categories); return int64 labels."""
+    lab = np.asarray(labels)
+    if lab.shape != (samples,):
+        raise InvalidLabels(
+            f"labels shape {lab.shape} does not match sample count {samples}"
+        )
+    if not np.issubdtype(lab.dtype, np.integer):
+        raise InvalidLabels("labels must be integers")
+    lab = lab.astype(np.int64)
+    if lab.min() < 0 or lab.max() >= categories:
+        raise InvalidLabels(
+            f"labels must lie in [0, {categories}), got range [{lab.min()}, {lab.max()}]"
+        )
+    return lab
+
+
 @dataclass(frozen=True)
 class LogitMatrix:
     """N samples of n per-category logits, optionally labeled and named."""
@@ -59,19 +76,7 @@ class LogitMatrix:
         object.__setattr__(self, "data", arr)
 
         if labels is not None:
-            lab = np.asarray(labels)
-            if lab.shape != (arr.shape[0],):
-                raise InvalidLabels(
-                    f"labels shape {lab.shape} does not match sample count {arr.shape[0]}"
-                )
-            if not np.issubdtype(lab.dtype, np.integer):
-                raise InvalidLabels("labels must be integers")
-            lab = lab.astype(np.int64)
-            if lab.min() < 0 or lab.max() >= arr.shape[1]:
-                raise InvalidLabels(
-                    f"labels must lie in [0, {arr.shape[1]}), got range "
-                    f"[{lab.min()}, {lab.max()}]"
-                )
+            lab = check_labels(labels, arr.shape[0], arr.shape[1])
             lab.flags.writeable = False
             labels = lab
         object.__setattr__(self, "labels", labels)

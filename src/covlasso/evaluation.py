@@ -6,6 +6,12 @@ sizes and top-1 accuracy before/after, overall and restricted to the
 samples whose true label is the replaced category.  Second, fitting a
 read-out matrix that expresses new categories as linear combinations of
 a frozen base network's logits by minimizing softmax cross-entropy.
+
+Cost of extension fitting: the base columns never change, so their row
+max and shifted exp-sum are computed once per fit, one O(N n1) exp
+pass.  Each epoch then costs two thin products with the N x n1 base
+logits (f Theta and f^T R) plus O(N n2) elementwise work on the n2 new
+columns, which are folded into the base normalizer at their row peak.
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import LogitMatrix
+from .covariance import LogitMatrix, check_labels
 from .errors import (
     DegenerateTarget,
     DimMismatch,
     Diverged,
     InvalidInput,
-    InvalidLabels,
     MissingLabels,
 )
 from .solver import DependencySolution
@@ -151,30 +156,75 @@ class ExtensionFit:
     losses: tuple[float, ...]
 
 
+@dataclass(frozen=True)
+class _BaseTerms:
+    """Per-row softmax terms of the frozen base logits, fixed for a fit.
+
+    ``peak`` is the row max m_b, ``mass`` the shifted base mass
+    S_b = sum_j exp(f_j - m_b), and ``labelled`` the labelled logit of
+    rows whose label is a base category (0 on the other rows, whose
+    labelled logit is a new column and changes every epoch).
+    """
+
+    peak: np.ndarray
+    mass: np.ndarray
+    labelled: np.ndarray
+    new_rows: np.ndarray
+    new_cols: np.ndarray
+
+
+def _base_terms(base_data: np.ndarray, labels: np.ndarray) -> _BaseTerms:
+    """The one O(N n1) exp pass of a fit."""
+    n1 = base_data.shape[1]
+    peak = base_data.max(axis=1)
+    mass = np.exp(base_data - peak[:, None]).sum(axis=1)
+    rows = np.arange(base_data.shape[0])
+    is_base = labels < n1
+    labelled = np.zeros(base_data.shape[0])
+    labelled[is_base] = base_data[rows[is_base], labels[is_base]]
+    return _BaseTerms(peak, mass, labelled, rows[~is_base], labels[~is_base] - n1)
+
+
+def _extension_epoch(
+    base_data: np.ndarray, terms: _BaseTerms, theta: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Loss and Theta gradient from the frozen base terms: O(N n2) beyond f Theta.
+
+    With g = f Theta and the row peak p = max(m_b, max_k g_k), the log
+    normalizer is p + log(S_b exp(m_b - p) + sum_k exp(g_k - p)); only
+    the n2 new columns are exponentiated.
+    """
+    new = base_data @ theta
+    peak = np.maximum(terms.peak, new.max(axis=1, initial=-np.inf))
+    shifted = new - peak[:, None]
+    log_norm = np.log(
+        terms.mass * np.exp(terms.peak - peak) + np.exp(shifted).sum(axis=1)
+    )
+    labelled = terms.labelled.copy()
+    labelled[terms.new_rows] = new[terms.new_rows, terms.new_cols]
+    loss = float(np.mean(log_norm - (labelled - peak)))
+    resp = np.exp(shifted - log_norm[:, None])
+    resp[terms.new_rows, terms.new_cols] -= 1.0
+    grad = base_data.T @ resp / base_data.shape[0]
+    return loss, grad
+
+
 def extension_loss_grad(
     base_data: np.ndarray, labels: np.ndarray, theta: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of [f, f Theta] and its Theta gradient.
 
     Exposed separately so the analytic gradient can be checked against
-    finite differences.  The loss is convex in Theta (softmax
-    cross-entropy composed with a linear map).
+    finite differences; it runs the same kernel as ``fit_extension``.
+    The loss is convex in Theta (softmax cross-entropy composed with a
+    linear map).  ``labels`` must lie in [0, n1 + n2) and Theta must be
+    n1 x n2.
     """
     n1 = base_data.shape[1]
-    n2 = theta.shape[1]
-    z = np.hstack([base_data, base_data @ theta]) if n2 else base_data
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    rows = np.arange(z.shape[0])
-    loss = float(np.mean(log_norm[:, 0] - shifted[rows, labels]))
-    if n2 == 0:
-        return loss, np.zeros((n1, 0))
-    resp = np.exp(shifted[:, n1:] - log_norm)
-    new_mask = labels >= n1
-    resp[rows[new_mask], labels[new_mask] - n1] -= 1.0
-    grad = base_data.T @ resp / base_data.shape[0]
-    return loss, grad
+    if theta.ndim != 2 or theta.shape[0] != n1:
+        raise DimMismatch(f"theta shape {theta.shape}, expected ({n1}, n2)")
+    lab = check_labels(labels, base_data.shape[0], n1 + theta.shape[1])
+    return _extension_epoch(base_data, _base_terms(base_data, lab), theta)
 
 
 def fit_extension(
@@ -190,39 +240,36 @@ def fit_extension(
     one gradient step at the configured step size.  The recorded loss
     trace has one entry per iterate including the initial and final
     ones.  A non-finite loss aborts with Diverged.
+
+    Cost: the base columns' row max and exp-sum are computed once, one
+    O(N n1) exp pass per fit.  Each epoch then costs two thin products
+    with f (f Theta and f^T R, N x n1 by n1 x n2) plus O(N n2)
+    elementwise work; nothing N x n1 is allocated inside the loop.
     """
     if new_count < 0:
         raise InvalidInput(f"new category count must be nonnegative, got {new_count}")
-    lab = np.asarray(labels)
-    if lab.shape != (base.samples,):
-        raise InvalidLabels(
-            f"labels shape {lab.shape} does not match sample count {base.samples}"
-        )
-    if not np.issubdtype(lab.dtype, np.integer):
-        raise InvalidLabels("labels must be integers")
-    lab = lab.astype(np.int64)
-    total = base.n + new_count
-    if lab.min() < 0 or lab.max() >= total:
-        raise InvalidLabels(
-            f"labels must lie in [0, {total}), got range [{lab.min()}, {lab.max()}]"
-        )
+    lab = check_labels(labels, base.samples, base.n + new_count)
     if config.step_size <= 0.0 or not np.isfinite(config.step_size):
         raise InvalidInput(f"step size must be positive, got {config.step_size}")
     if config.epochs < 0:
         raise InvalidInput(f"epoch count must be nonnegative, got {config.epochs}")
 
+    terms = _base_terms(base.data, lab)
     theta = np.zeros((base.n, new_count))
     losses: list[float] = []
-    loss, grad = extension_loss_grad(base.data, lab, theta)
+    loss, grad = _extension_epoch(base.data, terms, theta)
     if not np.isfinite(loss):
         raise Diverged(f"initial loss is not finite: {loss}")
     losses.append(loss)
     if new_count:
-        for _ in range(config.epochs):
-            theta = theta - config.step_size * grad
-            loss, grad = extension_loss_grad(base.data, lab, theta)
-            if not np.isfinite(loss):
-                raise Diverged("loss became non-finite during fitting")
-            losses.append(loss)
+        # Overflow in a diverging step surfaces as a non-finite loss,
+        # reported as Diverged, not as a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(config.epochs):
+                theta = theta - config.step_size * grad
+                loss, grad = _extension_epoch(base.data, terms, theta)
+                if not np.isfinite(loss):
+                    raise Diverged("loss became non-finite during fitting")
+                losses.append(loss)
     matrix = ExtensionMatrix(base_n1=base.n, new_n2=new_count, theta=theta)
     return ExtensionFit(matrix=matrix, final_loss=losses[-1], losses=tuple(losses))

@@ -209,3 +209,28 @@ def reference_normals(seed: int, count: int) -> np.ndarray:
         out.append(u * m)
         out.append(v * m)
     return np.asarray(out[:count])
+
+
+def dense_extension_loss_grad(
+    base_data: np.ndarray, labels: np.ndarray, theta: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy of [f, f Theta] over the whole stacked row.
+
+    Builds the N x (n1 + n2) logits and normalizes every column each
+    call, the plain formula the split base/new normalizer must match.
+    """
+    n1 = base_data.shape[1]
+    n2 = theta.shape[1]
+    z = np.hstack([base_data, base_data @ theta]) if n2 else base_data
+    zmax = z.max(axis=1, keepdims=True)
+    shifted = z - zmax
+    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(z.shape[0])
+    loss = float(np.mean(log_norm[:, 0] - shifted[rows, labels]))
+    if n2 == 0:
+        return loss, np.zeros((n1, 0))
+    resp = np.exp(shifted[:, n1:] - log_norm)
+    new_mask = labels >= n1
+    resp[rows[new_mask], labels[new_mask] - n1] -= 1.0
+    grad = base_data.T @ resp / base_data.shape[0]
+    return loss, grad

@@ -43,6 +43,17 @@ def run_cli(*argv, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_module(*argv):
+    """Run ``python -m covlasso.cli`` in a fresh interpreter with default warning filters."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(covlasso.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "covlasso.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def stdout_dict(text):
     pairs = [line.split("=", 1) for line in text.splitlines() if "=" in line]
     return {k: v for k, v in pairs}
@@ -191,16 +202,6 @@ class TestCov:
     def test_module_entry_point(self, tmp_path):
         csv = tmp_path / "logits.csv"
         csv.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
-        env = dict(os.environ)
-        src = str(Path(covlasso.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
-        def run_module(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "covlasso.cli", *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-
         out_path = tmp_path / "cov.bin"
         done = run_module("cov", "--input", str(csv), "--output", str(out_path))
         assert done.returncode == 0, done.stderr
@@ -598,8 +599,7 @@ class TestExitCodes:
         )
         assert code == 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_fit(self, tmp_path):
+    def _diverging_fit_argv(self, tmp_path):
         csv = tmp_path / "base.csv"
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((20, 2)) * 10.0
@@ -608,12 +608,21 @@ class TestExitCodes:
         )
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("\n".join("2" for _ in range(20)) + "\n")
-        code, out, err = run_cli(
+        return (
             "fit-extension", "--logits", str(csv), "--labels", str(labels_path),
             "--new-count", "1", "--step-size", "1e308", "--epochs", "5",
             "--output", str(tmp_path / "x.json"),
         )
+
+    def test_diverged_fit(self, tmp_path):
+        code, out, err = run_cli(*self._diverging_fit_argv(tmp_path))
         assert code == 4
+
+    def test_diverged_fit_stderr_is_one_line(self, tmp_path):
+        # Overflow in the diverging steps must not leak a numpy warning.
+        done = run_module(*self._diverging_fit_argv(tmp_path))
+        assert done.returncode == 4
+        assert done.stderr == "covlasso: loss became non-finite during fitting\n"
 
     def test_eig_floor_env(self, tmp_path, monkeypatch):
         # The floor is a constant: ND_EIG_FLOOR, set or not, valid or

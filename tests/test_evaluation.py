@@ -19,6 +19,8 @@ from covlasso import (
 )
 from covlasso.solver import DependencySolution, SolutionCertificates
 
+from oracles import dense_extension_loss_grad
+
 
 def _solution(theta, target=0, support=None):
     theta = np.asarray(theta, dtype=float)
@@ -144,6 +146,22 @@ class TestExtensionLossGrad:
         loss, grad = extension_loss_grad(data, np.array([0]), np.array([[1.0], [0.0]]))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
+    def test_negative_label_rejected(self, rng):
+        # A label of -1 must not be read as the last column.
+        data = rng.standard_normal((5, 3))
+        with pytest.raises(InvalidLabels):
+            extension_loss_grad(data, np.array([0, 1, 2, 3, -1]), np.zeros((3, 2)))
+
+    def test_label_past_new_categories_rejected(self, rng):
+        data = rng.standard_normal((5, 3))
+        with pytest.raises(InvalidLabels):
+            extension_loss_grad(data, np.array([0, 1, 2, 3, 5]), np.zeros((3, 2)))
+
+    def test_theta_row_count_checked(self, rng):
+        data = rng.standard_normal((5, 3))
+        with pytest.raises(DimMismatch):
+            extension_loss_grad(data, np.array([0, 1, 2, 3, 4]), np.zeros((2, 2)))
+
 
 class TestFitExtension:
     def _problem(self, rng, samples=120):
@@ -185,6 +203,22 @@ class TestFitExtension:
         assert new_mask.sum() > 50
         assert np.mean(pred[new_mask] == 4) >= 0.95
 
+    def test_trajectory_matches_dense_oracle(self, rng):
+        # Every iterate of the split-normalizer fit matches gradient
+        # descent on the dense stacked-logit loss.
+        base, labels, _ = self._problem(rng)
+        cfg = ExtensionConfig(step_size=0.5, epochs=100)
+        fit = fit_extension(base, labels, 2, cfg)
+        theta = np.zeros((3, 2))
+        loss, grad = dense_extension_loss_grad(base.data, labels, theta)
+        losses = [loss]
+        for _ in range(cfg.epochs):
+            theta = theta - cfg.step_size * grad
+            loss, grad = dense_extension_loss_grad(base.data, labels, theta)
+            losses.append(loss)
+        assert_allclose(fit.losses, losses, rtol=1e-12, atol=0.0)
+        assert_allclose(fit.matrix.theta, theta, rtol=1e-12, atol=0.0)
+
     def test_zero_new_categories(self, rng):
         data = rng.standard_normal((10, 3))
         labels = rng.integers(0, 3, size=10)
@@ -224,7 +258,6 @@ class TestFitExtension:
         with pytest.raises(InvalidInput):
             fit_extension(LogitMatrix(data), labels, 1, ExtensionConfig(epochs=-1))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, rng):
         data = rng.standard_normal((20, 2)) * 10.0
         labels = rng.integers(0, 3, size=20)

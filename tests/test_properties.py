@@ -20,9 +20,10 @@ from covlasso import (
     solve,
 )
 from covlasso.covariance import BLOCK_ROWS
+from covlasso.evaluation import extension_loss_grad
 from covlasso.solver import reduced_objective
 
-from oracles import enumerate_lasso, minor, root_form_gap
+from oracles import dense_extension_loss_grad, enumerate_lasso, minor, root_form_gap
 
 
 @st.composite
@@ -203,3 +204,45 @@ def test_permuting_categories_permutes_the_solution(case):
     if full_rank:
         support = embed(sol, rp).support
         assert sorted(int(perm[k]) for k in embed(sol_moved, rp_moved).support) == list(support)
+
+
+@st.composite
+def extension_problems(draw):
+    """Base logits f (n1 <= 6), Theta (n1 x n2, n2 <= 3) and labels in [0, n1 + n2).
+
+    The random rows have logits of scale 1e-4..1e4.  With n2 > 0, Theta's
+    first column has norm 2 and three extra rows are f = a Theta_0 / 4,
+    so that g_0 = a and max_j f_j <= a/2: new column 0 beats every base
+    logit by at least a/2.  a = 4 takes the exp(m_b - p) rescale with
+    the base mass still counted, a = 80 leaves it below roundoff, and
+    a = 4000 underflows it to 0.
+    """
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.integers(0, 3))
+    rows = draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.floats(-4, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(rows, n1)) * scale
+    theta = rng.normal(size=(n1, n2))
+    if n2:
+        theta[:, 0] *= 2.0 / np.linalg.norm(theta[:, 0])
+        data = np.vstack([data] + [a * theta[:, 0] / 4.0 for a in (4.0, 80.0, 4000.0)])
+    labels = rng.integers(0, n1 + n2, size=data.shape[0])
+    labels[0] = rng.integers(0, n1)
+    if n2:
+        labels[-3:] = rng.integers(0, n1), n1 + rng.integers(0, n2), rng.integers(0, n1)
+    return data, labels, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(extension_problems())
+def test_split_normalizer_matches_dense_softmax(case):
+    data, labels, theta = case
+    if theta.shape[1]:
+        gap = (data @ theta).max(axis=1) - data.max(axis=1)
+        assert gap[-3] > 0.0 and np.exp(-gap[-1]) == 0.0
+    loss, grad = extension_loss_grad(data, labels, theta)
+    want_loss, want_grad = dense_extension_loss_grad(data, labels, theta)
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    assert grad.shape == want_grad.shape
+    assert np.all(np.abs(grad - want_grad) <= 1e-12 * max(1.0, float(np.abs(data).max())))
