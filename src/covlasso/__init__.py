@@ -33,7 +33,6 @@ from .covariance import (
     cross_covariance,
     finalize,
     merge,
-    new_accumulator,
     reduce_problem,
 )
 from .errors import (
@@ -54,9 +53,7 @@ from .errors import (
 )
 from .evaluation import (
     EvalMetrics,
-    ExtensionConfig,
     ExtensionFit,
-    ExtensionMatrix,
     evaluate,
     extended_logits,
     extension_loss_grad,
@@ -70,7 +67,7 @@ from .formats import (
     write_cov,
     write_logits,
 )
-from .linalg import SymmetricMatrix, log_det
+from .linalg import eigenvalues, log_det
 from .reports import (
     DependencyReport,
     build_report,

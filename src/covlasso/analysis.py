@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .linalg import SymmetricMatrix, log_det
+from .linalg import eigenvalues, log_det
 from .solver import ReducedSolution, SolutionPath, _residual, _smooth_part, lambda_max
 
 # Relative spectral floor of :func:`redundancy`: eigenvalues below this
@@ -98,7 +98,7 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
         raise DimTooSmall("redundancy needs at least two categories")
     if not 0 <= target < n:
         raise OutOfRange(f"target {target} outside [0, {n})")
-    full = cov.mat.data
+    full = cov.data
     cov_ii = float(full[target, target])
     if cov_ii <= 1e-300:
         raise DegenerateTarget(
@@ -124,7 +124,7 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
         min_error = min(1.0 / eigen_sum, cov_ii)
 
     keep = np.arange(n) != target
-    minor = SymmetricMatrix(full[np.ix_(keep, keep)]).eigenvalues()
+    minor = eigenvalues(full[np.ix_(keep, keep)])
     if minor[0] <= 0.0:
         raise SingularMatrix(
             f"every category other than {target} has zero second moment"
@@ -180,7 +180,7 @@ def _drift_rates(rp: ReducedProblem) -> np.ndarray:
     r_j = X_j^T (X c - y) with ||X_j|| = sqrt(Chat_jj).  Valid whenever
     cov_ii >= bhat^T Chat^+ bhat.
     """
-    return np.sqrt(np.diag(rp.cov.mat.data) * rp.cov_ii)
+    return np.sqrt(np.diag(rp.cov.data) * rp.cov_ii)
 
 
 def screen(cov: CovMatrix, target: int, lam: float) -> ScreeningReport:
@@ -385,4 +385,4 @@ def pair_covariance(cov: CovMatrix, i: int, j: int) -> float:
         raise OutOfRange(f"indices ({i}, {j}) outside [0, {cov.n})")
     if i == j:
         raise InvalidInput("pair covariance needs two distinct categories")
-    return float(abs(cov.mat.data[i, j]))
+    return float(abs(cov.data[i, j]))

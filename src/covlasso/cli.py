@@ -28,11 +28,11 @@ import numpy as np
 
 from . import analysis, evaluation, reports, solver, synthetic
 from .covariance import (
+    CovAccumulator,
     LogitMatrix,
     accumulate,
     cross_covariance,
     finalize,
-    new_accumulator,
     reduce_problem,
 )
 from .errors import (
@@ -52,6 +52,7 @@ from .formats import (
     write_cov,
     write_logits,
 )
+from .linalg import eigenvalues
 from .reports import canonical_json, format_float
 
 EXIT_OK = 0
@@ -97,6 +98,14 @@ def _load_cov(path: str):
     return read_cov(Path(path).read_bytes())
 
 
+def _load_report(path: str) -> reports.DependencyReport:
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"report {path} is not UTF-8: {exc}") from exc
+    return reports.parse_report(text)
+
+
 def _model_dict(args) -> dict | None:
     if getattr(args, "model_f", None) is None and getattr(args, "model_g", None) is None:
         return None
@@ -111,9 +120,9 @@ def _model_dict(args) -> dict | None:
 
 def cmd_cov(args) -> int:
     logits = _load_logits(args.input, args.labels_col)
-    cov = finalize(accumulate(new_accumulator(logits.n), logits))
+    cov = finalize(accumulate(CovAccumulator(logits.n), logits))
     Path(args.output).write_bytes(write_cov(cov))
-    vals = cov.mat.eigenvalues()
+    vals = eigenvalues(cov.data)
     _say("n", cov.n)
     _say("samples", cov.sample_count)
     _say("eig_max", float(vals[0]))
@@ -206,9 +215,7 @@ def cmd_path(args) -> int:
         points.append(
             {
                 "lambda": float(lam),
-                "support_size": int(
-                    np.count_nonzero(np.abs(sol.coef) > solver.SUPPORT_TOL)
-                ),
+                "support_size": len(solver.support_indices(sol.coef)),
                 "pred_error": float(err),
                 "objective": float(sol.objective),
                 "converged": bool(sol.converged),
@@ -289,7 +296,7 @@ def cmd_redundancy(args) -> int:
 
 def cmd_eval(args) -> int:
     logits = _load_logits(args.logits, args.labels_col)
-    report = reports.parse_report(Path(args.report).read_text("utf-8"))
+    report = _load_report(args.report)
     dep = reports.report_solution(report, logits.n)
     metrics = evaluation.evaluate(logits, dep)
     fields = asdict(metrics)
@@ -322,24 +329,25 @@ def cmd_fit_extension(args) -> int:
             "extension fitting needs labels: embed them in the logit file or "
             "pass --labels"
         )
-    cfg = evaluation.ExtensionConfig(step_size=args.step_size, epochs=args.epochs)
-    fit = evaluation.fit_extension(base, labels, args.new_count, cfg)
+    fit = evaluation.fit_extension(
+        base, labels, args.new_count, step_size=args.step_size, epochs=args.epochs
+    )
     payload = {
         "schema": "extension-report",
         "version": 1,
-        "base_categories": fit.matrix.base_n1,
-        "new_categories": fit.matrix.new_n2,
-        "step_size": cfg.step_size,
-        "epochs": cfg.epochs,
+        "base_categories": base.n,
+        "new_categories": args.new_count,
+        "step_size": args.step_size,
+        "epochs": args.epochs,
         "initial_loss": fit.losses[0],
-        "final_loss": fit.final_loss,
-        "theta": [[float(v) for v in row] for row in fit.matrix.theta],
+        "final_loss": fit.losses[-1],
+        "theta": [[float(v) for v in row] for row in fit.theta],
     }
     _write_text(args.output, canonical_json(payload))
-    _say("base_categories", fit.matrix.base_n1)
-    _say("new_categories", fit.matrix.new_n2)
+    _say("base_categories", base.n)
+    _say("new_categories", args.new_count)
     _say("initial_loss", fit.losses[0])
-    _say("final_loss", fit.final_loss)
+    _say("final_loss", fit.losses[-1])
     _say("output", args.output)
     return EXIT_OK
 
@@ -386,9 +394,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    parsed = [
-        reports.parse_report(Path(p).read_text("utf-8")) for p in args.reports
-    ]
+    parsed = [_load_report(p) for p in args.reports]
     dot = reports.emit_graph(parsed)
     Path(args.output).write_bytes(dot.encode("utf-8"))
     names = {r.target_name for r in parsed}

@@ -34,9 +34,9 @@ from .errors import (
     EmptyAccumulator,
     InvalidInput,
     InvalidLabels,
+    InvalidMatrix,
     OutOfRange,
 )
-from .linalg import SymmetricMatrix
 
 
 def check_labels(labels, samples: int, categories: int) -> np.ndarray:
@@ -152,10 +152,6 @@ class CovAccumulator:
                 self._add_term(self.pending.T @ self.pending)
 
 
-def new_accumulator(n: int) -> CovAccumulator:
-    return CovAccumulator(n)
-
-
 def accumulate(acc: CovAccumulator, batch: LogitMatrix) -> CovAccumulator:
     """Fold a batch of samples into the accumulator, in order.
 
@@ -195,14 +191,32 @@ def merge(a: CovAccumulator, b: CovAccumulator) -> CovAccumulator:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Finalized second-moment matrix with its sample count."""
+    """Finalized second-moment matrix with its sample count.
 
-    mat: SymmetricMatrix
+    ``data`` is an immutable square float64 array.  Construction
+    symmetrizes the input as ``(M + M.T) / 2`` so tiny asymmetries from
+    accumulation order cannot leak downstream.
+    """
+
+    data: np.ndarray
     sample_count: int
+
+    def __init__(self, data, sample_count: int):
+        arr = np.asarray(data, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
+        if arr.shape[0] == 0:
+            raise InvalidMatrix("matrix must have at least one row")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidMatrix("matrix has non-finite entries")
+        arr = (arr + arr.T) / 2.0
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "sample_count", sample_count)
 
     @property
     def n(self) -> int:
-        return self.mat.n
+        return self.data.shape[0]
 
 
 def finalize(acc: CovAccumulator) -> CovMatrix:
@@ -219,7 +233,7 @@ def finalize(acc: CovAccumulator) -> CovMatrix:
         blk = acc.pending[:tail]
         sums, lost = _neumaier(sums, blk.T @ blk)
         comp = comp + lost
-    return CovMatrix(SymmetricMatrix((sums + comp) / acc.count), acc.count)
+    return CovMatrix((sums + comp) / acc.count, acc.count)
 
 
 def cross_covariance(f: LogitMatrix, g: LogitMatrix, target: int) -> CovMatrix:
@@ -238,7 +252,7 @@ def cross_covariance(f: LogitMatrix, g: LogitMatrix, target: int) -> CovMatrix:
         raise OutOfRange(f"target {target} outside [0, {f.n})")
     mixed = f.data.copy()
     mixed[:, target] = g.data[:, target]
-    return finalize(accumulate(new_accumulator(f.n), LogitMatrix(mixed)))
+    return finalize(accumulate(CovAccumulator(f.n), LogitMatrix(mixed)))
 
 
 @dataclass(frozen=True)
@@ -277,7 +291,7 @@ def reduce_problem(cov: CovMatrix, target: int) -> ReducedProblem:
         raise DimTooSmall("need at least two categories to form a reduced problem")
     if not 0 <= target < n:
         raise OutOfRange(f"target {target} outside [0, {n})")
-    full = cov.mat.data
+    full = cov.data
     bhat = full[:, target].copy()
     bhat[target] = 0.0
     return ReducedProblem(cov, target, bhat, float(full[target, target]))

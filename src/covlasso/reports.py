@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .evaluation import EvalMetrics
-from .solver import SUPPORT_TOL, DependencySolution, SolutionCertificates
+from .solver import DependencySolution, SolutionCertificates, support_indices
 
 SCHEMA = "dependency-report"
 SCHEMA_VERSION = 3
@@ -227,9 +227,8 @@ def report_solution(report: DependencyReport, n: int) -> DependencySolution:
             raise InvalidInput(f"coefficient index {j} repeated")
         seen.add(j)
         theta[j] = value
-    support = tuple(
-        j for j, _, value in report.coefficients if abs(value) > SUPPORT_TOL
-    )
+    values = [value for _, _, value in report.coefficients]
+    support = tuple(report.coefficients[k][0] for k in support_indices(values))
     return DependencySolution(
         target=report.target_index,
         theta=theta,

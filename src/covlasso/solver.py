@@ -66,8 +66,12 @@ from .errors import DimMismatch, InvalidInput, InvalidMatrix
 # The homotopy takes at most this many kinks per coordinate.
 KINK_CAP_PER_COORD = 10
 
-# Coefficients with magnitude above this count as support members.
 SUPPORT_TOL = 1e-10
+
+
+def support_indices(values) -> np.ndarray:
+    """Positions of ``values`` that count as support members: |value| > SUPPORT_TOL."""
+    return np.flatnonzero(np.abs(np.asarray(values, dtype=np.float64)) > SUPPORT_TOL)
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,12 @@ def lambda_max(rp: ReducedProblem) -> float:
 
 def _smooth_part(rp: ReducedProblem, c: np.ndarray) -> float:
     """c^T Chat c - 2 bhat^T c, as (c^T Chat) c: reports hold its last bits."""
-    return float(c @ rp.cov.mat.data @ c - 2.0 * rp.bhat @ c)
+    return float(c @ rp.cov.data @ c - 2.0 * rp.bhat @ c)
 
 
 def _residual(rp: ReducedProblem, c: np.ndarray) -> np.ndarray:
     """r = Chat c - bhat, indexed like Cov with r_target = 0."""
-    r = rp.cov.mat.data @ c - rp.bhat
+    r = rp.cov.data @ c - rp.bhat
     r[rp.target] = 0.0
     return r
 
@@ -172,7 +176,7 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
     module docstring for the segment formula, the event and tie rules,
     the refusal of singular entries and the kink budget.
     """
-    cov = rp.cov.mat.data
+    cov = rp.cov.data
     bhat = rp.bhat
     n = rp.n
     mus = 0.5 * lams
@@ -377,7 +381,7 @@ def embed(rs: ReducedSolution, rp: ReducedProblem) -> DependencySolution:
         )
     theta = rs.coef.copy()
     theta[rp.target] = -1.0
-    support = tuple(int(j) for j in np.flatnonzero(np.abs(rs.coef) > SUPPORT_TOL))
+    support = tuple(int(j) for j in support_indices(rs.coef))
     return DependencySolution(
         target=rp.target,
         theta=theta,
@@ -395,4 +399,4 @@ def prediction_error(cov: CovMatrix, theta: np.ndarray) -> float:
         raise DimMismatch(f"theta shape {t.shape}, expected ({cov.n},)")
     if not np.all(np.isfinite(t)):
         raise InvalidMatrix("theta has non-finite entries")
-    return max(0.0, float(t @ cov.mat.data @ t))
+    return max(0.0, float(t @ cov.data @ t))

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from covlasso import CovMatrix, SymmetricMatrix, reduce_problem
+from covlasso import CovMatrix, reduce_problem
 
 from oracles import spd_matrix
 
@@ -22,7 +22,7 @@ def rng():
 
 
 def make_cov(rng: np.random.Generator, n: int, cond: float = 100.0, scale: float = 1.0, count: int = 1000) -> CovMatrix:
-    return CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond, scale)), count)
+    return CovMatrix(spd_matrix(rng, n, cond, scale), count)
 
 
 def rp_from(chat, bhat, cov_ii: float = 1.0):
@@ -30,4 +30,4 @@ def rp_from(chat, bhat, cov_ii: float = 1.0):
     chat = np.atleast_2d(np.asarray(chat, dtype=np.float64))
     b = np.asarray(bhat, dtype=np.float64)
     full = np.block([[np.array([[cov_ii]]), b[None, :]], [b[:, None], chat]])
-    return reduce_problem(CovMatrix(SymmetricMatrix(full), 10), 0)
+    return reduce_problem(CovMatrix(full, 10), 0)

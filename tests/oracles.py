@@ -121,7 +121,7 @@ def minor(rp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     they retain, so an oracle's answer x corresponds to coef[keep].
     """
     keep = np.flatnonzero(np.arange(rp.n) != rp.target)
-    full = rp.cov.mat.data
+    full = rp.cov.data
     return full[np.ix_(keep, keep)].copy(), full[keep, rp.target].copy(), keep
 
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from covlasso import (
+    CovAccumulator,
     CovMatrix,
     PlantedDependency,
-    SymmetricMatrix,
     SyntheticSpec,
     accumulate,
     certify,
@@ -26,7 +26,6 @@ from covlasso import (
     fit_extension,
     extended_logits,
     generate,
-    new_accumulator,
     parse_report,
     read_cov,
     read_logits,
@@ -71,13 +70,13 @@ def path_runs():
     runs = []
     for _ in range(50):
         n = int(rng.integers(5, 31))
-        cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond=1e3)), 1000)
+        cov = CovMatrix(spd_matrix(rng, n, cond=1e3), 1000)
         target = int(rng.integers(0, n))
         rp = reduce_problem(cov, target)
         lmax = lambda_max(rp)
         grid = np.geomspace(lmax, lmax / 1000.0, 20)
         path = solution_path(rp, grid)
-        err0 = 1.0 / np.linalg.inv(cov.mat.data)[target, target]
+        err0 = 1.0 / np.linalg.inv(cov.data)[target, target]
         runs.append((cov, target, rp, path, err0))
     return runs
 
@@ -135,7 +134,7 @@ class TestAcceptance:
         ok = True
         detail = ""
         for cov, target, rp, path, err0 in path_runs:
-            cov_ii = cov.mat.data[target, target]
+            cov_ii = cov.data[target, target]
             if not path.monotone:
                 ok, detail = False, f"path not monotone at target {target}"
                 break
@@ -159,7 +158,7 @@ class TestAcceptance:
         for _ in range(100):
             n = int(rng.integers(2, 51))
             cond = float(rng.uniform(10.0, 1e6))
-            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond=cond)), 10)
+            cov = CovMatrix(spd_matrix(rng, n, cond=cond), 10)
             rep = redundancy(cov, int(rng.integers(0, n)))
             routes = (
                 rep.min_error,
@@ -190,7 +189,7 @@ class TestAcceptance:
         unsound = 0
         for _ in range(100):
             n = 21
-            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond=300.0)), 10)
+            cov = CovMatrix(spd_matrix(rng, n, cond=300.0), 10)
             target = int(rng.integers(0, n))
             rp = reduce_problem(cov, target)
             lmax = lambda_max(rp)
@@ -225,7 +224,7 @@ class TestAcceptance:
         spec = SyntheticSpec(n=8, samples=10000, latent_rank=8,
                              noise_sigma=0.3, seed=108)
         logits, _ = generate(spec)
-        cov = finalize(accumulate(new_accumulator(8), logits))
+        cov = finalize(accumulate(CovAccumulator(8), logits))
         configs = 0
         ok = True
         for target in range(5):
@@ -264,7 +263,7 @@ class TestAcceptance:
                 planted=PlantedDependency(0, coeffs), seed=seed,
             )
             logits, truth = generate(spec)
-            cov = finalize(accumulate(new_accumulator(50), logits))
+            cov = finalize(accumulate(CovAccumulator(50), logits))
             rp = reduce_problem(cov, 0)
             lmax = lambda_max(rp)
             path = solution_path(rp, np.geomspace(lmax, lmax / 1000.0, 30))
@@ -316,7 +315,7 @@ class TestAcceptance:
         labels = np.argmax(z, axis=1)
         base = LogitMatrix(base_data)
         fit = fit_extension(base, labels, 1)
-        pred = np.argmax(extended_logits(base, fit.matrix), axis=1)
+        pred = np.argmax(extended_logits(base, fit.theta), axis=1)
         new_mask = labels == 12
         oracle_acc = 1.0  # labels are the scaled-column oracle's own argmax
         fit_acc = float(np.mean(pred[new_mask] == 12))
@@ -355,9 +354,7 @@ class TestAcceptance:
             m = LogitMatrix(data, lab, names)
             buf = write_logits(m)
             ok = ok and write_logits(read_logits(buf)) == buf
-            cov = CovMatrix(
-                SymmetricMatrix(spd_matrix(rng, max(n, 2))), samples
-            )
+            cov = CovMatrix(spd_matrix(rng, max(n, 2)), samples)
             cbuf = write_cov(cov)
             ok = ok and write_cov(read_cov(cbuf)) == cbuf
         rp = random_problem(rng, 5)
@@ -391,7 +388,7 @@ class TestAcceptance:
         certified = 0
         for _ in range(100):
             n = int(rng.integers(4, 16))
-            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond=100.0)), 10)
+            cov = CovMatrix(spd_matrix(rng, n, cond=100.0), 10)
             target = int(rng.integers(0, n))
             rp = reduce_problem(cov, target)
             lam = float(rng.uniform(0.05, 0.95)) * lambda_max(rp)

@@ -9,7 +9,6 @@ from covlasso import (
     InvalidInput,
     OutOfRange,
     SingularMatrix,
-    SymmetricMatrix,
     certify,
     check_slope_bounds,
     embed,
@@ -29,7 +28,7 @@ from oracles import dense_floored_root, minor, spd_matrix
 
 
 def cov_of(mat, count=100):
-    return CovMatrix(SymmetricMatrix(mat), count)
+    return CovMatrix(mat, count)
 
 
 BLOCK = [[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -74,7 +73,7 @@ class TestRedundancy:
         for mat in mats:
             cov = cov_of(mat)
             for target in range(cov.n):
-                cov_ii = float(cov.mat.data[target, target])
+                cov_ii = float(cov.data[target, target])
                 if cov_ii <= 1e-300:
                     continue
                 rep = redundancy(cov, target)

@@ -12,7 +12,6 @@ import pytest
 import covlasso
 from covlasso import (
     CovMatrix,
-    SymmetricMatrix,
     parse_report,
     read_cov,
     read_logits,
@@ -90,7 +89,7 @@ def build_cov(tmp_path, logits_path, name="cov.bin"):
 def hilbert_cov(tmp_path, n=10):
     mat = np.array([[1.0 / (a + b + 1) for b in range(n)] for a in range(n)])
     path = tmp_path / "hilbert.cov"
-    path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(mat), 5)))
+    path.write_bytes(write_cov(CovMatrix(mat, 5)))
     return path
 
 
@@ -492,6 +491,18 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_utf8_report_names_the_file(self, tmp_path):
+        logits = synth(tmp_path)
+        report = tmp_path / "report.json"
+        report.write_bytes(b"\xff\xfe{}")
+        for argv in (
+            ["eval", "--logits", str(logits), "--report", str(report)],
+            ["graph", "--report", str(report), "--output", str(tmp_path / "g.dot")],
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == 2
+            assert str(report) in err and "UTF-8" in err
+
     def test_hilbert_converges(self, tmp_path):
         cov_path = hilbert_cov(tmp_path)
         code, out, err = run_cli(
@@ -533,7 +544,7 @@ class TestExitCodes:
         # Only redundancy floors a spectrum, so only it takes --strict.
         mat = np.ones((3, 3))
         cov_path = tmp_path / "ones.cov"
-        cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(mat), 2)))
+        cov_path.write_bytes(write_cov(CovMatrix(mat, 2)))
         relaxed = run_cli(
             "redundancy", "--cov", str(cov_path), "--target", "0",
             "--output", str(tmp_path / "a.json"),
@@ -558,7 +569,7 @@ class TestExitCodes:
         # redundancy inverts Cov, and a spectrum whose relative floor is
         # itself numerically zero is reported singular.
         cov_path = tmp_path / "ones.cov"
-        cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(np.ones((3, 3))), 2)))
+        cov_path.write_bytes(write_cov(CovMatrix(np.ones((3, 3)), 2)))
         for command in ("solve", "screen"):
             code, out, err = run_cli(
                 command, "--cov", str(cov_path), "--target", "0",
@@ -567,7 +578,7 @@ class TestExitCodes:
             assert code == 0, (command, err)
         tiny_path = tmp_path / "tiny.cov"
         tiny_path.write_bytes(
-            write_cov(CovMatrix(SymmetricMatrix(1e-295 * np.ones((3, 3))), 2))
+            write_cov(CovMatrix(1e-295 * np.ones((3, 3)), 2))
         )
         code, out, err = run_cli(
             "redundancy", "--cov", str(tiny_path), "--target", "0",
@@ -579,7 +590,7 @@ class TestExitCodes:
     def test_all_zero_minor_names_its_cause(self, tmp_path):
         cov_path = tmp_path / "diag.cov"
         cov_path.write_bytes(
-            write_cov(CovMatrix(SymmetricMatrix(np.diag([1.0, 0.0, 0.0])), 2))
+            write_cov(CovMatrix(np.diag([1.0, 0.0, 0.0]), 2))
         )
         code, out, err = run_cli(
             "redundancy", "--cov", str(cov_path), "--target", "0",
@@ -592,7 +603,7 @@ class TestExitCodes:
     def test_degenerate_target_auto_grid(self, tmp_path):
         mat = np.eye(3)
         cov_path = tmp_path / "eye.cov"
-        cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(mat), 2)))
+        cov_path.write_bytes(write_cov(CovMatrix(mat, 2)))
         code, out, err = run_cli(
             "path", "--cov", str(cov_path), "--target", "0",
             "--auto-grid", "5", "--output", str(tmp_path / "p.json"),
@@ -628,7 +639,7 @@ class TestExitCodes:
         # The floor is a constant: ND_EIG_FLOOR, set or not, valid or
         # not, changes no exit code, stream or report byte.
         cov_path = tmp_path / "ones.cov"
-        cov_path.write_bytes(write_cov(CovMatrix(SymmetricMatrix(np.ones((3, 3))), 2)))
+        cov_path.write_bytes(write_cov(CovMatrix(np.ones((3, 3)), 2)))
         out_path = tmp_path / "r.json"
         argv = ("redundancy", "--cov", str(cov_path), "--target", "0", "--output", str(out_path))
         monkeypatch.delenv("ND_EIG_FLOOR", raising=False)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covlasso import (
+    CovAccumulator,
     DimMismatch,
     DimTooSmall,
     EmptyAccumulator,
@@ -16,7 +17,6 @@ from covlasso import (
     cross_covariance,
     finalize,
     merge,
-    new_accumulator,
     reduce_problem,
 )
 from covlasso.covariance import BLOCK_ROWS
@@ -37,7 +37,7 @@ def assert_same_state(a, b):
     assert_array_equal(a.comp, b.comp)
     tail = a.count % BLOCK_ROWS
     assert_array_equal(a.pending[:tail], b.pending[:tail])
-    assert_array_equal(finalize(a).mat.data, finalize(b).mat.data)
+    assert_array_equal(finalize(a).data, finalize(b).data)
 
 
 def within_block_bound(got, data):
@@ -70,24 +70,24 @@ class TestLogitMatrix:
 
 class TestAccumulate:
     def test_single_row_outer_product(self):
-        acc = accumulate(new_accumulator(2), LogitMatrix([[1.0, 2.0]]))
-        assert_array_equal(finalize(acc).mat.data, [[1.0, 2.0], [2.0, 4.0]])
+        acc = accumulate(CovAccumulator(2), LogitMatrix([[1.0, 2.0]]))
+        assert_array_equal(finalize(acc).data, [[1.0, 2.0], [2.0, 4.0]])
         assert acc.count == 1
 
     def test_finalize_means(self):
-        acc = new_accumulator(2)
+        acc = CovAccumulator(2)
         accumulate(acc, LogitMatrix([[1.0, 0.0], [0.0, 1.0]]))
         cov = finalize(acc)
-        assert_allclose(cov.mat.data, [[0.5, 0.0], [0.0, 0.5]])
+        assert_allclose(cov.data, [[0.5, 0.0], [0.0, 0.5]])
         assert cov.sample_count == 2
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            accumulate(new_accumulator(3), LogitMatrix([[1.0, 2.0]]))
+            accumulate(CovAccumulator(3), LogitMatrix([[1.0, 2.0]]))
 
     def test_empty_finalize(self):
         with pytest.raises(EmptyAccumulator):
-            finalize(new_accumulator(2))
+            finalize(CovAccumulator(2))
 
     def test_batch_partition_is_bitwise_invariant(self, rng):
         # Cuts inside one block, and cuts that straddle block edges of a
@@ -98,18 +98,18 @@ class TestAccumulate:
             (LONG, [BLOCK_ROWS, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS]),
         ]:
             data = rng.normal(size=(rows, 7)) * rng.lognormal(0, 2, size=(rows, 7))
-            whole = accumulate(new_accumulator(7), LogitMatrix(data))
-            parts = new_accumulator(7)
+            whole = accumulate(CovAccumulator(7), LogitMatrix(data))
+            parts = CovAccumulator(7)
             for chunk in np.split(data, cuts, axis=0):
                 accumulate(parts, LogitMatrix(chunk))
             assert_same_state(whole, parts)
 
     def test_finalize_is_idempotent(self, rng):
         data = rng.normal(size=(LONG, 5)) * 1e3
-        acc = accumulate(new_accumulator(5), LogitMatrix(data))
+        acc = accumulate(CovAccumulator(5), LogitMatrix(data))
         snapshot = (acc.count, acc.sums.copy(), acc.comp.copy(), acc.pending.copy())
-        first = finalize(acc).mat.data
-        assert_array_equal(finalize(acc).mat.data, first)
+        first = finalize(acc).data
+        assert_array_equal(finalize(acc).data, first)
         assert acc.count == snapshot[0]
         assert_array_equal(acc.sums, snapshot[1])
         assert_array_equal(acc.comp, snapshot[2])
@@ -118,8 +118,8 @@ class TestAccumulate:
     @pytest.mark.parametrize("split", [17, BLOCK_ROWS, 300])
     def test_accumulate_after_finalize(self, rng, split):
         data = rng.normal(size=(LONG, 5)) * 1e3
-        whole = accumulate(new_accumulator(5), LogitMatrix(data))
-        acc = accumulate(new_accumulator(5), LogitMatrix(data[:split]))
+        whole = accumulate(CovAccumulator(5), LogitMatrix(data))
+        acc = accumulate(CovAccumulator(5), LogitMatrix(data[:split]))
         finalize(acc)
         accumulate(acc, LogitMatrix(data[split:]))
         assert_same_state(whole, acc)
@@ -132,10 +132,10 @@ class TestAccumulate:
         flipped = base * np.array([1.0, -1.0, 1.0, -1.0])
         data = np.vstack([base, flipped, rng.normal(size=(18, 4))])
         data = data[rng.permutation(len(data))]
-        cov = finalize(accumulate(new_accumulator(4), LogitMatrix(data)))
+        cov = finalize(accumulate(CovAccumulator(4), LogitMatrix(data)))
         absmom = np.abs(data).T @ np.abs(data) / len(data)
         assert np.abs(second_moment_exact(data)[0, 1]) < 1e-6 * absmom[0, 1]
-        assert within_block_bound(cov.mat.data, data).all()
+        assert within_block_bound(cov.data, data).all()
 
     def test_compensation_beats_naive_summation(self, rng):
         # Alternating huge/tiny rows; the compensated mean must match a
@@ -145,13 +145,13 @@ class TestAccumulate:
         data = np.empty((1000, 2))
         data[0::2] = big
         data[1::2] = small
-        acc = accumulate(new_accumulator(2), LogitMatrix(data))
+        acc = accumulate(CovAccumulator(2), LogitMatrix(data))
         cov = finalize(acc)
         exact = np.zeros((2, 2), dtype=np.longdouble)
         for row in data.astype(np.longdouble):
             exact += np.outer(row, row)
         exact /= len(data)
-        assert_allclose(cov.mat.data, exact.astype(np.float64), rtol=1e-14)
+        assert_allclose(cov.data, exact.astype(np.float64), rtol=1e-14)
 
     def test_compensation_carries_across_blocks(self):
         # Each block sums exactly, but 2^68 + 256 rounds to 2^68; only
@@ -163,15 +163,15 @@ class TestAccumulate:
             np.full((BLOCK_ROWS, 2), one),
             np.tile([big, -big], (BLOCK_ROWS, 1)),
         ])
-        cov = finalize(accumulate(new_accumulator(2), LogitMatrix(data)))
-        assert cov.mat.data[0, 1] == second_moment_exact(data)[0, 1] == 1.0 / 3.0
+        cov = finalize(accumulate(CovAccumulator(2), LogitMatrix(data)))
+        assert cov.data[0, 1] == second_moment_exact(data)[0, 1] == 1.0 / 3.0
 
     def test_finalize_is_psd(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 9))
             data = rng.normal(size=(int(rng.integers(1, 40)), n))
-            cov = finalize(accumulate(new_accumulator(n), LogitMatrix(data)))
-            vals = np.linalg.eigvalsh(cov.mat.data)
+            cov = finalize(accumulate(CovAccumulator(n), LogitMatrix(data)))
+            vals = np.linalg.eigvalsh(cov.data)
             assert vals[0] >= -1e-8 * max(vals[-1], 1e-300)
 
 
@@ -181,20 +181,20 @@ class TestMerge:
         # zero, so merge must agree bitwise with one-stream accumulation.
         a_rows = LogitMatrix([[1.0, 2.0], [3.0, 4.0]])
         b_rows = LogitMatrix([[5.0, 6.0], [7.0, 8.0]])
-        seq = accumulate(new_accumulator(2), a_rows)
+        seq = accumulate(CovAccumulator(2), a_rows)
         accumulate(seq, b_rows)
-        left = accumulate(new_accumulator(2), a_rows)
-        right = accumulate(new_accumulator(2), b_rows)
+        left = accumulate(CovAccumulator(2), a_rows)
+        right = accumulate(CovAccumulator(2), b_rows)
         assert_same_state(merge(left, right), seq)
 
         data = rng.integers(-8, 9, size=(LONG, 3)).astype(float)
-        seq = accumulate(new_accumulator(3), LogitMatrix(data))
+        seq = accumulate(CovAccumulator(3), LogitMatrix(data))
         for split in [77, BLOCK_ROWS, 300, 2 * BLOCK_ROWS, 700]:
-            left = accumulate(new_accumulator(3), LogitMatrix(data[:split]))
-            right = accumulate(new_accumulator(3), LogitMatrix(data[split:]))
+            left = accumulate(CovAccumulator(3), LogitMatrix(data[:split]))
+            right = accumulate(CovAccumulator(3), LogitMatrix(data[split:]))
             merged = merge(left, right)
             assert merged.count == seq.count
-            assert_array_equal(finalize(merged).mat.data, finalize(seq).mat.data)
+            assert_array_equal(finalize(merged).data, finalize(seq).data)
             if split % BLOCK_ROWS == 0:
                 # A block-aligned left part leaves the right part's
                 # samples in the same blocks as in one stream.
@@ -205,32 +205,32 @@ class TestMerge:
         # a merge that dropped samples cannot pass by matching itself.
         for sizes in [(77, 123), (300, 600), (5, 700)]:
             data = rng.normal(size=(sum(sizes), 5)) * 1e6
-            seq = finalize(accumulate(new_accumulator(5), LogitMatrix(data)))
-            left = accumulate(new_accumulator(5), LogitMatrix(data[: sizes[0]]))
-            right = accumulate(new_accumulator(5), LogitMatrix(data[sizes[0] :]))
+            seq = finalize(accumulate(CovAccumulator(5), LogitMatrix(data)))
+            left = accumulate(CovAccumulator(5), LogitMatrix(data[: sizes[0]]))
+            right = accumulate(CovAccumulator(5), LogitMatrix(data[sizes[0] :]))
             both = finalize(merge(left, right))
             assert both.sample_count == seq.sample_count == len(data)
-            assert within_block_bound(both.mat.data, data).all()
-            assert within_block_bound(seq.mat.data, data).all()
+            assert within_block_bound(both.data, data).all()
+            assert within_block_bound(seq.data, data).all()
 
     def test_merge_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            merge(new_accumulator(2), new_accumulator(3))
+            merge(CovAccumulator(2), CovAccumulator(3))
 
 
 class TestCrossCovariance:
     def test_same_matrix_is_bitwise_plain_covariance(self, rng):
         data = rng.normal(size=(31, 4))
         f = LogitMatrix(data)
-        plain = finalize(accumulate(new_accumulator(4), f))
+        plain = finalize(accumulate(CovAccumulator(4), f))
         crossed = cross_covariance(f, f, 2)
-        assert np.array_equal(plain.mat.data, crossed.mat.data)
+        assert np.array_equal(plain.data, crossed.data)
 
     def test_target_column_swapped(self):
         f = LogitMatrix([[1.0, 2.0]])
         g = LogitMatrix([[3.0, 4.0]])
         cov = cross_covariance(f, g, 0)
-        assert_allclose(cov.mat.data, [[9.0, 6.0], [6.0, 4.0]])
+        assert_allclose(cov.data, [[9.0, 6.0], [6.0, 4.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -244,9 +244,9 @@ class TestCrossCovariance:
 
 class TestReduce:
     def _cov(self, mat):
-        from covlasso import CovMatrix, SymmetricMatrix
+        from covlasso import CovMatrix
 
-        return CovMatrix(SymmetricMatrix(mat), 10)
+        return CovMatrix(mat, 10)
 
     def test_worked_example(self):
         cov = self._cov([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -259,7 +259,7 @@ class TestReduce:
     def test_middle_target_index_map(self):
         cov = self._cov(np.arange(1, 10).reshape(3, 3).astype(float))
         rp = reduce_problem(cov, 1)
-        sym = cov.mat.data
+        sym = cov.data
         assert rp.cov is cov and rp.target == 1
         assert_array_equal(rp.bhat, [sym[0, 1], 0.0, sym[2, 1]])
         assert rp.cov_ii == sym[1, 1]

@@ -6,8 +6,6 @@ from covlasso import (
     DegenerateTarget,
     DimMismatch,
     Diverged,
-    ExtensionConfig,
-    ExtensionMatrix,
     InvalidLabels,
     LogitMatrix,
     MissingLabels,
@@ -173,21 +171,20 @@ class TestFitExtension:
 
     def test_loss_decreases_monotonically(self, rng):
         base, labels, _ = self._problem(rng)
-        fit = fit_extension(base, labels, 2, ExtensionConfig(step_size=0.5, epochs=100))
+        fit = fit_extension(base, labels, 2, step_size=0.5, epochs=100)
         trace = np.array(fit.losses)
         assert trace.size == 101
         assert np.all(np.diff(trace) <= 1e-12)
-        assert fit.final_loss < trace[0]
-        assert fit.final_loss == trace[-1]
+        assert trace[-1] < trace[0]
 
     def test_fit_reaches_convex_optimum(self, rng):
         # The loss is convex, so the fit must beat the generating matrix
         # and land near a stationary point.
         base, labels, truth = self._problem(rng, samples=400)
-        fit = fit_extension(base, labels, 2, ExtensionConfig(step_size=0.5, epochs=400))
+        fit = fit_extension(base, labels, 2, step_size=0.5, epochs=400)
         loss_at_truth, _ = extension_loss_grad(base.data, labels, truth)
-        assert fit.final_loss <= loss_at_truth
-        _, grad = extension_loss_grad(base.data, labels, fit.matrix.theta)
+        assert fit.losses[-1] <= loss_at_truth
+        _, grad = extension_loss_grad(base.data, labels, fit.theta)
         assert np.abs(grad).max() < 1e-3
 
     def test_dominant_new_category_is_learned(self, rng):
@@ -198,7 +195,7 @@ class TestFitExtension:
         labels = np.argmax(z, axis=1)
         base = LogitMatrix(base_data)
         fit = fit_extension(base, labels, 1)
-        pred = np.argmax(extended_logits(base, fit.matrix), axis=1)
+        pred = np.argmax(extended_logits(base, fit.theta), axis=1)
         new_mask = labels == 4
         assert new_mask.sum() > 50
         assert np.mean(pred[new_mask] == 4) >= 0.95
@@ -207,31 +204,30 @@ class TestFitExtension:
         # Every iterate of the split-normalizer fit matches gradient
         # descent on the dense stacked-logit loss.
         base, labels, _ = self._problem(rng)
-        cfg = ExtensionConfig(step_size=0.5, epochs=100)
-        fit = fit_extension(base, labels, 2, cfg)
+        fit = fit_extension(base, labels, 2, step_size=0.5, epochs=100)
         theta = np.zeros((3, 2))
         loss, grad = dense_extension_loss_grad(base.data, labels, theta)
         losses = [loss]
-        for _ in range(cfg.epochs):
-            theta = theta - cfg.step_size * grad
+        for _ in range(100):
+            theta = theta - 0.5 * grad
             loss, grad = dense_extension_loss_grad(base.data, labels, theta)
             losses.append(loss)
         assert_allclose(fit.losses, losses, rtol=1e-12, atol=0.0)
-        assert_allclose(fit.matrix.theta, theta, rtol=1e-12, atol=0.0)
+        assert_allclose(fit.theta, theta, rtol=1e-12, atol=0.0)
 
     def test_zero_new_categories(self, rng):
         data = rng.standard_normal((10, 3))
         labels = rng.integers(0, 3, size=10)
         fit = fit_extension(LogitMatrix(data), labels, 0)
-        assert fit.matrix.theta.shape == (3, 0)
+        assert fit.theta.shape == (3, 0)
         assert len(fit.losses) == 1
-        assert np.array_equal(extended_logits(LogitMatrix(data), fit.matrix), data)
+        assert np.array_equal(extended_logits(LogitMatrix(data), fit.theta), data)
 
     def test_zero_epochs_returns_initial_point(self, rng):
         data = rng.standard_normal((10, 3))
         labels = rng.integers(0, 4, size=10)
-        fit = fit_extension(LogitMatrix(data), labels, 1, ExtensionConfig(epochs=0))
-        assert np.array_equal(fit.matrix.theta, np.zeros((3, 1)))
+        fit = fit_extension(LogitMatrix(data), labels, 1, epochs=0)
+        assert np.array_equal(fit.theta, np.zeros((3, 1)))
         assert len(fit.losses) == 1
 
     def test_label_validation(self, rng):
@@ -254,24 +250,19 @@ class TestFitExtension:
         with pytest.raises(InvalidInput):
             fit_extension(LogitMatrix(data), labels, -1)
         with pytest.raises(InvalidInput):
-            fit_extension(LogitMatrix(data), labels, 1, ExtensionConfig(step_size=0.0))
+            fit_extension(LogitMatrix(data), labels, 1, step_size=0.0)
         with pytest.raises(InvalidInput):
-            fit_extension(LogitMatrix(data), labels, 1, ExtensionConfig(epochs=-1))
+            fit_extension(LogitMatrix(data), labels, 1, epochs=-1)
 
     def test_divergence_detected(self, rng):
         data = rng.standard_normal((20, 2)) * 10.0
         labels = rng.integers(0, 3, size=20)
         with pytest.raises(Diverged):
-            fit_extension(
-                LogitMatrix(data), labels, 1,
-                ExtensionConfig(step_size=1e308, epochs=5),
-            )
+            fit_extension(LogitMatrix(data), labels, 1, step_size=1e308, epochs=5)
 
     def test_extension_matrix_shape_checked(self):
+        base = LogitMatrix(np.ones((2, 3)))
         with pytest.raises(DimMismatch):
-            ExtensionMatrix(base_n1=3, new_n2=2, theta=np.zeros((2, 2)))
+            extended_logits(base, np.zeros((2, 1)))
         with pytest.raises(DimMismatch):
-            extended_logits(
-                LogitMatrix(np.ones((2, 3))),
-                ExtensionMatrix(base_n1=2, new_n2=1, theta=np.zeros((2, 1))),
-            )
+            extended_logits(base, np.zeros(3))

@@ -6,13 +6,12 @@ from numpy.testing import assert_allclose
 
 from conftest import make_cov
 from covlasso import (
+    CovAccumulator,
     CovMatrix,
     FormatError,
     LogitMatrix,
-    SymmetricMatrix,
     accumulate,
     finalize,
-    new_accumulator,
     read_cov,
     read_logits,
     read_logits_csv,
@@ -50,6 +49,13 @@ class TestLogitRoundTrip:
         m = LogitMatrix(rng.standard_normal((2, 2)), names=("über", "中文"))
         back = read_logits(write_logits(m))
         assert back.names == ("über", "中文")
+
+    def test_data_is_aligned_and_owned(self, rng):
+        # The payload sits 28 bytes into the file; a view of it would be
+        # misaligned for float64, and matmul on it bypasses BLAS.
+        data = read_logits(write_logits(_logits(rng, labels=True))).data
+        assert data.flags.owndata and data.flags.aligned
+        assert data.ctypes.data % data.itemsize == 0
 
     def test_negative_zero_survives(self):
         data = np.array([[-0.0, 1.0]])
@@ -143,7 +149,7 @@ class TestCovRoundTrip:
         cov = make_cov(rng, 4)
         buf = write_cov(cov)
         back = read_cov(buf)
-        assert np.array_equal(cov.mat.data, back.mat.data)
+        assert np.array_equal(cov.data, back.data)
         assert back.sample_count == cov.sample_count
         assert write_cov(back) == buf
 
@@ -156,22 +162,21 @@ class TestCovRoundTrip:
         assert len(buf) == 24 + 6 * 8  # upper triangle of a 3x3
 
     def test_symmetry_reconstructed(self, rng):
-        mat = SymmetricMatrix(rng.standard_normal((5, 5)))
-        spd = SymmetricMatrix(mat.data @ mat.data.T / 5 + np.eye(5))
-        cov = CovMatrix(spd, 10)
+        mat = CovMatrix(rng.standard_normal((5, 5)), 10)
+        cov = CovMatrix(mat.data @ mat.data.T / 5 + np.eye(5), 10)
         back = read_cov(write_cov(cov))
-        assert np.array_equal(back.mat.data, back.mat.data.T)
-        assert np.array_equal(back.mat.data, spd.data)
+        assert np.array_equal(back.data, back.data.T)
+        assert np.array_equal(back.data, cov.data)
 
     def test_not_psd_rejected(self):
-        bad = CovMatrix(SymmetricMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])), 1)
+        bad = CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
         buf = write_cov(bad)
         with pytest.raises(FormatError, match="positive semidefinite"):
             read_cov(buf)
 
     def test_tiny_negative_eigenvalue_tolerated(self):
         c = 1.0 + 1e-12
-        cov = CovMatrix(SymmetricMatrix(np.array([[1.0, c], [c, 1.0]])), 1)
+        cov = CovMatrix(np.array([[1.0, c], [c, 1.0]]), 1)
         back = read_cov(write_cov(cov))
         assert back.n == 2
 
@@ -280,6 +285,6 @@ class TestCsv:
         from_csv = read_logits_csv(lines + "\n")
         from_bin = read_logits(write_logits(LogitMatrix(data)))
         assert np.array_equal(from_csv.data, from_bin.data)
-        a = finalize(accumulate(new_accumulator(3), from_csv))
-        b = finalize(accumulate(new_accumulator(3), from_bin))
+        a = finalize(accumulate(CovAccumulator(3), from_csv))
+        b = finalize(accumulate(CovAccumulator(3), from_bin))
         assert write_cov(a) == write_cov(b)

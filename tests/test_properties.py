@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from covlasso import (
+    CovAccumulator,
     CovMatrix,
     LogitMatrix,
-    SymmetricMatrix,
     accumulate,
     certificates,
     embed,
     finalize,
     lambda_max,
-    new_accumulator,
     reduce_problem,
     screen,
     solve,
@@ -42,13 +41,13 @@ def batched_streams(draw):
 def test_accumulation_is_invariant_to_batching(stream):
     data, cuts = stream
     n = data.shape[1]
-    whole = accumulate(new_accumulator(n), LogitMatrix(data))
-    parts = new_accumulator(n)
+    whole = accumulate(CovAccumulator(n), LogitMatrix(data))
+    parts = CovAccumulator(n)
     for chunk in np.split(data, cuts, axis=0):
         if len(chunk):
             accumulate(parts, LogitMatrix(chunk))
     assert parts.count == whole.count
-    assert_array_equal(finalize(parts).mat.data, finalize(whole).mat.data)
+    assert_array_equal(finalize(parts).data, finalize(whole).data)
 
 
 @st.composite
@@ -61,7 +60,7 @@ def rank_deficient_problems(draw):
     frac = draw(st.floats(0.01, 0.99))
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(m + 1, rank)) * scale
-    cov = CovMatrix(SymmetricMatrix(g @ g.T), 10)
+    cov = CovMatrix(g @ g.T, 10)
     target = int(rng.integers(0, m + 1))
     lmax = lambda_max(reduce_problem(cov, target))
     return cov, target, frac * lmax
@@ -83,7 +82,7 @@ def degenerate_problems(draw):
     if kind == "duplicate":
         a, b = rng.choice(m + 1, size=2, replace=False)
         g[a] = g[b]
-    cov = CovMatrix(SymmetricMatrix((g @ g.T) * scale), 10)
+    cov = CovMatrix((g @ g.T) * scale, 10)
     target = int(rng.integers(0, m + 1))
     return cov, target, frac * lambda_max(reduce_problem(cov, target))
 
@@ -180,7 +179,7 @@ def permuted_problems(draw):
     rng = np.random.default_rng(seed)
     rank = m + 1 if full_rank else int(rng.integers(1, m + 1))
     g = rng.normal(size=(m + 1, rank))
-    cov = CovMatrix(SymmetricMatrix((g @ g.T) * scale), 10)
+    cov = CovMatrix((g @ g.T) * scale, 10)
     target = int(rng.integers(0, m + 1))
     perm = rng.permutation(m + 1)
     return cov, target, frac * lambda_max(reduce_problem(cov, target)), perm, full_rank
@@ -192,7 +191,7 @@ def test_permuting_categories_permutes_the_solution(case):
     # Category perm[k] of Cov is category k of the permuted matrix.
     cov, target, lam, perm, full_rank = case
     assume(lam > 0.0)
-    moved = CovMatrix(SymmetricMatrix(cov.mat.data[np.ix_(perm, perm)]), 10)
+    moved = CovMatrix(cov.data[np.ix_(perm, perm)], 10)
     moved_target = int(np.flatnonzero(perm == target)[0])
     rp = reduce_problem(cov, target)
     rp_moved = reduce_problem(moved, moved_target)

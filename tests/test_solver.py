@@ -6,7 +6,6 @@ from covlasso import (
     CovMatrix,
     DimMismatch,
     InvalidInput,
-    SymmetricMatrix,
     certificates,
     embed,
     lambda_max,
@@ -137,7 +136,7 @@ class TestSolve:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 7))
             x = rng.normal(size=n)
-            rp = reduce_problem(CovMatrix(SymmetricMatrix(np.outer(x, x)), 10), 0)
+            rp = reduce_problem(CovMatrix(np.outer(x, x), 10), 0)
             lam = 0.1 * lambda_max(rp)
             sol = solve(rp, lam)
             chat, bhat, _ = minor(rp)
@@ -148,7 +147,7 @@ class TestSolve:
     def test_target_coefficient_is_exactly_zero(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 10))
-            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n)), 10)
+            cov = CovMatrix(spd_matrix(rng, n), 10)
             for target in range(n):
                 rp = reduce_problem(cov, target)
                 lmax = lambda_max(rp)
@@ -234,7 +233,7 @@ class TestKkt:
             certificates(rp_1d(), 1.0, np.zeros(3))
 
     def test_nonzero_target_coefficient_rejected(self):
-        cov = CovMatrix(SymmetricMatrix(spd_matrix(np.random.default_rng(3), 4)), 10)
+        cov = CovMatrix(spd_matrix(np.random.default_rng(3), 4), 10)
         rp = reduce_problem(cov, 2)
         coef = solve(rp, 0.1 * lambda_max(rp)).coef.copy()
         assert coef[2] == 0.0
@@ -309,7 +308,7 @@ class TestSolutionPath:
     def test_supports_match_coordinate_descent(self, rng):
         for _ in range(6):
             n = int(rng.integers(2, 31))
-            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond=100.0)), 100)
+            cov = CovMatrix(spd_matrix(rng, n, cond=100.0), 100)
             rp = reduce_problem(cov, int(rng.integers(0, n)))
             lmax = lambda_max(rp)
             grid = np.geomspace(lmax, lmax / 1000.0, 12)
@@ -352,14 +351,14 @@ class TestSolutionPath:
     def test_monotone_and_bracketed_on_random_spd(self, rng):
         for _ in range(8):
             n = int(rng.integers(3, 12))
-            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n, cond=1e4)), 100)
+            cov = CovMatrix(spd_matrix(rng, n, cond=1e4), 100)
             rp = reduce_problem(cov, int(rng.integers(0, n)))
             lmax = lambda_max(rp)
             grid = np.geomspace(lmax, lmax / 1000.0, 15)
             path = solution_path(rp, grid)
             assert path.monotone
             assert all(s.converged for s in path.solutions)
-            inv = np.linalg.inv(cov.mat.data)
+            inv = np.linalg.inv(cov.data)
             err0 = 1.0 / inv[rp.target, rp.target]
             for err in path.errors:
                 assert err >= err0 - 1e-6 * max(1.0, err0)
@@ -369,9 +368,7 @@ class TestSolutionPath:
 
 class TestEmbed:
     def test_index_mapping_middle_target(self):
-        cov = CovMatrix(
-            SymmetricMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 3.0]]), 10
-        )
+        cov = CovMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 3.0]], 10)
         rp = reduce_problem(cov, 1)
         sol = solve(rp, 0.1)
         dep = embed(sol, rp)
@@ -391,6 +388,11 @@ class TestEmbed:
         sol = solve(rp, 0.4)
         dep = embed(sol, rp)
         assert dep.support == (1,)
+
+    def test_support_rule_is_magnitude_strictly_above_tolerance(self):
+        tol = solver.SUPPORT_TOL
+        values = [0.0, tol, -2.0 * tol, 2.0 * tol, -tol]
+        assert solver.support_indices(values).tolist() == [2, 3]
 
     def test_certificates_present(self):
         rp = rp_1d()
@@ -425,7 +427,7 @@ class TestEmbed:
             return original(*args)
 
         monkeypatch.setattr(solver, "certificates", counting)
-        cov = CovMatrix(SymmetricMatrix(np.array([[2.0, 0.3], [0.3, 1.0]])), 10)
+        cov = CovMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]), 10)
         rp = reduce_problem(cov, 0)
         embed(solve(rp, 0.1), rp)
         assert len(calls) == 1
@@ -439,24 +441,24 @@ class TestEmbed:
 
 class TestPredictionError:
     def test_quadratic_form(self):
-        cov = CovMatrix(SymmetricMatrix([[1.0, 1.0], [1.0, 1.0]]), 4)
+        cov = CovMatrix([[1.0, 1.0], [1.0, 1.0]], 4)
         assert prediction_error(cov, np.array([1.0, -1.0])) == 0.0
         assert prediction_error(cov, np.array([1.0, 1.0])) == pytest.approx(4.0)
 
     def test_clamped_at_zero(self):
         # roundoff can push the form a hair negative; never report that
-        cov = CovMatrix(SymmetricMatrix(np.eye(2) * 1e-30), 4)
+        cov = CovMatrix(np.eye(2) * 1e-30, 4)
         assert prediction_error(cov, np.array([1e-8, -1e-8])) >= 0.0
 
     def test_shape_checked(self):
-        cov = CovMatrix(SymmetricMatrix(np.eye(2)), 4)
+        cov = CovMatrix(np.eye(2), 4)
         with pytest.raises(DimMismatch):
             prediction_error(cov, np.ones(3))
 
     def test_reduced_form_matches_full_form(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 9))
-            cov = CovMatrix(SymmetricMatrix(spd_matrix(rng, n)), 10)
+            cov = CovMatrix(spd_matrix(rng, n), 10)
             target = int(rng.integers(0, n))
             rp = reduce_problem(cov, target)
             coef = np.zeros(n)

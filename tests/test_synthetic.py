@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covlasso import (
+    CovAccumulator,
     InvalidInput,
     InvalidSpec,
     PlantedDependency,
@@ -12,7 +13,6 @@ from covlasso import (
     finalize,
     generate,
     lambda_max,
-    new_accumulator,
     reduce_problem,
     solution_path,
     verify_recovery,
@@ -127,8 +127,8 @@ class TestGenerate:
 
     def test_low_rank_covariance_is_rank_deficient(self):
         logits, _ = generate(SyntheticSpec(n=10, samples=500, latent_rank=3, seed=3))
-        cov = finalize(accumulate(new_accumulator(10), logits))
-        vals = np.linalg.eigvalsh(cov.mat.data)
+        cov = finalize(accumulate(CovAccumulator(10), logits))
+        vals = np.linalg.eigvalsh(cov.data)
         assert vals[6] / vals[-1] < 1e-10  # only 3 nonzero directions
 
     def test_spec_validation(self):
@@ -222,7 +222,7 @@ class TestVerifyRecovery:
             planted=planted, seed=2024,
         )
         logits, truth = generate(spec)
-        cov = finalize(accumulate(new_accumulator(8), logits))
+        cov = finalize(accumulate(CovAccumulator(8), logits))
         rp = reduce_problem(cov, 0)
         lmax = lambda_max(rp)
         path = solution_path(rp, np.geomspace(lmax, lmax / 1000.0, 25))

@@ -1,7 +1,8 @@
 """Checks on the project itself rather than on its numerics.
 
-A failing property must be reported, not crash pytest, and no module of
-the package may read the process environment.
+A failing property must be reported, not crash pytest, no module of the
+package may read the process environment, and no module keeps an import
+it does not use.
 """
 
 import ast
@@ -60,3 +61,23 @@ def test_package_never_reads_the_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in readers]
     assert found == []
+
+
+def test_package_has_no_unused_imports():
+    # Every name a module imports is used in that module; __init__.py
+    # imports only to re-export.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
