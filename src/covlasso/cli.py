@@ -263,7 +263,15 @@ def cmd_screen(args) -> int:
         "lambda_max": rep.lam_max,
         "certified_zero": sorted(rep.certified_zero),
         "heuristic_zero": sorted(rep.heuristic_zero),
-        "per_category": [asdict(row) for row in rep.per_category],
+        # Plain dicts: asdict deep-copies each of the n - 1 rows.
+        "per_category": [
+            {
+                "index": row.index,
+                "correlation_ratio": row.correlation_ratio,
+                "certificate_threshold": row.certificate_threshold,
+            }
+            for row in rep.per_category
+        ],
     }
     _write_text(args.output, canonical_json(payload))
     _say("target", rep.target)

@@ -195,7 +195,8 @@ class CovMatrix:
 
     ``data`` is an immutable square float64 array.  Construction
     symmetrizes the input as ``(M + M.T) / 2`` so tiny asymmetries from
-    accumulation order cannot leak downstream.
+    accumulation order cannot leak downstream.  ``sample_count`` must be
+    at least 1, as the NDCV format requires.
     """
 
     data: np.ndarray
@@ -209,6 +210,8 @@ class CovMatrix:
             raise InvalidMatrix("matrix must have at least one row")
         if not np.all(np.isfinite(arr)):
             raise InvalidMatrix("matrix has non-finite entries")
+        if sample_count < 1:
+            raise InvalidMatrix(f"sample count must be positive, got {sample_count}")
         arr = (arr + arr.T) / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)

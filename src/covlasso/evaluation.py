@@ -41,11 +41,41 @@ def replace_logit(logits: LogitMatrix, solution: DependencySolution) -> LogitMat
         raise DimMismatch(
             f"logits have {logits.n} categories, solution has {solution.n}"
         )
+    data = logits.data.copy()
+    data[:, solution.target] = _reconstruction(logits, solution)
+    return LogitMatrix(data, logits.labels, logits.names)
+
+
+def _reconstruction(logits: LogitMatrix, solution: DependencySolution) -> np.ndarray:
+    """Per-sample sum_{j != target} theta_j f_j; an overflow is rejected."""
     weights = solution.theta.copy()
     weights[solution.target] = 0.0
-    data = logits.data.copy()
-    data[:, solution.target] = logits.data @ weights
-    return LogitMatrix(data, logits.labels, logits.names)
+    column = logits.data @ weights
+    if not np.all(np.isfinite(column)):
+        raise InvalidInput("replaced target logit is not finite")
+    return column
+
+
+def _replaced_argmax(
+    logits: LogitMatrix, solution: DependencySolution, pred_ori: np.ndarray
+) -> np.ndarray:
+    """Row argmax of ``replace_logit(logits, solution).data``, without the copy.
+
+    Ties go to the lowest index, as in ``np.argmax``.  Where
+    ``pred_ori`` is not the target it is already the best of the other
+    columns; only rows it points at the target need an argmax that
+    leaves the target out.
+    """
+    target = solution.target
+    new = _reconstruction(logits, solution)
+    best = pred_ori.copy()
+    hit = np.flatnonzero(pred_ori == target)
+    rows = logits.data[hit]
+    rows[:, target] = -np.inf
+    best[hit] = np.argmax(rows, axis=1)
+    top = logits.data[np.arange(logits.samples), best]
+    wins = (new > top) | ((new == top) & (target < best))
+    return np.where(wins, target, best)
 
 
 @dataclass(frozen=True)
@@ -85,9 +115,8 @@ def evaluate(logits: LogitMatrix, solution: DependencySolution) -> EvalMetrics:
         raise DegenerateTarget("target logit is identically zero")
     rel_err = 100.0 * abs_err / target_scale
 
-    replaced = replace_logit(logits, solution)
-    pred_new = np.argmax(replaced.data, axis=1)
     pred_ori = np.argmax(logits.data, axis=1)
+    pred_new = _replaced_argmax(logits, solution, pred_ori)
     labels = logits.labels
     acc = float(np.mean(pred_new == labels))
     ori_acc = float(np.mean(pred_ori == labels))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .covariance import CovMatrix, LogitMatrix
 from .errors import FormatError
-from .linalg import eigenvalues
+from .linalg import NEG_EIG_BAND, eigenvalues
 
 LOGIT_MAGIC = b"NDLM"
 COV_MAGIC = b"NDCV"
@@ -47,13 +47,18 @@ FLAG_NAMES = 2
 
 
 class _Reader:
-    """Cursor over a byte buffer with offset-carrying errors."""
+    """Cursor over a byte buffer with offset-carrying errors.
+
+    ``take`` returns memoryview slices, so reading a payload copies
+    nothing; callers convert to ``bytes`` only where they compare or
+    decode.
+    """
 
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.off = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         if self.off + count > len(self.buf):
             raise FormatError(
                 f"unexpected end of file while reading {what}: need {count} "
@@ -80,7 +85,7 @@ class _Reader:
 
 
 def _check_magic(r: _Reader, magic: bytes, kind: str) -> None:
-    got = r.take(4, "magic")
+    got = bytes(r.take(4, "magic"))
     if got != magic:
         raise FormatError(
             f"bad magic for a {kind} file: expected {magic!r}, got {got!r}",
@@ -163,7 +168,7 @@ def read_logits(buf: bytes) -> LogitMatrix:
             length = r.u32(f"name {k} length")
             raw_name = r.take(length, f"name {k}")
             try:
-                names.append(raw_name.decode("utf-8"))
+                names.append(bytes(raw_name).decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise FormatError(
                     f"name {k} is not valid UTF-8: {exc}",
@@ -188,6 +193,28 @@ def write_cov(cov: CovMatrix) -> bytes:
     )
 
 
+def _cholesky_accepts(mat: np.ndarray) -> bool:
+    """True when ``mat + delta I`` has a Cholesky factor, delta = band / 2.
+
+    A factor computed in floating point is exact for a perturbation of
+    at most (n+1) u max|mat| per entry (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), so success shows lambda_min(mat) >=
+    -delta - n (n+1) u max|mat| to first order.  For n up to about 6000
+    that is above the eigenvalue band -NEG_EIG_BAND max|mat|: this test
+    never accepts a matrix the band rule rejects.  The shift lets
+    rank-deficient matrices (fewer samples than categories) pass without
+    an eigendecomposition.  A failure proves nothing.
+    """
+    delta = 0.5 * NEG_EIG_BAND * float(np.max(np.abs(mat)))
+    shifted = mat.copy()
+    shifted.flat[:: mat.shape[0] + 1] += delta
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def read_cov(buf: bytes) -> CovMatrix:
     r = _Reader(buf)
     _check_magic(r, COV_MAGIC, "second-moment")
@@ -208,11 +235,20 @@ def read_cov(buf: bytes) -> CovMatrix:
         )
     r.finish()
 
-    mat = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    mat[iu] = tri
-    cov = CovMatrix(mat + np.triu(mat, 1).T, count)
-    # Roundoff-negative eigenvalues come back clamped to zero.
+    # Row i of the stored triangle fills row i and column i of the
+    # matrix from the diagonal on.
+    mat = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        row = tri[start : start + n - i]
+        mat[i, i:] = row
+        mat[i:, i] = row
+        start += n - i
+    cov = CovMatrix(mat, count)
+    if _cholesky_accepts(cov.data):
+        return cov
+    # The eigenvalue band rule alone decides a rejection: roundoff-negative
+    # eigenvalues come back clamped to zero.
     smallest = float(eigenvalues(cov.data)[-1])
     if smallest < 0.0:
         raise FormatError(

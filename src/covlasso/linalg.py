@@ -1,11 +1,12 @@
 """Spectral conventions for symmetric matrices.
 
 All heavy lifting is delegated to LAPACK through ``numpy.linalg``; this
-module adds two conventions, used by ``read_cov``'s PSD check, the
-``cov`` command and ``redundancy``: eigenvalues sorted in descending
-order with roundoff-scale negatives clamped to zero, and
-log-determinants that refuse a singular spectrum instead of returning
--inf.
+module adds two conventions, used by the ``cov`` command and
+``redundancy``: eigenvalues sorted in descending order with
+roundoff-scale negatives clamped to zero, and log-determinants that
+refuse a singular spectrum instead of returning -inf.  ``read_cov``
+calls ``eigenvalues`` only on its rejection path, when a shifted
+Cholesky factorization could not show the matrix PSD.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from covlasso import (
     DegenerateTarget,
     DimMismatch,
     Diverged,
+    InvalidInput,
     InvalidLabels,
     LogitMatrix,
     MissingLabels,
@@ -91,6 +92,30 @@ class TestEvaluate:
         logits = LogitMatrix(data, labels=np.array([0]))
         m = evaluate(logits, _solution([-1.0, 1.0, 0.0]))
         assert m.ori_acc == 1.0 and m.acc == 1.0
+
+    def test_predictions_match_replace_logit_oracle(self, rng):
+        # Small integer logits and weights make the replacement tie the
+        # best other logit often, on both sides of the target's index.
+        data = rng.integers(-2, 3, size=(500, 6)).astype(float)
+        unlabelled = LogitMatrix(data, labels=np.zeros(500, dtype=int))
+        for target in range(6):
+            theta = rng.integers(-1, 2, size=6).astype(float)
+            theta[target] = -1.0
+            sol = _solution(theta, target=target)
+            expected = np.argmax(replace_logit(unlabelled, sol).data, axis=1)
+            m = evaluate(LogitMatrix(data, labels=expected), sol)
+            assert m.acc == 1.0
+
+    def test_non_finite_replacement_rejected(self):
+        # 10 * 1e308 overflows to +inf and -inf, whose sum is NaN.
+        data = np.array([[1.0, 1e308, -1e308], [1.0, 2.0, 0.0]])
+        logits = LogitMatrix(data, labels=np.array([0, 1]))
+        sol = _solution([-1.0, 10.0, 10.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput):
+                replace_logit(logits, sol)
+            with pytest.raises(InvalidInput):
+                evaluate(logits, sol)
 
     def test_no_positive_samples(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -1,7 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import make_cov
@@ -18,6 +21,7 @@ from covlasso import (
     write_cov,
     write_logits,
 )
+from covlasso.linalg import NEG_EIG_BAND, eigenvalues
 
 HEADER_LEN = 28  # magic + version + N + n + flags
 
@@ -203,6 +207,42 @@ class TestCovRoundTrip:
         with pytest.raises(FormatError, match="non-finite") as exc:
             read_cov(bytes(buf))
         assert f"byte {off}" in str(exc.value)
+
+
+@st.composite
+def band_edge_spectra(draw):
+    """Q diag(lam) Q^T whose lowest n - rank eigenvalues are -k * band.
+
+    With rank = n - 1 only the smallest eigenvalue sits at the band
+    edge; small ranks are paper-like (fewer samples than categories).
+    k stays 0.05 away from 1, where roundoff could flip the band rule's
+    verdict.
+    """
+    n = draw(st.integers(2, 40))
+    rank = draw(st.integers(1, n - 1))
+    k = draw(st.floats(0.0, 3.0).filter(lambda k: abs(k - 1.0) >= 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.zeros(n)
+    lam[:rank] = 10.0 ** rng.uniform(-3.0, 0.0, rank) * 10.0 ** draw(st.integers(-3, 3))
+    band = NEG_EIG_BAND * float(np.max(np.abs((q * lam) @ q.T)))
+    lam[rank:] = -k * band
+    return CovMatrix((q * lam) @ q.T, 10), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_edge_spectra())
+def test_psd_verdict_matches_the_eigenvalue_band_rule(case):
+    cov, k = case
+    smallest = float(eigenvalues(cov.data)[-1])
+    assert (smallest >= 0.0) == (k < 1.0)
+    buf = write_cov(cov)
+    if smallest >= 0.0:
+        assert np.array_equal(read_cov(buf).data, cov.data)
+    else:
+        with pytest.raises(FormatError, match=re.escape(f"eigenvalue {smallest:.6e}")) as exc:
+            read_cov(buf)
+        assert exc.value.position == "byte 24"
 
 
 class TestCsv:

@@ -18,6 +18,13 @@ class TestCovMatrix:
         with pytest.raises(InvalidMatrix):
             CovMatrix(np.ones((2, 3)), 1)
 
+    def test_rejects_sample_count_below_one(self):
+        # The NDCV format needs a positive count: 0 used to write a file
+        # read_cov rejects, and -1 made write_cov raise struct.error.
+        for count in (0, -1):
+            with pytest.raises(InvalidMatrix, match="sample count"):
+                CovMatrix(np.eye(2), count)
+
     def test_data_is_immutable(self):
         s = CovMatrix(np.eye(2), 1)
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Checks on the project itself rather than on its numerics.
 
 A failing property must be reported, not crash pytest, no module of the
-package may read the process environment, and no module keeps an import
-it does not use.
+package may read the process environment, no module keeps an import it
+does not use, and only two modules compute spectra.
 """
 
 import ast
@@ -81,3 +81,22 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_spectra_are_computed_only_in_linalg_and_analysis():
+    # read_cov proves PSD with a Cholesky factorization and the solvers
+    # need no spectrum; an eigh or eigvalsh elsewhere is a slow path
+    # creeping back in.
+    spectral = {"eigh", "eigvalsh"}
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name not in {"linalg.py", "analysis.py"})
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in spectral:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Name) and node.id in spectral:
+                found.append(f"{path.name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in spectral]
+    assert found == []
