@@ -8,97 +8,121 @@ logits.  On top of the solver it provides optimality certificates,
 pre-solve screening, redundancy measurements, behavioral evaluation,
 classifier extension fitting, deterministic synthetic data and
 reproducible file formats.
+
+Every exported name is looked up in its submodule on first access
+(PEP 562), so ``import covlasso`` loads neither numpy nor any
+computational module until a name from one is used.
 """
 
-from .analysis import (
-    ErrorReductionBounds,
-    MarkovCertificate,
-    RedundancyReport,
-    ScreeningReport,
-    ScreeningRow,
-    SlopeBoundCheck,
-    certify,
-    check_slope_bounds,
-    error_reduction_bounds,
-    pair_covariance,
-    redundancy,
-    screen,
-)
-from .covariance import (
-    CovAccumulator,
-    CovMatrix,
-    LogitMatrix,
-    ReducedProblem,
-    accumulate,
-    cross_covariance,
-    finalize,
-    merge,
-    reduce_problem,
-)
-from .errors import (
-    CovLassoError,
-    DegenerateTarget,
-    DimMismatch,
-    DimTooSmall,
-    Diverged,
-    EmptyAccumulator,
-    FormatError,
-    InvalidInput,
-    InvalidLabels,
-    InvalidMatrix,
-    InvalidSpec,
-    MissingLabels,
-    OutOfRange,
-    SingularMatrix,
-)
-from .evaluation import (
-    EvalMetrics,
-    ExtensionFit,
-    evaluate,
-    extended_logits,
-    extension_loss_grad,
-    fit_extension,
-    replace_logit,
-)
-from .formats import (
-    read_cov,
-    read_logits,
-    read_logits_csv,
-    write_cov,
-    write_logits,
-)
-from .linalg import eigenvalues, log_det
-from .reports import (
-    DependencyReport,
-    build_report,
-    canonical_json,
-    default_name,
-    emit_graph,
-    emit_report,
-    format_float,
-    parse_report,
-    report_solution,
-    serialize_report,
-)
-from .solver import (
-    DependencySolution,
-    ReducedSolution,
-    SolutionCertificates,
-    SolutionPath,
-    certificates,
-    embed,
-    lambda_max,
-    prediction_error,
-    solution_path,
-    solve,
-)
-from .synthetic import (
-    PlantedDependency,
-    PlantedTruth,
-    RecoveryReport,
-    SyntheticSpec,
-    generate,
-    verify_recovery,
-)
+from importlib import import_module
+
+_EXPORTS = {
+    "analysis": (
+        "ErrorReductionBounds",
+        "MarkovCertificate",
+        "RedundancyReport",
+        "ScreeningReport",
+        "ScreeningRow",
+        "SlopeBoundCheck",
+        "certify",
+        "check_slope_bounds",
+        "error_reduction_bounds",
+        "pair_covariance",
+        "redundancy",
+        "screen",
+    ),
+    "covariance": (
+        "CovAccumulator",
+        "CovMatrix",
+        "LogitMatrix",
+        "ReducedProblem",
+        "accumulate",
+        "cross_covariance",
+        "finalize",
+        "merge",
+        "reduce_problem",
+    ),
+    "errors": (
+        "CovLassoError",
+        "DegenerateTarget",
+        "DimMismatch",
+        "DimTooSmall",
+        "Diverged",
+        "EmptyAccumulator",
+        "FormatError",
+        "InvalidInput",
+        "InvalidLabels",
+        "InvalidMatrix",
+        "InvalidSpec",
+        "MissingLabels",
+        "OutOfRange",
+        "SingularMatrix",
+    ),
+    "evaluation": (
+        "EvalMetrics",
+        "ExtensionFit",
+        "evaluate",
+        "extended_logits",
+        "extension_loss_grad",
+        "fit_extension",
+        "replace_logit",
+    ),
+    "formats": (
+        "read_cov",
+        "read_logits",
+        "read_logits_csv",
+        "write_cov",
+        "write_logits",
+    ),
+    "linalg": ("eigenvalues", "log_det"),
+    "reports": (
+        "DependencyReport",
+        "build_report",
+        "canonical_json",
+        "default_name",
+        "emit_graph",
+        "emit_report",
+        "format_float",
+        "parse_report",
+        "report_solution",
+        "serialize_report",
+    ),
+    "solver": (
+        "DependencySolution",
+        "ReducedSolution",
+        "SolutionCertificates",
+        "SolutionPath",
+        "certificates",
+        "embed",
+        "lambda_max",
+        "prediction_error",
+        "solution_path",
+        "solve",
+    ),
+    "synthetic": (
+        "PlantedDependency",
+        "PlantedTruth",
+        "RecoveryReport",
+        "SyntheticSpec",
+        "generate",
+        "verify_recovery",
+    ),
+}
+
+# Exported name -> the submodule that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,26 +15,18 @@ Certificates, screening and path checks need no spectral floor.  Only
 ``redundancy`` inverts a possibly singular matrix; its relative floor is
 the constant ``analysis.EIG_FLOOR_REL``.  No command reads the process
 environment, so argv and the input files alone determine every output.
+
+Each subcommand imports numpy and the modules it calls only when it
+runs, so ``import covlasso.cli``, ``--help`` and usage errors load none
+of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, evaluation, reports, solver, synthetic
-from .covariance import (
-    CovAccumulator,
-    LogitMatrix,
-    accumulate,
-    cross_covariance,
-    finalize,
-    reduce_problem,
-)
 from .errors import (
     CovLassoError,
     DegenerateTarget,
@@ -44,16 +36,6 @@ from .errors import (
     InvalidSpec,
     SingularMatrix,
 )
-from .formats import (
-    LOGIT_MAGIC,
-    read_cov,
-    read_logits,
-    read_logits_csv,
-    write_cov,
-    write_logits,
-)
-from .linalg import eigenvalues
-from .reports import canonical_json, format_float
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,6 +47,8 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        from .reports import format_float
+
         return format_float(value)
     return str(value)
 
@@ -77,7 +61,9 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_bytes(text.encode("utf-8") + b"\n")
 
 
-def _load_logits(path: str, labels_col: int | None = None) -> LogitMatrix:
+def _load_logits(path: str, labels_col: int | None = None):
+    from .formats import LOGIT_MAGIC, read_logits, read_logits_csv
+
     raw = Path(path).read_bytes()
     if raw[:4] == LOGIT_MAGIC:
         if labels_col is not None:
@@ -95,10 +81,14 @@ def _load_logits(path: str, labels_col: int | None = None) -> LogitMatrix:
 
 
 def _load_cov(path: str):
+    from .formats import read_cov
+
     return read_cov(Path(path).read_bytes())
 
 
-def _load_report(path: str) -> reports.DependencyReport:
+def _load_report(path: str):
+    from . import reports
+
     try:
         text = Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
@@ -119,6 +109,10 @@ def _model_dict(args) -> dict | None:
 
 
 def cmd_cov(args) -> int:
+    from .covariance import CovAccumulator, accumulate, finalize
+    from .formats import write_cov
+    from .linalg import eigenvalues
+
     logits = _load_logits(args.input, args.labels_col)
     cov = finalize(accumulate(CovAccumulator(logits.n), logits))
     Path(args.output).write_bytes(write_cov(cov))
@@ -132,6 +126,9 @@ def cmd_cov(args) -> int:
 
 
 def cmd_cross_cov(args) -> int:
+    from .covariance import cross_covariance
+    from .formats import write_cov
+
     f = _load_logits(args.f)
     g = _load_logits(args.g)
     cov = cross_covariance(f, g, args.target)
@@ -144,6 +141,9 @@ def cmd_cross_cov(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import reports, solver
+    from .covariance import reduce_problem
+
     cov = _load_cov(args.cov)
     rp = reduce_problem(cov, args.target)
     lmax = solver.lambda_max(rp)
@@ -153,6 +153,8 @@ def cmd_solve(args) -> int:
     metrics = None
     names = None
     if args.logits is not None:
+        from . import evaluation
+
         logits = _load_logits(args.logits, args.labels_col)
         names = logits.names
         metrics = evaluation.evaluate(logits, dep)
@@ -177,7 +179,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(args, lmax: float) -> np.ndarray:
+def _parse_grid(args, lmax: float):
+    import numpy as np
+
     if args.lambda_grid is not None:
         try:
             values = [float(tok) for tok in args.lambda_grid.split(",") if tok.strip()]
@@ -198,6 +202,10 @@ def _parse_grid(args, lmax: float) -> np.ndarray:
 
 
 def cmd_path(args) -> int:
+    from . import analysis, solver
+    from .covariance import reduce_problem
+    from .reports import canonical_json
+
     cov = _load_cov(args.cov)
     rp = reduce_problem(cov, args.target)
     lmax = solver.lambda_max(rp)
@@ -253,6 +261,9 @@ def cmd_path(args) -> int:
 
 
 def cmd_screen(args) -> int:
+    from . import analysis
+    from .reports import canonical_json
+
     cov = _load_cov(args.cov)
     rep = analysis.screen(cov, args.target, args.lam)
     payload = {
@@ -284,6 +295,11 @@ def cmd_screen(args) -> int:
 
 
 def cmd_redundancy(args) -> int:
+    from dataclasses import asdict
+
+    from . import analysis
+    from .reports import canonical_json
+
     cov = _load_cov(args.cov)
     rep = analysis.redundancy(cov, args.target)
     fields = asdict(rep)
@@ -303,6 +319,11 @@ def cmd_redundancy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from dataclasses import asdict
+
+    from . import evaluation, reports
+    from .reports import canonical_json
+
     logits = _load_logits(args.logits, args.labels_col)
     report = _load_report(args.report)
     dep = reports.report_solution(report, logits.n)
@@ -319,6 +340,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fit_extension(args) -> int:
+    import numpy as np
+
+    from . import evaluation
+    from .reports import canonical_json
+
     base = _load_logits(args.logits, args.labels_col)
     if args.labels is not None:
         try:
@@ -360,7 +386,9 @@ def cmd_fit_extension(args) -> int:
     return EXIT_OK
 
 
-def _parse_plant(text: str) -> synthetic.PlantedDependency:
+def _parse_plant(text: str):
+    from . import synthetic
+
     try:
         head, tail = text.split(":", 1)
         target = int(head)
@@ -376,6 +404,12 @@ def _parse_plant(text: str) -> synthetic.PlantedDependency:
 
 
 def cmd_synth(args) -> int:
+    from dataclasses import asdict
+
+    from . import synthetic
+    from .formats import write_logits
+    from .reports import canonical_json
+
     planted = _parse_plant(args.plant) if args.plant is not None else None
     spec = synthetic.SyntheticSpec(
         n=args.n,
@@ -402,6 +436,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import reports
+
     parsed = [_load_report(p) for p in args.reports]
     dot = reports.emit_graph(parsed)
     Path(args.output).write_bytes(dot.encode("utf-8"))

@@ -17,6 +17,7 @@ columns, which are folded into the base normalizer at their row peak.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from .errors import (
     InvalidInput,
     MissingLabels,
 )
-from .solver import DependencySolution
+
+if TYPE_CHECKING:
+    from .solver import DependencySolution
 
 
 def replace_logit(logits: LogitMatrix, solution: DependencySolution) -> LogitMatrix:

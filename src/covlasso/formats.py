@@ -36,7 +36,7 @@ import struct
 import numpy as np
 
 from .covariance import CovMatrix, LogitMatrix
-from .errors import FormatError
+from .errors import CovLassoError, FormatError
 from .linalg import NEG_EIG_BAND, eigenvalues
 
 LOGIT_MAGIC = b"NDLM"
@@ -98,6 +98,17 @@ def _check_magic(r: _Reader, magic: bytes, kind: str) -> None:
         )
 
 
+def _raise_nonfinite(values: np.ndarray, off: int, what: str) -> None:
+    """Raise at the first non-finite float64 of a payload stored from byte ``off``.
+
+    The constructors scan their payload once; readers call this only after
+    a check has failed, so the success path never pays for the search.
+    """
+    bad = np.flatnonzero(~np.isfinite(values.ravel()))
+    if bad.size:
+        raise FormatError(what, position=f"byte {off + int(bad[0]) * 8}")
+
+
 def write_logits(matrix: LogitMatrix) -> bytes:
     flags = 0
     if matrix.labels is not None:
@@ -140,13 +151,18 @@ def read_logits(buf: bytes) -> LogitMatrix:
     # (1000 x 2), A @ v and A^T @ R took 39.9, 32.0 and 52.0 ms against
     # 15.9, 7.8 and 15.9 ms aligned, and a fitted Theta changed bytes.
     data = np.frombuffer(raw, dtype="<f8").reshape(samples, n).copy()
-    bad = np.flatnonzero(~np.isfinite(data.ravel()))
-    if bad.size:
-        raise FormatError(
-            "non-finite logit value",
-            position=f"byte {data_off + int(bad[0]) * 8}",
-        )
+    try:
+        labels, names = _read_labels_and_names(r, samples, n, flags)
+        r.finish()
+        return LogitMatrix(data, labels, names)
+    except CovLassoError:
+        # LogitMatrix's scan found a non-finite value, or a later field is
+        # bad: either way a non-finite logit is the fault to report.
+        _raise_nonfinite(data, data_off, "non-finite logit value")
+        raise
 
+
+def _read_labels_and_names(r: _Reader, samples: int, n: int, flags: int):
     labels = None
     if flags & FLAG_LABELS:
         lab_off = r.off
@@ -175,9 +191,7 @@ def read_logits(buf: bytes) -> LogitMatrix:
                     position=f"byte {length_off + 4}",
                 ) from exc
         names = tuple(names)
-
-    r.finish()
-    return LogitMatrix(data, labels, names)
+    return labels, names
 
 
 def write_cov(cov: CovMatrix) -> bytes:
@@ -227,13 +241,6 @@ def read_cov(buf: bytes) -> CovMatrix:
     tri_off = r.off
     entries = n * (n + 1) // 2
     tri = np.frombuffer(r.take(entries * 8, "triangle data"), dtype="<f8")
-    bad = np.flatnonzero(~np.isfinite(tri))
-    if bad.size:
-        raise FormatError(
-            "non-finite matrix value",
-            position=f"byte {tri_off + int(bad[0]) * 8}",
-        )
-    r.finish()
 
     # Row i of the stored triangle fills row i and column i of the
     # matrix from the diagonal on.
@@ -244,7 +251,13 @@ def read_cov(buf: bytes) -> CovMatrix:
         mat[i, i:] = row
         mat[i:, i] = row
         start += n - i
-    cov = CovMatrix(mat, count)
+    try:
+        r.finish()
+        cov = CovMatrix(mat, count)
+    except CovLassoError:
+        # CovMatrix's scan is the payload's only one on success.
+        _raise_nonfinite(tri, tri_off, "non-finite matrix value")
+        raise
     if _cholesky_accepts(cov.data):
         return cov
     # The eigenvalue band rule alone decides a rejection: roundoff-negative

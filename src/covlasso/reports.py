@@ -10,21 +10,31 @@ sorted order.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
-from typing import get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, get_type_hints
 
 from .errors import InvalidInput
-from .evaluation import EvalMetrics
-from .solver import DependencySolution, SolutionCertificates, support_indices
+
+if TYPE_CHECKING:
+    from .evaluation import EvalMetrics
+    from .solver import DependencySolution
 
 SCHEMA = "dependency-report"
 SCHEMA_VERSION = 3
 
-# A report's certificate block: each SolutionCertificates field, typed.
-_CERTIFICATE_TYPES = get_type_hints(SolutionCertificates)
+
+@functools.cache
+def _certificate_types() -> dict:
+    """A report's certificate block: each SolutionCertificates field, typed.
+
+    Looked up on first use, so serializing plain payloads never loads the
+    solver.
+    """
+    from .solver import SolutionCertificates
+
+    return get_type_hints(SolutionCertificates)
 
 
 def format_float(value: float) -> str:
@@ -108,7 +118,7 @@ def build_report(
     )
     cert_dict = {
         key: kind(getattr(solution.certificates, key))
-        for key, kind in _CERTIFICATE_TYPES.items()
+        for key, kind in _certificate_types().items()
     }
     metrics_dict = None
     if metrics is not None:
@@ -192,12 +202,12 @@ def _reject_constant(literal: str):
 
 def _check_certificates(block) -> dict:
     """Require exactly the SolutionCertificates fields, each of its JSON type."""
-    if not isinstance(block, dict) or block.keys() != _CERTIFICATE_TYPES.keys():
+    types = _certificate_types()
+    if not isinstance(block, dict) or block.keys() != types.keys():
         raise InvalidInput(
-            "report certificates must have exactly the fields "
-            f"{sorted(_CERTIFICATE_TYPES)}"
+            f"report certificates must have exactly the fields {sorted(types)}"
         )
-    for key, kind in _CERTIFICATE_TYPES.items():
+    for key, kind in types.items():
         value = block[key]
         if type(value) not in ((bool,) if kind is bool else (int, float)):
             raise InvalidInput(f"report certificate {key!r} is mistyped: {value!r}")
@@ -211,6 +221,10 @@ def report_solution(report: DependencyReport, n: int) -> DependencySolution:
     Coefficient indices must fit the given category count and avoid the
     target; everything else carries over verbatim.
     """
+    import numpy as np
+
+    from .solver import DependencySolution, SolutionCertificates, support_indices
+
     if not 0 <= report.target_index < n:
         raise InvalidInput(
             f"report target {report.target_index} outside [0, {n})"

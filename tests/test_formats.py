@@ -118,9 +118,22 @@ class TestLogitErrors:
         k = 4  # flat element index to poison
         off = HEADER_LEN + k * 8
         buf[off : off + 8] = struct.pack("<d", float("nan"))
-        with pytest.raises(FormatError, match="non-finite") as exc:
+        with pytest.raises(FormatError) as exc:
             read_logits(bytes(buf))
-        assert f"byte {off}" in str(exc.value)
+        assert str(exc.value) == f"non-finite logit value (byte {off})"
+
+    def test_nan_logit_reported_before_later_faults(self, rng):
+        # The first bad logit is located only on failure, but it still
+        # outranks a bad label, a truncated name table or trailing bytes.
+        buf = bytearray(write_logits(_logits(rng, samples=3, n=2, labels=True, names=True)))
+        off = HEADER_LEN + 2 * 8
+        buf[off : off + 8] = struct.pack("<d", float("-inf"))
+        bad_label = bytearray(buf)
+        bad_label[HEADER_LEN + 6 * 8 : HEADER_LEN + 6 * 8 + 4] = struct.pack("<I", 9)
+        for faulty in (bad_label, buf[:-1], buf + b"\x00"):
+            with pytest.raises(FormatError) as exc:
+                read_logits(bytes(faulty))
+            assert str(exc.value) == f"non-finite logit value (byte {off})"
 
     def test_label_out_of_range_offset(self, rng):
         m = _logits(rng, samples=3, n=2, labels=True)
@@ -201,12 +214,15 @@ class TestCovRoundTrip:
             read_cov(nocount)
 
     def test_non_finite_offset(self, rng):
-        buf = bytearray(write_cov(make_cov(rng, 3)))
-        off = 24 + 2 * 8
-        buf[off : off + 8] = struct.pack("<d", float("inf"))
-        with pytest.raises(FormatError, match="non-finite") as exc:
-            read_cov(bytes(buf))
-        assert f"byte {off}" in str(exc.value)
+        for k, value in ((2, float("inf")), (4, float("nan"))):
+            buf = bytearray(write_cov(make_cov(rng, 3)))
+            off = 24 + k * 8
+            buf[off : off + 8] = struct.pack("<d", value)
+            # Reported ahead of trailing bytes, though located only on failure.
+            for faulty in (bytes(buf), bytes(buf) + b"!"):
+                with pytest.raises(FormatError) as exc:
+                    read_cov(faulty)
+                assert str(exc.value) == f"non-finite matrix value (byte {off})"
 
 
 @st.composite
