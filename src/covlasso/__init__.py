@@ -19,15 +19,12 @@ from importlib import import_module
 _EXPORTS = {
     "analysis": (
         "ErrorReductionBounds",
-        "MarkovCertificate",
         "RedundancyReport",
         "ScreeningReport",
         "ScreeningRow",
         "SlopeBoundCheck",
-        "certify",
         "check_slope_bounds",
         "error_reduction_bounds",
-        "pair_covariance",
         "redundancy",
         "screen",
     ),
@@ -74,7 +71,7 @@ _EXPORTS = {
         "write_cov",
         "write_logits",
     ),
-    "linalg": ("eigenvalues", "log_det"),
+    "linalg": ("eigenvalues",),
     "reports": (
         "DependencyReport",
         "build_report",

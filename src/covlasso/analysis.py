@@ -3,8 +3,8 @@
 Covers the closed-form zero-penalty error (how redundant a category is
 given all the others), a sound pre-solve screening rule for coefficients
 forced to zero, a verified Lipschitz-style bound on how KKT residuals
-drift along the penalty path, a Markov-style tail certificate, and
-two-sided bounds on the error reduction achievable at a given penalty.
+drift along the penalty path, and two-sided bounds on the error
+reduction achievable at a given penalty.
 
 Screening, slope bounds and error-reduction bounds are Gram-form: they
 read only Chat c, bhat, diag(Chat) and cov_ii, through the lasso view
@@ -32,7 +32,6 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .linalg import eigenvalues, log_det
 from .solver import ReducedSolution, SolutionPath, _residual, _smooth_part, lambda_max
 
 # Relative spectral floor of :func:`redundancy`: eigenvalues below this
@@ -46,52 +45,41 @@ class RedundancyReport:
 
     ``min_error`` is the prediction error of the unpenalized optimum,
     equal to the reciprocal of the target diagonal entry of the inverse
-    second-moment matrix.  ``log_det_ratio`` (full minus target-deleted
-    minor) and ``eigen_error_sum`` (sum of squared target eigenvector
-    weights over eigenvalues) recompute the same quantity through
-    different factorizations as a cross-check.  ``relative_error``
+    second-moment matrix.  ``eigen_error_sum`` (sum of squared target
+    eigenvector weights over eigenvalues) is that diagonal entry through
+    a different factorization, as a cross-check.  ``relative_error``
     rescales by the target's own second moment into [0, 1]: 0 means the
     category is an exact linear combination of the rest, 1 means the
     rest carry no information about it.
 
-    The routes agree only when ``floored`` is false.  Cov and its
-    target-deleted minor are each floored relative to their own largest
-    eigenvalue, so a floored ``log_det_ratio`` is not the log-determinant
-    ratio of one lifted matrix, and ``max_disagreement`` can be large.
+    The routes are independent only when ``floored`` is false: a floored
+    ``min_error`` is itself derived from ``eigen_error_sum``.
     """
 
     target: int
     min_error: float
-    log_det_ratio: float
     eigen_error_sum: float
     relative_error: float
     floored: bool
 
     def max_disagreement(self) -> float:
-        """Largest relative deviation between the three computation routes.
-
-        A cross-check only when ``floored`` is false; see the class docstring.
-        """
+        """Relative deviation of 1 / eigen_error_sum from ``min_error``."""
         ref = self.min_error
         if ref <= 0.0:
             return float("inf")
-        via_det = float(np.exp(self.log_det_ratio))
-        via_eig = 1.0 / self.eigen_error_sum
-        return max(abs(via_det - ref), abs(via_eig - ref)) / ref
+        return abs(1.0 / self.eigen_error_sum - ref) / ref
 
 
 def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
-    """Zero-penalty prediction error of ``target``, three ways.
+    """Zero-penalty prediction error of ``target``, two ways, from one ``eigh``.
 
     Route 1 solves Cov x = e_target (LU) and inverts the target entry;
-    route 2 takes exp of the log-determinant difference between the full
-    matrix and the target-deleted minor; route 3 expands the inverse
-    diagonal entry in the eigenbasis.  When the spectrum dips below the
-    relative floor ``EIG_FLOOR_REL``, every route reads the floored
-    spectrum and ``floored`` is set; ``min_error`` is then route 3's,
-    clamped to cov_ii, which no least-squares error exceeds.  One
-    ``eigh`` of Cov serves routes 1 and 3; the minor's log-determinant
-    needs its eigenvalues only.
+    route 2 expands the inverse diagonal entry in the eigenbasis.  When
+    the spectrum dips below the relative floor ``EIG_FLOOR_REL``, the
+    LU solve is skipped, ``floored`` is set and ``min_error`` is route
+    2's, clamped to cov_ii, which no least-squares error exceeds.  By
+    Cauchy interlacing the target-deleted minor can dip below its own
+    relative floor only when Cov does, so Cov's spectrum alone decides.
     """
     n = cov.n
     if n < 2:
@@ -115,6 +103,11 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
             f"matrix numerically singular: smallest effective eigenvalue "
             f"{np.min(lifted):.3e}"
         )
+    # In a PSD matrix a zero diagonal entry means a zero row and column.
+    if np.max(np.delete(np.diag(full), target)) <= 0.0:
+        raise SingularMatrix(
+            f"every category other than {target} has zero second moment"
+        )
     eigen_sum = float(np.sum(weights * weights / lifted))
     if not floored:
         basis = np.zeros(n)
@@ -123,22 +116,12 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
     else:
         min_error = min(1.0 / eigen_sum, cov_ii)
 
-    keep = np.arange(n) != target
-    minor = eigenvalues(full[np.ix_(keep, keep)])
-    if minor[0] <= 0.0:
-        raise SingularMatrix(
-            f"every category other than {target} has zero second moment"
-        )
-    minor_floor = EIG_FLOOR_REL * float(minor[0])
-    ratio = log_det(lifted) - log_det(minor, minor_floor)
-
     return RedundancyReport(
         target=target,
         min_error=min_error,
-        log_det_ratio=ratio,
         eigen_error_sum=eigen_sum,
         relative_error=min_error / cov_ii,
-        floored=floored or bool(np.min(minor) < minor_floor),
+        floored=floored,
     )
 
 
@@ -293,39 +276,6 @@ def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundChec
 
 
 @dataclass(frozen=True)
-class MarkovCertificate:
-    """Tail certificate for the absolute prediction residual.
-
-    ``holds`` applies the decision rule
-    expected_sq_error <= tolerance * tail_prob.  Through Markov's
-    inequality on the squared residual the certified statement
-    P(|residual| >= tolerance) <= tail_prob is guaranteed whenever
-    tolerance >= 1; below that the rule is the same scaling applied
-    heuristically, so choose tolerances accordingly.
-    """
-
-    tolerance: float
-    tail_prob: float
-    expected_sq_error: float
-    holds: bool
-
-
-def certify(solution, tolerance: float, tail_prob: float) -> MarkovCertificate:
-    """Certify a tail bound for an embedded dependency solution."""
-    if not np.isfinite(tolerance) or tolerance <= 0.0:
-        raise InvalidInput(f"tolerance must be positive, got {tolerance}")
-    if not np.isfinite(tail_prob) or not 0.0 <= tail_prob <= 1.0:
-        raise InvalidInput(f"tail probability must lie in [0, 1], got {tail_prob}")
-    err = float(solution.pred_error)
-    return MarkovCertificate(
-        tolerance=float(tolerance),
-        tail_prob=float(tail_prob),
-        expected_sq_error=err,
-        holds=bool(err <= tolerance * tail_prob),
-    )
-
-
-@dataclass(frozen=True)
 class ErrorReductionBounds:
     """Bracket on the error reduction cov_ii - pred_error at one penalty.
 
@@ -373,16 +323,3 @@ def error_reduction_bounds(
     upper = rp.cov_ii * (1.0 - shrunk * shrunk)
     return ErrorReductionBounds(lower=0.0, upper=upper, identity_value=identity_value)
 
-
-def pair_covariance(cov: CovMatrix, i: int, j: int) -> float:
-    """Co-adaptation weight |E[f_i f_j]| for a pair of categories.
-
-    The magnitude of the cross moment is the natural penalty weight for
-    training procedures that discourage one category's logit from
-    co-adapting with another's.
-    """
-    if not (0 <= i < cov.n and 0 <= j < cov.n):
-        raise OutOfRange(f"indices ({i}, {j}) outside [0, {cov.n})")
-    if i == j:
-        raise InvalidInput("pair covariance needs two distinct categories")
-    return float(abs(cov.data[i, j]))

@@ -305,7 +305,7 @@ def cmd_redundancy(args) -> int:
     fields = asdict(rep)
     payload = {
         "schema": "redundancy-report",
-        "version": 1,
+        "version": 2,
         **fields,
         "max_disagreement": rep.max_disagreement(),
     }

@@ -193,17 +193,19 @@ def merge(a: CovAccumulator, b: CovAccumulator) -> CovAccumulator:
 class CovMatrix:
     """Finalized second-moment matrix with its sample count.
 
-    ``data`` is an immutable square float64 array.  Construction
-    symmetrizes the input as ``(M + M.T) / 2`` so tiny asymmetries from
-    accumulation order cannot leak downstream.  ``sample_count`` must be
-    at least 1, as the NDCV format requires.
+    ``data`` is an immutable square float64 copy of the input.  An input
+    that differs from its transpose is symmetrized as ``M / 2 + M.T / 2``
+    (equal to ``(M + M.T) / 2`` in the normal range, and finite for every
+    finite M), so tiny asymmetries from accumulation order cannot leak
+    downstream.  ``sample_count`` must be at least 1, as the NDCV format
+    requires.
     """
 
     data: np.ndarray
     sample_count: int
 
     def __init__(self, data, sample_count: int):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.array(data, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
@@ -212,7 +214,8 @@ class CovMatrix:
             raise InvalidMatrix("matrix has non-finite entries")
         if sample_count < 1:
             raise InvalidMatrix(f"sample count must be positive, got {sample_count}")
-        arr = (arr + arr.T) / 2.0
+        if not np.array_equal(arr, arr.T):
+            arr = arr / 2.0 + arr.T / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "sample_count", sample_count)

@@ -125,6 +125,21 @@ def minor(rp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return full[np.ix_(keep, keep)].copy(), full[keep, rp.target].copy(), keep
 
 
+def determinant_error(mat: np.ndarray, target: int) -> float:
+    """Zero-penalty error det(Cov) / det(minor) = 1 / (Cov^-1)_ii via slogdet.
+
+    The minor is Cov with row and column ``target`` deleted; the ratio is
+    taken as exp(slogdet(Cov) - slogdet(minor)), so it is independent of
+    both the LU and the eigenvector route of ``redundancy``.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    keep = np.arange(mat.shape[0]) != target
+    sign_full, log_full = np.linalg.slogdet(mat)
+    sign_minor, log_minor = np.linalg.slogdet(mat[np.ix_(keep, keep)])
+    assert sign_full > 0 and sign_minor > 0, "determinant oracle needs SPD input"
+    return float(np.exp(log_full - log_minor))
+
+
 def second_moment_exact(data: np.ndarray) -> np.ndarray:
     """Correctly rounded E[f f^T]: every product and sum in exact rationals."""
     rows = [[Fraction(float(v)) for v in row] for row in np.asarray(data)]

@@ -9,12 +9,9 @@ from covlasso import (
     InvalidInput,
     OutOfRange,
     SingularMatrix,
-    certify,
     check_slope_bounds,
-    embed,
     error_reduction_bounds,
     lambda_max,
-    pair_covariance,
     redundancy,
     reduce_problem,
     screen,
@@ -24,7 +21,7 @@ from covlasso import (
 from covlasso.solver import SUPPORT_TOL
 
 from conftest import rp_from
-from oracles import dense_floored_root, minor, spd_matrix
+from oracles import dense_floored_root, determinant_error, minor, spd_matrix
 
 
 def cov_of(mat, count=100):
@@ -40,7 +37,7 @@ class TestRedundancy:
         assert rep.min_error == pytest.approx(2.0, rel=1e-12)
         assert rep.relative_error == pytest.approx(1.0, rel=1e-12)
         assert rep.eigen_error_sum == pytest.approx(0.5, rel=1e-12)
-        assert np.exp(rep.log_det_ratio) == pytest.approx(2.0, rel=1e-12)
+        assert determinant_error(np.diag([2.0, 3.0]), 0) == pytest.approx(2.0, rel=1e-12)
         assert not rep.floored
 
     def test_correlated_block(self):
@@ -264,35 +261,6 @@ class TestSlopeBounds:
             check_slope_bounds(rp, path)
 
 
-class TestCertify:
-    def _solution(self, pred_error=0.04):
-        rp = rp_from([[1.0]], [np.sqrt(1.0 - pred_error)])
-        sol = solve(rp, 1e-9)
-        dep = embed(sol, rp)
-        assert dep.pred_error == pytest.approx(pred_error, rel=1e-6)
-        return dep
-
-    def test_holds_when_error_small_enough(self):
-        dep = self._solution(0.04)
-        assert certify(dep, tolerance=0.5, tail_prob=0.1).holds
-        assert not certify(dep, tolerance=0.3, tail_prob=0.1).holds
-
-    def test_records_inputs(self):
-        cert = certify(self._solution(), tolerance=2.0, tail_prob=0.25)
-        assert cert.tolerance == 2.0
-        assert cert.tail_prob == 0.25
-        assert cert.expected_sq_error == pytest.approx(0.04, rel=1e-6)
-
-    def test_validates_parameters(self):
-        dep = self._solution()
-        with pytest.raises(InvalidInput):
-            certify(dep, tolerance=0.0, tail_prob=0.5)
-        with pytest.raises(InvalidInput):
-            certify(dep, tolerance=1.0, tail_prob=1.5)
-        with pytest.raises(InvalidInput):
-            certify(dep, tolerance=1.0, tail_prob=-0.1)
-
-
 class TestErrorReductionBounds:
     def test_univariate_worked_example(self):
         rp = rp_from([[1.0]], [1.0])
@@ -344,16 +312,3 @@ class TestErrorReductionBounds:
         with pytest.raises(InvalidInput):
             error_reduction_bounds(rp, 1.0, fake)
 
-
-class TestPairCovariance:
-    def test_reads_cross_moment_magnitude(self):
-        cov = cov_of([[1.0, -0.7], [-0.7, 2.0]])
-        assert pair_covariance(cov, 0, 1) == pytest.approx(0.7)
-        assert pair_covariance(cov, 1, 0) == pytest.approx(0.7)
-
-    def test_validates_indices(self):
-        cov = cov_of(np.eye(2))
-        with pytest.raises(InvalidInput):
-            pair_covariance(cov, 1, 1)
-        with pytest.raises(OutOfRange):
-            pair_covariance(cov, 0, 2)

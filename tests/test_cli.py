@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -445,9 +446,26 @@ class TestScreenRedundancy:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "redundancy-report"
-        assert payload["version"] == 1 and "floored" in payload
+        assert payload["version"] == 2 and "floored" in payload
+        assert "log_det_ratio" not in payload
         assert 0.0 <= payload["relative_error"] <= 1.0 + 1e-9
         assert payload["max_disagreement"] < 1e-6
+
+    def test_redundancy_of_a_finite_file_near_overflow(self, tmp_path):
+        # The stored triangle [1e308, 0, 1] is finite and PSD; symmetrizing
+        # it as (M + M.T) / 2 made its diagonal inf.
+        header = write_cov(CovMatrix(np.eye(2), 3))[:-24]
+        cov_path = tmp_path / "big.cov"
+        cov_path.write_bytes(header + np.array([1e308, 0.0, 1.0], "<f8").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                "redundancy", "--cov", str(cov_path), "--target", "1",
+                "--output", str(tmp_path / "r.json"),
+            )
+        assert code == 0, err
+        said = stdout_dict(out)
+        assert said["min_error"] == "1.0" and said["floored"] == "true"
 
     def test_target_out_of_range(self, tmp_path):
         logits = synth(tmp_path)

@@ -1,4 +1,5 @@
-"""Certificates need no factorization; ``redundancy`` makes exactly one ``eigh``."""
+"""Certificates need no factorization; ``redundancy`` makes exactly one ``eigh``
+and no ``eigvalsh``."""
 
 import numpy as np
 import pytest
@@ -19,17 +20,27 @@ from covlasso.cli import main
 from conftest import make_cov
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record the shape of every matrix passed to np.linalg.<name>."""
     calls = []
-    real = np.linalg.eigh
+    real = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    return count_calls(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return count_calls(monkeypatch, "eigvalsh")
 
 
 @pytest.fixture
@@ -70,6 +81,7 @@ def test_path_job(cov, eigh_calls, tmp_path, capsys):
     assert eigh_calls == []
 
 
-def test_redundancy(cov, eigh_calls):
+def test_redundancy(cov, eigh_calls, eigvalsh_calls):
     redundancy(cov, 3)
     assert eigh_calls == [(8, 8)]
+    assert eigvalsh_calls == []

@@ -20,26 +20,26 @@ from covlasso.cli import main
 
 SRC = str(Path(covlasso.__file__).resolve().parents[1])
 
-# The names covlasso exported when __init__ imported every module eagerly.
+# Every name covlasso exports; each resolves lazily to its submodule.
 EXPORTS = [
     "CovAccumulator", "CovLassoError", "CovMatrix", "DegenerateTarget",
     "DependencyReport", "DependencySolution", "DimMismatch", "DimTooSmall",
     "Diverged", "EmptyAccumulator", "ErrorReductionBounds", "EvalMetrics",
     "ExtensionFit", "FormatError", "InvalidInput", "InvalidLabels",
-    "InvalidMatrix", "InvalidSpec", "LogitMatrix", "MarkovCertificate",
-    "MissingLabels", "OutOfRange", "PlantedDependency", "PlantedTruth",
-    "RecoveryReport", "ReducedProblem", "ReducedSolution", "RedundancyReport",
-    "ScreeningReport", "ScreeningRow", "SingularMatrix", "SlopeBoundCheck",
+    "InvalidMatrix", "InvalidSpec", "LogitMatrix", "MissingLabels",
+    "OutOfRange", "PlantedDependency", "PlantedTruth", "RecoveryReport",
+    "ReducedProblem", "ReducedSolution", "RedundancyReport", "ScreeningReport",
+    "ScreeningRow", "SingularMatrix", "SlopeBoundCheck",
     "SolutionCertificates", "SolutionPath", "SyntheticSpec", "accumulate",
-    "build_report", "canonical_json", "certificates", "certify",
-    "check_slope_bounds", "cross_covariance", "default_name", "eigenvalues",
-    "embed", "emit_graph", "emit_report", "error_reduction_bounds", "evaluate",
-    "extended_logits", "extension_loss_grad", "finalize", "fit_extension",
-    "format_float", "generate", "lambda_max", "log_det", "merge",
-    "pair_covariance", "parse_report", "prediction_error", "read_cov",
-    "read_logits", "read_logits_csv", "reduce_problem", "redundancy",
-    "replace_logit", "report_solution", "screen", "serialize_report",
-    "solution_path", "solve", "verify_recovery", "write_cov", "write_logits",
+    "build_report", "canonical_json", "certificates", "check_slope_bounds",
+    "cross_covariance", "default_name", "eigenvalues", "embed", "emit_graph",
+    "emit_report", "error_reduction_bounds", "evaluate", "extended_logits",
+    "extension_loss_grad", "finalize", "fit_extension", "format_float",
+    "generate", "lambda_max", "merge", "parse_report", "prediction_error",
+    "read_cov", "read_logits", "read_logits_csv", "reduce_problem",
+    "redundancy", "replace_logit", "report_solution", "screen",
+    "serialize_report", "solution_path", "solve", "verify_recovery",
+    "write_cov", "write_logits",
 ]
 
 # Runs argv (possibly none) through the CLI, then prints the exit code and

@@ -1,14 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covlasso import CovMatrix, InvalidMatrix, SingularMatrix, eigenvalues, log_det
+from covlasso import CovMatrix, InvalidMatrix, eigenvalues
 
 
 class TestCovMatrix:
-    def test_symmetrizes_input(self):
+    def test_symmetrizes_input(self, rng):
         s = CovMatrix([[1.0, 0.2], [0.4, 1.0]], 1)
         assert_allclose(s.data, [[1.0, 0.3], [0.3, 1.0]])
+        # Bitwise the plain average (M + M.T) / 2 over the normal range.
+        for _ in range(20):
+            n = int(rng.integers(1, 12))
+            m = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-50, 50)
+            assert np.array_equal(CovMatrix(m, 1).data, (m + m.T) / 2.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidMatrix):
@@ -29,6 +36,24 @@ class TestCovMatrix:
         s = CovMatrix(np.eye(2), 1)
         with pytest.raises(ValueError):
             s.data[0, 0] = 5.0
+
+    def test_keeps_finite_input_finite(self):
+        # Averaging as M / 2 + M.T / 2 cannot overflow: (M + M.T) / 2 made
+        # a finite 1e308 diagonal inf.
+        big = np.array([[1e308, 1.5e308], [1.7e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = CovMatrix([[1e308, 0.0], [0.0, 1.0]], 3).data
+            averaged = CovMatrix(big, 3).data
+        assert exact.tolist() == [[1e308, 0.0], [0.0, 1.0]]
+        assert averaged.tolist() == [[1e308, 1.6e308], [1.6e308, 1.0]]
+
+    def test_copies_and_never_freezes_the_input(self):
+        mat = np.eye(2)
+        s = CovMatrix(mat, 1)
+        assert mat.flags.writeable
+        mat[0, 0] = 5.0
+        assert s.data[0, 0] == 1.0
 
 
 class TestEigendecompose:
@@ -77,40 +102,3 @@ class TestEigendecompose:
             assert np.all(raw[changed] < 0.0) and np.all(vals[changed] == 0.0)
             clamped += int(changed.sum())
         assert clamped > 0
-
-
-class TestLogDet:
-    def test_diagonal(self):
-        vals = eigenvalues(np.diag([2.0, 3.0]))
-        assert_allclose(log_det(vals), np.log(6.0), rtol=1e-14)
-
-    def test_block_example(self):
-        s = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert_allclose(log_det(eigenvalues(s)), np.log(0.19), rtol=1e-12)
-
-    def test_zero_eigenvalue_raises_without_floor(self):
-        vals = eigenvalues(np.ones((2, 2)))
-        with pytest.raises(SingularMatrix):
-            log_det(vals)
-        assert np.isfinite(log_det(vals, floor=1e-12))
-
-    def test_minor_identity(self, rng):
-        # det(S) = det(minor_i) / (S^{-1})_ii for every index i.
-        from oracles import spd_matrix
-
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            s = spd_matrix(rng, n, cond=1e3)
-            full = log_det(eigenvalues(s))
-            inv = np.linalg.inv(s)
-            for i in range(n):
-                keep = np.arange(n) != i
-                minor = log_det(eigenvalues(s[np.ix_(keep, keep)]))
-                assert_allclose(
-                    full, minor + np.log(1.0 / inv[i, i]), rtol=1e-6
-                )
-
-    def test_negative_floor_rejected(self):
-        vals = eigenvalues(np.eye(2))
-        with pytest.raises(InvalidMatrix):
-            log_det(vals, -1e-12)

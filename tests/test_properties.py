@@ -15,14 +15,22 @@ from covlasso import (
     finalize,
     lambda_max,
     reduce_problem,
+    redundancy,
     screen,
     solve,
 )
+from covlasso.analysis import EIG_FLOOR_REL
 from covlasso.covariance import BLOCK_ROWS
 from covlasso.evaluation import extension_loss_grad
 from covlasso.solver import reduced_objective
 
-from oracles import dense_extension_loss_grad, enumerate_lasso, minor, root_form_gap
+from oracles import (
+    dense_extension_loss_grad,
+    determinant_error,
+    enumerate_lasso,
+    minor,
+    root_form_gap,
+)
 
 
 @st.composite
@@ -245,3 +253,31 @@ def test_split_normalizer_matches_dense_softmax(case):
     assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
     assert grad.shape == want_grad.shape
     assert np.all(np.abs(grad - want_grad) <= 1e-12 * max(1.0, float(np.abs(data).max())))
+
+
+@st.composite
+def psd_covariances(draw):
+    """A PSD Cov of order n in 2..8 and rank 1..n, at scales 1e-4 to 1e4."""
+    n = draw(st.integers(2, 8))
+    rank = draw(st.integers(1, n))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = np.random.default_rng(seed).normal(size=(n, rank))
+    return CovMatrix((g @ g.T) * scale, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(psd_covariances())
+def test_redundancy_floors_with_its_minor_and_agrees_unfloored(cov):
+    # Cauchy interlacing: a minor below its own relative floor puts Cov
+    # below Cov's, so Cov's spectrum alone decides ``floored``.
+    for target in range(cov.n):
+        rep = redundancy(cov, target)
+        keep = np.arange(cov.n) != target
+        vals = np.linalg.eigvalsh(cov.data[np.ix_(keep, keep)])
+        if vals[0] < (1.0 - 1e-6) * EIG_FLOOR_REL * vals[-1]:
+            assert rep.floored
+        if not rep.floored:
+            assert rep.max_disagreement() <= 1e-6
+            oracle = determinant_error(cov.data, target)
+            assert abs(rep.min_error - oracle) <= 1e-8 * oracle
