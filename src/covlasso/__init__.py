@@ -81,16 +81,14 @@ _EXPORTS = {
         "emit_report",
         "format_float",
         "parse_report",
-        "report_solution",
+        "report_theta",
         "serialize_report",
     ),
     "solver": (
         "DependencySolution",
-        "ReducedSolution",
         "SolutionCertificates",
         "SolutionPath",
         "certificates",
-        "embed",
         "lambda_max",
         "prediction_error",
         "solution_path",

@@ -32,7 +32,13 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .solver import ReducedSolution, SolutionPath, _residual, _smooth_part, lambda_max
+from .solver import (
+    DependencySolution,
+    SolutionPath,
+    _residual,
+    _smooth_part,
+    lambda_max,
+)
 
 # Relative spectral floor of :func:`redundancy`: eigenvalues below this
 # times the largest are lifted to it, and the report is ``floored``.
@@ -53,7 +59,10 @@ class RedundancyReport:
     rest carry no information about it.
 
     The routes are independent only when ``floored`` is false: a floored
-    ``min_error`` is itself derived from ``eigen_error_sum``.
+    ``min_error`` is itself derived from ``eigen_error_sum``.  Unfloored,
+    they agree to about u kappa(Cov) relative (u the unit roundoff, kappa
+    the condition number), so ``max_disagreement`` is small only on
+    well-conditioned input.
     """
 
     target: int
@@ -190,34 +199,25 @@ def screen(cov: CovMatrix, target: int, lam: float) -> ScreeningReport:
     ratios = np.abs(rp.bhat) / binf
     drift = 2.0 * _drift_rates(rp) * abs(1.0 / lam - 1.0 / lmax)
     thresholds = 1.0 - drift
-
-    certified: list[int] = []
-    heuristic: list[int] = []
-    rows: list[ScreeningRow] = []
-    half = 0.5 * lam
-    for j in range(rp.n):
-        if j == target:
-            continue
-        guard = 1e-12 * max(1.0, abs(float(thresholds[j])))
-        if ratios[j] < thresholds[j] - guard:
-            certified.append(j)
-        if abs(float(rp.bhat[j])) < half:
-            heuristic.append(j)
-        rows.append(
-            ScreeningRow(
-                index=j,
-                correlation_ratio=float(ratios[j]),
-                certificate_threshold=float(thresholds[j]),
-            )
+    guard = 1e-12 * np.maximum(1.0, np.abs(thresholds))
+    others = np.arange(rp.n) != target
+    certified = np.flatnonzero(others & (ratios < thresholds - guard))
+    heuristic = np.flatnonzero(others & (np.abs(rp.bhat) < 0.5 * lam))
+    idx = np.flatnonzero(others)
+    rows = tuple(
+        ScreeningRow(index=j, correlation_ratio=r, certificate_threshold=t)
+        for j, r, t in zip(
+            idx.tolist(), ratios[idx].tolist(), thresholds[idx].tolist()
         )
+    )
 
     return ScreeningReport(
         target=target,
         lam=float(lam),
         lam_max=lmax,
-        certified_zero=frozenset(certified),
-        heuristic_zero=frozenset(heuristic),
-        per_category=tuple(rows),
+        certified_zero=frozenset(certified.tolist()),
+        heuristic_zero=frozenset(heuristic.tolist()),
+        per_category=rows,
     )
 
 
@@ -292,7 +292,7 @@ class ErrorReductionBounds:
 
 
 def error_reduction_bounds(
-    rp: ReducedProblem, lam: float, sol: ReducedSolution
+    rp: ReducedProblem, lam: float, sol: DependencySolution
 ) -> ErrorReductionBounds:
     """Two-sided bounds on how much the solved dependency reduces error.
 

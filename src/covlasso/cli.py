@@ -147,8 +147,7 @@ def cmd_solve(args) -> int:
     cov = _load_cov(args.cov)
     rp = reduce_problem(cov, args.target)
     lmax = solver.lambda_max(rp)
-    sol = solver.solve(rp, args.lam)
-    dep = solver.embed(sol, rp)
+    dep = solver.solve(rp, args.lam)
 
     metrics = None
     names = None
@@ -157,7 +156,7 @@ def cmd_solve(args) -> int:
 
         logits = _load_logits(args.logits, args.labels_col)
         names = logits.names
-        metrics = evaluation.evaluate(logits, dep)
+        metrics = evaluation.evaluate(logits, dep.target, dep.theta)
 
     text = reports.emit_report(dep, metrics, names, _model_dict(args))
     _write_text(args.output, text)
@@ -219,12 +218,12 @@ def cmd_path(args) -> int:
         slope = analysis.check_slope_bounds(rp, path)
 
     points = []
-    for lam, sol, err in zip(path.lambdas, path.solutions, path.errors):
+    for lam, sol in zip(path.lambdas, path.solutions):
         points.append(
             {
                 "lambda": float(lam),
-                "support_size": len(solver.support_indices(sol.coef)),
-                "pred_error": float(err),
+                "support_size": len(sol.support),
+                "pred_error": float(sol.pred_error),
                 "objective": float(sol.objective),
                 "converged": bool(sol.converged),
                 "iterations": int(sol.iterations),
@@ -326,8 +325,8 @@ def cmd_eval(args) -> int:
 
     logits = _load_logits(args.logits, args.labels_col)
     report = _load_report(args.report)
-    dep = reports.report_solution(report, logits.n)
-    metrics = evaluation.evaluate(logits, dep)
+    theta = reports.report_theta(report, logits.n)
+    metrics = evaluation.evaluate(logits, report.target_index, theta)
     fields = asdict(metrics)
     if args.output is not None:
         payload = {"schema": "eval-metrics", "version": 1, **fields}

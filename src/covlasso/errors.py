@@ -19,7 +19,12 @@ class InvalidMatrix(CovLassoError):
 
 
 class SingularMatrix(CovLassoError):
-    """A linear solve or log-determinant hit a numerically zero eigenvalue."""
+    """``redundancy`` found a numerically singular spectrum.
+
+    Raised when the smallest eigenvalue stays below 1e-300 even after
+    the relative floor, or when every category but the target has zero
+    second moment.
+    """
 
 
 class DimMismatch(CovLassoError):

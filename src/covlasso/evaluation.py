@@ -17,7 +17,6 @@ columns, which are folded into the base normalizer at their row peak.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,31 +27,43 @@ from .errors import (
     Diverged,
     InvalidInput,
     MissingLabels,
+    OutOfRange,
 )
 
-if TYPE_CHECKING:
-    from .solver import DependencySolution
+
+def _check_theta(logits: LogitMatrix, target: int, theta: np.ndarray) -> np.ndarray:
+    """``theta`` as float64, once it is a dependency vector for ``logits``.
+
+    It must have one entry per category and the fixed -1 at ``target``.
+    """
+    t = np.asarray(theta, dtype=np.float64)
+    if t.shape != (logits.n,):
+        raise DimMismatch(
+            f"logits have {logits.n} categories, theta has shape {t.shape}"
+        )
+    if not 0 <= target < logits.n:
+        raise OutOfRange(f"target {target} outside [0, {logits.n})")
+    if t[target] != -1.0:
+        raise InvalidInput(f"theta must be -1 at target {target}, got {t[target]}")
+    return t
 
 
-def replace_logit(logits: LogitMatrix, solution: DependencySolution) -> LogitMatrix:
+def replace_logit(logits: LogitMatrix, target: int, theta: np.ndarray) -> LogitMatrix:
     """Swap the target column for its reconstruction from the others.
 
     The replacement column is sum_{j != target} theta_j f_j per sample;
     labels and names carry over unchanged.
     """
-    if logits.n != solution.n:
-        raise DimMismatch(
-            f"logits have {logits.n} categories, solution has {solution.n}"
-        )
+    theta = _check_theta(logits, target, theta)
     data = logits.data.copy()
-    data[:, solution.target] = _reconstruction(logits, solution)
+    data[:, target] = _reconstruction(logits, target, theta)
     return LogitMatrix(data, logits.labels, logits.names)
 
 
-def _reconstruction(logits: LogitMatrix, solution: DependencySolution) -> np.ndarray:
+def _reconstruction(logits: LogitMatrix, target: int, theta: np.ndarray) -> np.ndarray:
     """Per-sample sum_{j != target} theta_j f_j; an overflow is rejected."""
-    weights = solution.theta.copy()
-    weights[solution.target] = 0.0
+    weights = theta.copy()
+    weights[target] = 0.0
     column = logits.data @ weights
     if not np.all(np.isfinite(column)):
         raise InvalidInput("replaced target logit is not finite")
@@ -60,17 +71,16 @@ def _reconstruction(logits: LogitMatrix, solution: DependencySolution) -> np.nda
 
 
 def _replaced_argmax(
-    logits: LogitMatrix, solution: DependencySolution, pred_ori: np.ndarray
+    logits: LogitMatrix, target: int, theta: np.ndarray, pred_ori: np.ndarray
 ) -> np.ndarray:
-    """Row argmax of ``replace_logit(logits, solution).data``, without the copy.
+    """Row argmax of ``replace_logit(logits, target, theta).data``, without the copy.
 
     Ties go to the lowest index, as in ``np.argmax``.  Where
     ``pred_ori`` is not the target it is already the best of the other
     columns; only rows it points at the target need an argmax that
     leaves the target out.
     """
-    target = solution.target
-    new = _reconstruction(logits, solution)
+    new = _reconstruction(logits, target, theta)
     best = pred_ori.copy()
     hit = np.flatnonzero(pred_ori == target)
     rows = logits.data[hit]
@@ -102,16 +112,12 @@ class EvalMetrics:
     ori_pos_acc: float | None
 
 
-def evaluate(logits: LogitMatrix, solution: DependencySolution) -> EvalMetrics:
-    """Score a dependency solution on labeled logit samples."""
+def evaluate(logits: LogitMatrix, target: int, theta: np.ndarray) -> EvalMetrics:
+    """Score the dependency vector ``theta`` of ``target`` on labeled logits."""
     if logits.labels is None:
         raise MissingLabels("evaluation needs per-sample labels")
-    if logits.n != solution.n:
-        raise DimMismatch(
-            f"logits have {logits.n} categories, solution has {solution.n}"
-        )
-    target = solution.target
-    residual = logits.data @ solution.theta  # = reconstruction - target logit
+    theta = _check_theta(logits, target, theta)
+    residual = logits.data @ theta  # = reconstruction - target logit
     abs_err = float(np.mean(np.abs(residual)))
     target_scale = float(np.mean(np.abs(logits.data[:, target])))
     if target_scale <= 0.0:
@@ -119,7 +125,7 @@ def evaluate(logits: LogitMatrix, solution: DependencySolution) -> EvalMetrics:
     rel_err = 100.0 * abs_err / target_scale
 
     pred_ori = np.argmax(logits.data, axis=1)
-    pred_new = _replaced_argmax(logits, solution, pred_ori)
+    pred_new = _replaced_argmax(logits, target, theta, pred_ori)
     labels = logits.labels
     acc = float(np.mean(pred_new == labels))
     ori_acc = float(np.mean(pred_ori == labels))

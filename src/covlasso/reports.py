@@ -18,6 +18,8 @@ from typing import TYPE_CHECKING, get_type_hints
 from .errors import InvalidInput
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .evaluation import EvalMetrics
     from .solver import DependencySolution
 
@@ -114,7 +116,7 @@ def build_report(
         return names[i] if names is not None else default_name(i)
 
     coeffs = tuple(
-        (j, name_of(j), float(solution.theta[j])) for j in solution.support
+        (j, name_of(j), float(solution.coef[j])) for j in solution.support
     )
     cert_dict = {
         key: kind(getattr(solution.certificates, key))
@@ -214,16 +216,15 @@ def _check_certificates(block) -> dict:
     return dict(block)
 
 
-def report_solution(report: DependencyReport, n: int) -> DependencySolution:
-    """Rebuild an embedded solution from a parsed report.
+def report_theta(report: DependencyReport, n: int) -> np.ndarray:
+    """The dependency vector theta of a parsed report, over n categories.
 
     Needed to evaluate a stored report against fresh logit samples.
-    Coefficient indices must fit the given category count and avoid the
-    target; everything else carries over verbatim.
+    Coefficient indices must fit the given category count, avoid the
+    target and appear once; theta is -1 at the target and 0 off the
+    listed coefficients.
     """
     import numpy as np
-
-    from .solver import DependencySolution, SolutionCertificates, support_indices
 
     if not 0 <= report.target_index < n:
         raise InvalidInput(
@@ -241,16 +242,7 @@ def report_solution(report: DependencyReport, n: int) -> DependencySolution:
             raise InvalidInput(f"coefficient index {j} repeated")
         seen.add(j)
         theta[j] = value
-    values = [value for _, _, value in report.coefficients]
-    support = tuple(report.coefficients[k][0] for k in support_indices(values))
-    return DependencySolution(
-        target=report.target_index,
-        theta=theta,
-        lam=report.lam,
-        support=support,
-        pred_error=report.pred_error,
-        certificates=SolutionCertificates(**report.certificates),
-    )
+    return theta
 
 
 def _dot_quote(name: str) -> str:

@@ -48,10 +48,11 @@ the requested penalty.
 Each requested penalty is read off its segment by a direct solve of
 Chat_AA c_A = bhat_A - mu s_A, with coefficients whose sign disagrees
 with s set to 0.  :func:`solve` walks to one penalty, and
-:func:`solution_path` walks once through a whole grid.  Optimality is
-certified by :func:`certificates`, from one product Chat c: the KKT
-conditions and a Gram-form duality gap, with no factorization, square
-root or spectral floor; every returned point is certified once.
+:func:`solution_path` walks once through a whole grid; each point is a
+:class:`DependencySolution`.  Optimality is certified by
+:func:`certificates`, from one product Chat c: the KKT conditions and a
+Gram-form duality gap, with no factorization, square root or spectral
+floor; every returned point is certified once.
 """
 
 from __future__ import annotations
@@ -85,42 +86,39 @@ class SolutionCertificates:
 
 
 @dataclass(frozen=True)
-class ReducedSolution:
-    """Solver output indexed like Cov (0 at the target), with its certificates."""
+class DependencySolution:
+    """One solved dependency: coefficients indexed like Cov, 0 at the target.
 
+    ``theta`` is the dependency vector, ``coef`` with the target's fixed
+    -1 in place; ``support`` lists the categories whose coefficients lie
+    beyond the support tolerance.  Both are read from ``coef``, so they
+    cannot disagree with it.  ``pred_error`` is theta^T Cov theta and
+    ``iterations`` counts the homotopy's kinks.
+    """
+
+    target: int
     coef: np.ndarray
     lam: float
     objective: float
     iterations: int
-    certificates: SolutionCertificates
-
-    def __post_init__(self):
-        self.coef.flags.writeable = False
-
-    @property
-    def converged(self) -> bool:
-        """Whether the final iterate passed the KKT check."""
-        return self.certificates.kkt_valid
-
-
-@dataclass(frozen=True)
-class DependencySolution:
-    """A solution with the target's fixed -1 coefficient in place.
-
-    ``theta`` has the fixed -1 at the target and the solved coefficients
-    elsewhere; ``support`` lists the categories with coefficients beyond
-    the support tolerance.
-    """
-
-    target: int
-    theta: np.ndarray
-    lam: float
-    support: tuple[int, ...]
     pred_error: float
     certificates: SolutionCertificates
 
     def __post_init__(self):
-        self.theta.flags.writeable = False
+        if self.coef[self.target] != 0.0:
+            raise InvalidInput(f"coefficient of target {self.target} must be 0")
+        self.coef.flags.writeable = False
+
+    @property
+    def theta(self) -> np.ndarray:
+        """A fresh copy of ``coef`` with -1 at the target."""
+        theta = self.coef.copy()
+        theta[self.target] = -1.0
+        return theta
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(int(j) for j in support_indices(self.coef))
 
     @property
     def converged(self) -> bool:
@@ -129,7 +127,7 @@ class DependencySolution:
 
     @property
     def n(self) -> int:
-        return self.theta.shape[0]
+        return self.coef.shape[0]
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,7 @@ class SolutionPath:
     """Solutions along a descending penalty grid."""
 
     lambdas: tuple[float, ...]
-    solutions: tuple[ReducedSolution, ...]
-    errors: tuple[float, ...]
+    solutions: tuple[DependencySolution, ...]
     monotone: bool
 
 
@@ -248,17 +245,21 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
         in_a[j] = not in_a[j]
 
 
-def _point(rp: ReducedProblem, lam: float, coef: np.ndarray, kinks: int) -> ReducedSolution:
-    return ReducedSolution(
+def _point(
+    rp: ReducedProblem, lam: float, coef: np.ndarray, kinks: int
+) -> DependencySolution:
+    return DependencySolution(
+        target=rp.target,
         coef=coef,
         lam=lam,
         objective=reduced_objective(rp, lam, coef),
         iterations=kinks,
+        pred_error=reduced_prediction_error(rp, coef),
         certificates=certificates(rp, lam, coef),
     )
 
 
-def solve(rp: ReducedProblem, lam: float) -> ReducedSolution:
+def solve(rp: ReducedProblem, lam: float) -> DependencySolution:
     """Minimize the penalized reduced objective at one penalty value.
 
     The homotopy walked from lambda_max down to ``lam``; ``iterations``
@@ -349,8 +350,8 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
 
     The grid must be positive and nonincreasing (ties allowed); each
     point's ``iterations`` counts the kinks walked to reach it.  The
-    recorded ``monotone`` flag checks that prediction errors do not
-    increase as the penalty decreases, with 1e-9 slack for roundoff.
+    recorded ``monotone`` flag checks that the points' ``pred_error`` does
+    not increase as the penalty decreases, with 1e-9 slack for roundoff.
     """
     lams = np.asarray(grid, dtype=np.float64)
     if lams.ndim != 1 or lams.size == 0:
@@ -364,31 +365,11 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
         _point(rp, float(lam), coef, kinks)
         for lam, (coef, kinks) in zip(lams, _homotopy(rp, lams))
     )
-    errors = tuple(reduced_prediction_error(rp, s.coef) for s in solutions)
+    errors = [s.pred_error for s in solutions]
     return SolutionPath(
         lambdas=tuple(float(v) for v in lams),
         solutions=solutions,
-        errors=errors,
         monotone=bool(np.all(np.diff(errors) <= 1e-9)),
-    )
-
-
-def embed(rs: ReducedSolution, rp: ReducedProblem) -> DependencySolution:
-    """Set the target's fixed -1 coefficient; the certificates carry over."""
-    if rs.coef.shape != (rp.n,):
-        raise DimMismatch(
-            f"solution has {rs.coef.shape[0]} coordinates, problem has {rp.n}"
-        )
-    theta = rs.coef.copy()
-    theta[rp.target] = -1.0
-    support = tuple(int(j) for j in support_indices(rs.coef))
-    return DependencySolution(
-        target=rp.target,
-        theta=theta,
-        lam=rs.lam,
-        support=support,
-        pred_error=reduced_prediction_error(rp, rs.coef),
-        certificates=rs.certificates,
     )
 
 

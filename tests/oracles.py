@@ -125,6 +125,32 @@ def minor(rp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return full[np.ix_(keep, keep)].copy(), full[keep, rp.target].copy(), keep
 
 
+def screen_loop(rp, lam: float) -> tuple[set, set, list]:
+    """``analysis.screen``'s rule one category at a time, in scalar arithmetic.
+
+    Returns (certified, heuristic, rows) with rows (index, ratio,
+    threshold) for every category but the target.  The arithmetic is the
+    same as the vectorized rule's, so results must match bitwise.
+    """
+    bhat = rp.bhat
+    binf = float(np.max(np.abs(bhat)))
+    lmax = 2.0 * binf
+    step = abs(1.0 / lam - 1.0 / lmax)
+    certified, heuristic, rows = set(), set(), []
+    for j in range(rp.n):
+        if j == rp.target:
+            continue
+        ratio = abs(float(bhat[j])) / binf
+        rate = float(np.sqrt(rp.cov.data[j, j] * rp.cov_ii))
+        threshold = 1.0 - 2.0 * rate * step
+        if ratio < threshold - 1e-12 * max(1.0, abs(threshold)):
+            certified.add(j)
+        if abs(float(bhat[j])) < 0.5 * lam:
+            heuristic.add(j)
+        rows.append((j, ratio, threshold))
+    return certified, heuristic, rows
+
+
 def determinant_error(mat: np.ndarray, target: int) -> float:
     """Zero-penalty error det(Cov) / det(minor) = 1 / (Cov^-1)_ii via slogdet.
 

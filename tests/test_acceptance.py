@@ -19,7 +19,6 @@ from covlasso import (
     SyntheticSpec,
     accumulate,
     check_slope_bounds,
-    embed,
     emit_report,
     finalize,
     fit_extension,
@@ -137,10 +136,11 @@ class TestAcceptance:
             if not path.monotone:
                 ok, detail = False, f"path not monotone at target {target}"
                 break
-            if abs(path.errors[0] - cov_ii) > 1e-6 * cov_ii:
-                ok, detail = False, f"top error {path.errors[0]} != {cov_ii}"
+            errors = [s.pred_error for s in path.solutions]
+            if abs(errors[0] - cov_ii) > 1e-6 * cov_ii:
+                ok, detail = False, f"top error {errors[0]} != {cov_ii}"
                 break
-            if min(path.errors) < err0 * (1.0 - 1e-6):
+            if min(errors) < err0 * (1.0 - 1e-6):
                 ok, detail = False, f"error dips below the zero-penalty floor"
                 break
         record(
@@ -231,7 +231,7 @@ class TestAcceptance:
             rp = reduce_problem(cov, target)
             lmax = lambda_max(rp)
             for frac in (0.5, 0.2, 0.1, 0.05):
-                dep = embed(solve(rp, frac * lmax), rp)
+                dep = solve(rp, frac * lmax)
                 eps = max(1.0, 2.0 * np.sqrt(dep.pred_error))
                 bound = min(1.0, dep.pred_error / eps)
                 x = logits.data @ dep.theta
@@ -266,7 +266,7 @@ class TestAcceptance:
             lmax = lambda_max(rp)
             path = solution_path(rp, np.geomspace(lmax, lmax / 1000.0, 30))
             for sol in path.solutions:
-                rec = verify_recovery(embed(sol, rp), truth)
+                rec = verify_recovery(sol, truth)
                 if rec.precision == 1.0 and rec.recall == 1.0:
                     wins += 1
                     break
@@ -356,7 +356,7 @@ class TestAcceptance:
             cbuf = write_cov(cov)
             ok = ok and write_cov(read_cov(cbuf)) == cbuf
         rp = random_problem(rng, 5)
-        dep = embed(solve(rp, 0.2 * lambda_max(rp)), rp)
+        dep = solve(rp, 0.2 * lambda_max(rp))
         text = emit_report(dep)
         ok = ok and serialize_report(parse_report(text)) == text
 

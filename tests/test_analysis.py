@@ -21,7 +21,13 @@ from covlasso import (
 from covlasso.solver import SUPPORT_TOL
 
 from conftest import rp_from
-from oracles import dense_floored_root, determinant_error, minor, spd_matrix
+from oracles import (
+    dense_floored_root,
+    determinant_error,
+    minor,
+    screen_loop,
+    spd_matrix,
+)
 
 
 def cov_of(mat, count=100):
@@ -185,6 +191,32 @@ class TestScreen:
                 active = set(np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL))
                 assert not (rep.certified_zero & active)
 
+    def test_matches_the_per_category_loop(self, rng):
+        # Ill-scaled categories (second moments 1e-8..1e8), one duplicated,
+        # so thresholds span many decades and some fall below zero.
+        for dup in (False, True):
+            n = 30
+            x = rng.standard_normal((200, n)) @ rng.standard_normal((n, n))
+            x *= np.logspace(-4, 4, n)[rng.permutation(n)]
+            if dup:
+                x[:, 5] = 2.0 * x[:, 3]
+            cov = cov_of(x.T @ x / 200)
+            for target in range(n):
+                rp = reduce_problem(cov, target)
+                fracs = (0.999999, 0.9, 0.5, 0.1, 0.01, 1e-6)
+                lams = [f * lambda_max(rp) for f in fracs]
+                # A tie: the second-largest |bhat_j| sits exactly at lam/2.
+                lams.append(2.0 * np.sort(np.abs(rp.bhat))[-2])
+                for lam in lams:
+                    rep = screen(cov, target, lam)
+                    certified, heuristic, rows = screen_loop(rp, lam)
+                    assert rep.certified_zero == certified
+                    assert rep.heuristic_zero == heuristic
+                    assert [
+                        (r.index, r.correlation_ratio, r.certificate_threshold)
+                        for r in rep.per_category
+                    ] == rows
+
     def test_heuristic_violation_rate_is_reported_not_asserted(self, rng):
         # The cross-moment screen is a monitored heuristic: measure how
         # often it wrongly predicts a zero, without gating on it.
@@ -240,17 +272,19 @@ class TestSlopeBounds:
         assert check.margins[0] == pytest.approx(float(np.min(rhs - lhs)), rel=1e-9)
 
     def test_requires_converged_path(self):
-        from covlasso import ReducedSolution, SolutionCertificates, SolutionPath
+        from covlasso import DependencySolution, SolutionCertificates, SolutionPath
 
         rp = rp_from(np.eye(2), [0.9, 0.0])
-        fake = ReducedSolution(
+        fake = DependencySolution(
+            target=0,
             coef=np.zeros(3),
             lam=1.0,
             objective=0.0,
             iterations=1,
+            pred_error=1.0,
             certificates=SolutionCertificates(0.0, False, 0.0, 0.0),
         )
-        path = SolutionPath((1.0, 0.5), (fake, fake), (1.0, 1.0), True)
+        path = SolutionPath((1.0, 0.5), (fake, fake), True)
         with pytest.raises(InvalidInput):
             check_slope_bounds(rp, path)
 
@@ -300,13 +334,15 @@ class TestErrorReductionBounds:
             error_reduction_bounds(rp, 5.0, sol)  # above lambda_max
         with pytest.raises(OutOfRange):
             error_reduction_bounds(rp, 0.0, sol)
-        from covlasso import ReducedSolution, SolutionCertificates
+        from covlasso import DependencySolution, SolutionCertificates
 
-        fake = ReducedSolution(
+        fake = DependencySolution(
+            target=0,
             coef=np.zeros(2),
             lam=1.0,
             objective=0.0,
             iterations=1,
+            pred_error=1.0,
             certificates=SolutionCertificates(0.0, False, 0.0, 0.0),
         )
         with pytest.raises(InvalidInput):

@@ -288,6 +288,29 @@ class TestEvalAndGraph:
         assert payload["schema"] == "eval-metrics"
         assert 0.0 <= payload["acc"] <= 1.0
 
+    def test_eval_of_a_report_matches_its_solve_metrics(self, tmp_path):
+        # solve scores the solved theta; eval rebuilds theta from the report.
+        logits = synth(tmp_path)
+        cov_path = build_cov(tmp_path, logits)
+        report_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            "solve", "--cov", str(cov_path), "--target", "0",
+            "--lambda", "0.01", "--logits", str(logits),
+            "--output", str(report_path),
+        )
+        assert code == 0, err
+        metrics_path = tmp_path / "m.json"
+        code, _, err = run_cli(
+            "eval", "--logits", str(logits), "--report", str(report_path),
+            "--output", str(metrics_path),
+        )
+        assert code == 0, err
+        solved = json.loads(report_path.read_text())["metrics"]
+        evaluated = json.loads(metrics_path.read_text())
+        assert solved["positives"] > 0
+        assert evaluated["target"] == 0
+        assert {key: evaluated[key] for key in solved} == solved
+
     def test_graph_merges_reports(self, tmp_path):
         logits = synth(tmp_path)
         cov_path = build_cov(tmp_path, logits)

@@ -10,63 +10,47 @@ from covlasso import (
     InvalidLabels,
     LogitMatrix,
     MissingLabels,
+    OutOfRange,
     evaluate,
     extended_logits,
     extension_loss_grad,
     fit_extension,
     replace_logit,
 )
-from covlasso.solver import DependencySolution, SolutionCertificates
 
 from oracles import dense_extension_loss_grad
-
-
-def _solution(theta, target=0, support=None):
-    theta = np.asarray(theta, dtype=float)
-    if support is None:
-        support = tuple(
-            j for j in range(theta.size) if j != target and theta[j] != 0.0
-        )
-    return DependencySolution(
-        target=target,
-        theta=theta,
-        lam=1.0,
-        support=support,
-        pred_error=0.0,
-        certificates=SolutionCertificates(0.0, True, 0.0, 0.0),
-    )
 
 
 class TestReplaceLogit:
     def test_exact_reconstruction_is_identity(self):
         data = np.array([[2.0, 4.0], [-1.0, -2.0]])
-        out = replace_logit(LogitMatrix(data), _solution([-1.0, 0.5]))
+        out = replace_logit(LogitMatrix(data), 0, [-1.0, 0.5])
         assert_allclose(out.data, data, rtol=0, atol=0)
 
     def test_replaced_column_values(self):
         data = np.array([[2.0, 4.0], [6.0, 1.0]])
-        out = replace_logit(LogitMatrix(data), _solution([-1.0, 0.5]))
+        out = replace_logit(LogitMatrix(data), 0, [-1.0, 0.5])
         assert_allclose(out.data[:, 0], [2.0, 0.5])
         assert_allclose(out.data[:, 1], data[:, 1])
 
     def test_original_untouched_and_metadata_kept(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
         logits = LogitMatrix(data, labels=np.array([0, 1]), names=("a", "b"))
-        out = replace_logit(logits, _solution([0.25, -1.0], target=1))
+        out = replace_logit(logits, 1, [0.25, -1.0])
         assert_allclose(logits.data, data)
         assert np.array_equal(out.labels, logits.labels)
         assert out.names == ("a", "b")
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            replace_logit(LogitMatrix(np.ones((2, 3))), _solution([-1.0, 0.5]))
+            replace_logit(LogitMatrix(np.ones((2, 3))), 0, [-1.0, 0.5])
 
 
 class TestEvaluate:
     def test_worked_metrics(self):
         data = np.array([[2.0, 4.0], [6.0, 1.0]])
         logits = LogitMatrix(data, labels=np.array([1, 0]))
-        m = evaluate(logits, _solution([-1.0, 0.5]))
+        m = evaluate(logits, 0, [-1.0, 0.5])
         # residuals: 0.5*4-2 = 0, 0.5*1-6 = -5.5
         assert_allclose(m.abs_err, 2.75)
         assert_allclose(m.rel_err, 100.0 * 2.75 / 4.0)
@@ -83,14 +67,14 @@ class TestEvaluate:
         data = np.column_stack([base[:, 0], base[:, 1], 0.7 * base[:, 0] - 0.2 * base[:, 1]])
         labels = np.argmax(data, axis=1)
         logits = LogitMatrix(data, labels=labels)
-        m = evaluate(logits, _solution([0.7, -0.2, -1.0], target=2))
+        m = evaluate(logits, 2, [0.7, -0.2, -1.0])
         assert m.abs_err == pytest.approx(0.0, abs=1e-12)
         assert m.acc == m.ori_acc == 1.0
 
     def test_argmax_tie_takes_lowest_index(self):
         data = np.array([[1.0, 1.0, 0.0]])
         logits = LogitMatrix(data, labels=np.array([0]))
-        m = evaluate(logits, _solution([-1.0, 1.0, 0.0]))
+        m = evaluate(logits, 0, [-1.0, 1.0, 0.0])
         assert m.ori_acc == 1.0 and m.acc == 1.0
 
     def test_predictions_match_replace_logit_oracle(self, rng):
@@ -101,38 +85,49 @@ class TestEvaluate:
         for target in range(6):
             theta = rng.integers(-1, 2, size=6).astype(float)
             theta[target] = -1.0
-            sol = _solution(theta, target=target)
-            expected = np.argmax(replace_logit(unlabelled, sol).data, axis=1)
-            m = evaluate(LogitMatrix(data, labels=expected), sol)
+            expected = np.argmax(replace_logit(unlabelled, target, theta).data, axis=1)
+            m = evaluate(LogitMatrix(data, labels=expected), target, theta)
             assert m.acc == 1.0
 
     def test_non_finite_replacement_rejected(self):
         # 10 * 1e308 overflows to +inf and -inf, whose sum is NaN.
         data = np.array([[1.0, 1e308, -1e308], [1.0, 2.0, 0.0]])
         logits = LogitMatrix(data, labels=np.array([0, 1]))
-        sol = _solution([-1.0, 10.0, 10.0])
+        theta = [-1.0, 10.0, 10.0]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInput):
-                replace_logit(logits, sol)
+                replace_logit(logits, 0, theta)
             with pytest.raises(InvalidInput):
-                evaluate(logits, sol)
+                evaluate(logits, 0, theta)
 
     def test_no_positive_samples(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
         logits = LogitMatrix(data, labels=np.array([1, 1]))
-        m = evaluate(logits, _solution([-1.0, 0.5]))
+        m = evaluate(logits, 0, [-1.0, 0.5])
         assert m.positives == 0
         assert m.pos_acc is None and m.ori_pos_acc is None
 
     def test_requires_labels(self):
         with pytest.raises(MissingLabels):
-            evaluate(LogitMatrix(np.ones((2, 2))), _solution([-1.0, 0.5]))
+            evaluate(LogitMatrix(np.ones((2, 2))), 0, [-1.0, 0.5])
 
     def test_zero_target_column_rejected(self):
         data = np.array([[0.0, 1.0], [0.0, 2.0]])
         logits = LogitMatrix(data, labels=np.array([1, 1]))
         with pytest.raises(DegenerateTarget):
-            evaluate(logits, _solution([-1.0, 0.5]))
+            evaluate(logits, 0, [-1.0, 0.5])
+
+    def test_theta_must_be_a_dependency_of_the_target(self):
+        logits = LogitMatrix(np.ones((2, 2)), labels=np.array([1, 1]))
+        with pytest.raises(DimMismatch):
+            evaluate(logits, 0, [-1.0, 0.5, 0.0])
+        for target in (2, -1):
+            with pytest.raises(OutOfRange):
+                evaluate(logits, target, [-1.0, 0.5])
+            with pytest.raises(OutOfRange):
+                replace_logit(logits, target, [-1.0, 0.5])
+        with pytest.raises(InvalidInput, match="-1 at target 1"):
+            evaluate(logits, 1, [-1.0, 0.5])
 
 
 class TestExtensionLossGrad:

@@ -6,7 +6,6 @@ import pytest
 
 from covlasso import (
     check_slope_bounds,
-    embed,
     lambda_max,
     reduce_problem,
     redundancy,
@@ -49,9 +48,10 @@ def cov(rng):
 
 
 def test_embed(cov, eigh_calls):
+    # A solve, its prediction error and its theta and support.
     rp = reduce_problem(cov, 3)
     sol = solve(rp, 0.2 * lambda_max(rp))
-    embed(sol, rp)
+    sol.theta, sol.support
     assert eigh_calls == []
 
 

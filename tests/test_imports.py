@@ -28,16 +28,16 @@ EXPORTS = [
     "ExtensionFit", "FormatError", "InvalidInput", "InvalidLabels",
     "InvalidMatrix", "InvalidSpec", "LogitMatrix", "MissingLabels",
     "OutOfRange", "PlantedDependency", "PlantedTruth", "RecoveryReport",
-    "ReducedProblem", "ReducedSolution", "RedundancyReport", "ScreeningReport",
+    "ReducedProblem", "RedundancyReport", "ScreeningReport",
     "ScreeningRow", "SingularMatrix", "SlopeBoundCheck",
     "SolutionCertificates", "SolutionPath", "SyntheticSpec", "accumulate",
     "build_report", "canonical_json", "certificates", "check_slope_bounds",
-    "cross_covariance", "default_name", "eigenvalues", "embed", "emit_graph",
+    "cross_covariance", "default_name", "eigenvalues", "emit_graph",
     "emit_report", "error_reduction_bounds", "evaluate", "extended_logits",
     "extension_loss_grad", "finalize", "fit_extension", "format_float",
     "generate", "lambda_max", "merge", "parse_report", "prediction_error",
     "read_cov", "read_logits", "read_logits_csv", "reduce_problem",
-    "redundancy", "replace_logit", "report_solution", "screen",
+    "redundancy", "replace_logit", "report_theta", "screen",
     "serialize_report", "solution_path", "solve", "verify_recovery",
     "write_cov", "write_logits",
 ]

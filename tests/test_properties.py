@@ -11,7 +11,6 @@ from covlasso import (
     LogitMatrix,
     accumulate,
     certificates,
-    embed,
     finalize,
     lambda_max,
     reduce_problem,
@@ -125,7 +124,7 @@ def test_gap_at_solve_output_bounds_suboptimality(case):
     sol = solve(rp, lam)
     chat, bhat, keep = minor(rp)
     oracle, best = enumerate_lasso(chat, bhat, lam)
-    gap = embed(sol, rp).certificates.dual_gap
+    gap = sol.certificates.dual_gap
     size = gap_scale(rp, lam, sol.coef)
     assert gap >= -1e-12 * size
     assert gap >= sol.objective - best - 1e-12 * size
@@ -209,8 +208,7 @@ def test_permuting_categories_permutes_the_solution(case):
         abs(sol.objective) + rp.cov_ii
     )
     if full_rank:
-        support = embed(sol, rp).support
-        assert sorted(int(perm[k]) for k in embed(sol_moved, rp_moved).support) == list(support)
+        assert sorted(int(perm[k]) for k in sol_moved.support) == list(sol.support)
 
 
 @st.composite

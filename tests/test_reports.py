@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from covlasso import (
     evaluate,
     format_float,
     parse_report,
-    report_solution,
+    report_theta,
     serialize_report,
 )
 from covlasso.covariance import LogitMatrix
@@ -23,15 +24,14 @@ from covlasso.solver import DependencySolution, SolutionCertificates
 
 
 def _solution(theta, target=0, lam=0.5, pred_error=0.25, converged=True):
-    theta = np.asarray(theta, dtype=float)
-    support = tuple(
-        j for j in range(theta.size) if j != target and theta[j] != 0.0
-    )
+    coef = np.array(theta, dtype=float)
+    coef[target] = 0.0
     return DependencySolution(
         target=target,
-        theta=theta,
+        coef=coef,
         lam=lam,
-        support=support,
+        objective=0.0,
+        iterations=0,
         pred_error=pred_error,
         certificates=SolutionCertificates(1e-9, converged, 2e-8, 0.0),
     )
@@ -99,7 +99,7 @@ class TestReportRoundTrip:
         data = np.array([[2.0, 4.0], [6.0, 1.0]])
         logits = LogitMatrix(data, labels=np.array([1, 0]))
         sol = _solution([-1.0, 0.5], target=0)
-        metrics = evaluate(logits, sol)
+        metrics = evaluate(logits, sol.target, sol.theta)
         text = emit_report(sol, metrics=metrics, models={"within": "resnet"})
         parsed = parse_report(text)
         assert parsed.metrics["acc"] == 0.5
@@ -190,34 +190,36 @@ class TestReportRoundTrip:
             parse_report(json.dumps(payload))
 
 
-class TestReportSolution:
+class TestReportTheta:
     def test_rebuild_matches_original(self):
         sol = _solution([0.5, -1.0, -0.25], target=1, lam=0.7, pred_error=0.01)
-        rebuilt = report_solution(parse_report(emit_report(sol)), 3)
-        assert_allclose(rebuilt.theta, sol.theta, rtol=0, atol=0)
-        assert rebuilt.target == 1
-        assert rebuilt.support == sol.support
-        assert rebuilt.lam == 0.7 and rebuilt.pred_error == 0.01
-        assert rebuilt.converged
-        assert rebuilt.certificates == sol.certificates
+        rep = parse_report(emit_report(sol))
+        theta = report_theta(rep, 3)
+        assert_allclose(theta, sol.theta, rtol=0, atol=0)
+        assert rep.target_index == 1
+        assert tuple(j for j, _, _ in rep.coefficients) == sol.support
+        assert rep.lam == 0.7 and rep.pred_error == 0.01
+        assert rep.certificates == asdict(sol.certificates)
 
     def test_converged_follows_kkt_valid(self):
         sol = _solution([-1.0, 0.5], converged=False)
-        rebuilt = report_solution(parse_report(emit_report(sol)), 2)
-        assert not rebuilt.converged
-        assert not rebuilt.certificates.kkt_valid
+        rep = parse_report(emit_report(sol))
+        assert rep.certificates["kkt_valid"] is False
 
     def test_validation(self):
         rep = parse_report(emit_report(_solution([-1.0, 0.5])))
         with pytest.raises(InvalidInput):
-            report_solution(rep, 1)  # coefficient index 1 out of range
+            report_theta(rep, 1)  # coefficient index 1 out of range
         bad_target = parse_report(
             emit_report(_solution([0.5, -1.0], target=1))
         )
         with pytest.raises(InvalidInput):
-            report_solution(
-                DependencyReportStub(bad_target, target_index=9), 3
-            )
+            report_theta(DependencyReportStub(bad_target, target_index=9), 3)
+        with pytest.raises(InvalidInput, match="must not contain the target"):
+            report_theta(DependencyReportStub(bad_target, target_index=0), 3)
+        twice = ((0, "c0", 0.5), (0, "c0", 0.25))
+        with pytest.raises(InvalidInput, match="repeated"):
+            report_theta(DependencyReportStub(bad_target, coefficients=twice), 3)
 
 
 class DependencyReportStub:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,6 @@ from covlasso import (
     DimMismatch,
     InvalidInput,
     certificates,
-    embed,
     lambda_max,
     prediction_error,
     reduce_problem,
@@ -289,7 +290,8 @@ class TestSolutionPath:
         path = solution_path(rp, [2.0, 1.0, 0.5])
         coefs = [s.coef[1] for s in path.solutions]
         assert_allclose(coefs, [0.0, 0.5, 0.75], atol=1e-12)
-        assert_allclose(path.errors, [1.0, 0.25, 0.0625], atol=1e-12)
+        errors = [s.pred_error for s in path.solutions]
+        assert_allclose(errors, [1.0, 0.25, 0.0625], atol=1e-12)
         assert path.monotone
 
     def test_points_match_solve(self, rng):
@@ -360,34 +362,34 @@ class TestSolutionPath:
             assert all(s.converged for s in path.solutions)
             inv = np.linalg.inv(cov.data)
             err0 = 1.0 / inv[rp.target, rp.target]
-            for err in path.errors:
+            errors = [s.pred_error for s in path.solutions]
+            for err in errors:
                 assert err >= err0 - 1e-6 * max(1.0, err0)
                 assert err <= rp.cov_ii + 1e-9
-            assert path.errors[0] == pytest.approx(rp.cov_ii, rel=1e-12)
+            assert errors[0] == pytest.approx(rp.cov_ii, rel=1e-12)
 
 
 class TestEmbed:
+    """``theta`` (the target's -1 in place) and ``support``, read from ``coef``."""
+
     def test_index_mapping_middle_target(self):
         cov = CovMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 3.0]], 10)
         rp = reduce_problem(cov, 1)
         sol = solve(rp, 0.1)
-        dep = embed(sol, rp)
         assert sol.coef[1] == 0.0
-        assert dep.theta[1] == -1.0
-        assert dep.theta[0] == sol.coef[0]
-        assert dep.theta[2] == sol.coef[2]
-        assert dep.target == 1
-        # embedded prediction error equals the full quadratic form
-        assert dep.pred_error == pytest.approx(
-            prediction_error(cov, dep.theta), abs=1e-12
+        assert sol.theta[1] == -1.0
+        assert sol.theta[0] == sol.coef[0]
+        assert sol.theta[2] == sol.coef[2]
+        assert sol.target == 1
+        # the prediction error equals the full quadratic form
+        assert sol.pred_error == pytest.approx(
+            prediction_error(cov, sol.theta), abs=1e-12
         )
-        assert 1 not in dep.support
+        assert 1 not in sol.support
 
     def test_support_thresholding(self):
         rp = rp_from(np.eye(2), [0.9, 0.0])
-        sol = solve(rp, 0.4)
-        dep = embed(sol, rp)
-        assert dep.support == (1,)
+        assert solve(rp, 0.4).support == (1,)
 
     def test_support_rule_is_magnitude_strictly_above_tolerance(self):
         tol = solver.SUPPORT_TOL
@@ -395,11 +397,10 @@ class TestEmbed:
         assert solver.support_indices(values).tolist() == [2, 3]
 
     def test_certificates_present(self):
-        rp = rp_1d()
-        dep = embed(solve(rp, 1.0), rp)
-        assert dep.certificates.kkt_valid
-        assert dep.certificates.kkt_max_violation <= 1e-10
-        assert dep.certificates.dual_gap <= 1e-10
+        sol = solve(rp_1d(), 1.0)
+        assert sol.certificates.kkt_valid
+        assert sol.certificates.kkt_max_violation <= 1e-10
+        assert sol.certificates.dual_gap <= 1e-10
 
     def test_certificates_come_from_solve(self, rng):
         for _ in range(10):
@@ -409,14 +410,24 @@ class TestEmbed:
             sol = solve(rp, lam)
             assert sol.certificates == certificates(rp, lam, sol.coef)
             assert sol.converged == sol.certificates.kkt_valid
-            dep = embed(sol, rp)
-            assert dep.certificates is sol.certificates
-            assert dep.converged == sol.converged
+            assert sol.pred_error == reduced_prediction_error(rp, sol.coef)
+            assert sol.support == tuple(solver.support_indices(sol.coef).tolist())
 
     def test_converged_is_read_only(self):
         sol = solve(rp_1d(), 1.0)
         with pytest.raises(AttributeError):
             sol.converged = False
+
+    def test_coef_is_read_only_and_zero_at_target(self):
+        sol = solve(rp_1d(), 1.0)
+        with pytest.raises(ValueError):
+            sol.coef[1] = 2.0
+        with pytest.raises(AttributeError):
+            sol.support = (0,)
+        sol.theta[1] = 2.0  # theta is a fresh copy on every read
+        assert sol.theta[1] == sol.coef[1]
+        with pytest.raises(InvalidInput):
+            replace(sol, coef=np.array([0.5, 0.5]))
 
     def test_one_certificate_pass_per_solve_and_embed(self, monkeypatch):
         calls = []
@@ -428,15 +439,14 @@ class TestEmbed:
 
         monkeypatch.setattr(solver, "certificates", counting)
         cov = CovMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]), 10)
-        rp = reduce_problem(cov, 0)
-        embed(solve(rp, 0.1), rp)
+        sol = solve(reduce_problem(cov, 0), 0.1)
+        sol.theta, sol.support, sol.pred_error, sol.converged
         assert len(calls) == 1
 
     def test_empty_support_error_equals_target_moment(self):
-        rp = rp_1d(cov_ii=1.0)
-        dep = embed(solve(rp, 3.0), rp)
-        assert dep.support == ()
-        assert dep.pred_error == pytest.approx(1.0)
+        sol = solve(rp_1d(cov_ii=1.0), 3.0)
+        assert sol.support == ()
+        assert sol.pred_error == pytest.approx(1.0)
 
 
 class TestPredictionError:

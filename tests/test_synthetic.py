@@ -9,7 +9,6 @@ from covlasso import (
     PlantedDependency,
     SyntheticSpec,
     accumulate,
-    embed,
     finalize,
     generate,
     lambda_max,
@@ -171,15 +170,14 @@ class TestGenerate:
 
 
 def _fake_solution(n, target, support):
-    theta = np.zeros(n)
-    theta[target] = -1.0
-    for j in support:
-        theta[j] = 0.5
+    coef = np.zeros(n)
+    coef[list(support)] = 0.5
     return DependencySolution(
         target=target,
-        theta=theta,
+        coef=coef,
         lam=1.0,
-        support=tuple(support),
+        objective=0.0,
+        iterations=0,
         pred_error=0.0,
         certificates=SolutionCertificates(0.0, True, 0.0, 0.0),
     )
@@ -228,8 +226,7 @@ class TestVerifyRecovery:
         path = solution_path(rp, np.geomspace(lmax, lmax / 1000.0, 25))
         perfect = False
         for sol in path.solutions:
-            dep = embed(sol, rp)
-            rec = verify_recovery(dep, truth)
+            rec = verify_recovery(sol, truth)
             if rec.precision == 1.0 and rec.recall == 1.0:
                 perfect = True
                 break
