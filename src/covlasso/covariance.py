@@ -6,20 +6,19 @@ mean or normalizes scales.
 
 Samples are grouped into blocks of ``BLOCK_ROWS`` rows by their absolute
 position in the stream: sample k lands in block k // BLOCK_ROWS.  Each
-full block is summed by one matrix product ``blk.T @ blk`` (BLAS SYRK),
-and the block sums are combined with Neumaier-compensated summation per
-matrix entry.  Block boundaries do not depend on how the stream is cut
-into batches, so any batching of the same samples gives bit-identical
-accumulator state and finalized matrix, for a given BLAS build and
-thread count.
+full block is summed by one matrix product ``blk.T @ blk`` (BLAS SYRK)
+and added to a running float64 sum; the partial last block is added the
+same way at finalize.  Block boundaries do not depend on how the stream
+is cut into batches, so any batching of the same samples gives
+bit-identical accumulator state and finalized matrix, for a given BLAS
+build and thread count.
 
-Accuracy: within a block the sum is a plain floating-point dot product,
-so each entry of the finalized matrix is within about
-gamma_256 * (|X|^T |X|)_ij / N of the exact mean, where
-gamma_k = k u / (1 - k u) and u = 2^-53.  Across blocks the compensated
-sum adds only O(u) relative to the result.  Merging partial
-accumulators keeps every sample and agrees with sequential accumulation
-to the same bound (exactly, on roundoff-free data).
+Accuracy: each entry is a plain blocked sum of N products, up to 256
+per block plus ceil(N / 256) block terms (Higham, Accuracy and Stability
+of Numerical Algorithms, sec. 4.2), so each entry of the finalized
+matrix is within about gamma_{256 + ceil(N/256)} * (|X|^T |X|)_ij / N of
+the exact mean, where gamma_k = k u / (1 - k u) and u = 2^-53.  Merging
+partial accumulators keeps every sample and obeys the same bound.
 """
 
 from __future__ import annotations
@@ -101,29 +100,16 @@ class LogitMatrix:
 BLOCK_ROWS = 256
 
 
-def _neumaier(sums: np.ndarray, term: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (sums + term, rounding error of that addition) per entry."""
-    # The branch keeps the low-order bits of whichever addend loses
-    # precision in sums + term.
-    t = sums + term
-    lost = np.where(
-        np.abs(sums) >= np.abs(term),
-        (sums - t) + term,
-        (term - t) + sums,
-    )
-    return t, lost
-
-
 class CovAccumulator:
-    """Running compensated sum of outer products f f^T.
+    """Running blocked sum of outer products f f^T.
 
-    Keeps the Neumaier pair (sums, comp) per entry over all full blocks
-    of ``BLOCK_ROWS`` samples; the block-summed value is ``sums + comp``.
-    The ``count % BLOCK_ROWS`` samples of the current partial block wait
-    in the leading rows of ``pending``.
+    ``sums`` holds the float64 sum of the products ``blk.T @ blk`` of all
+    full blocks of ``BLOCK_ROWS`` samples, added in stream order.  The
+    ``count % BLOCK_ROWS`` samples of the current partial block wait in
+    the leading rows of ``pending``.
     """
 
-    __slots__ = ("n", "count", "sums", "comp", "pending")
+    __slots__ = ("n", "count", "sums", "pending")
 
     def __init__(self, n: int):
         if n < 1:
@@ -131,16 +117,11 @@ class CovAccumulator:
         self.n = int(n)
         self.count = 0
         self.sums = np.zeros((n, n))
-        self.comp = np.zeros((n, n))
         self.pending = np.zeros((BLOCK_ROWS, n))
 
-    def _add_term(self, term: np.ndarray) -> None:
-        self.sums, lost = _neumaier(self.sums, term)
-        self.comp += lost
-
     def _push(self, rows: np.ndarray) -> None:
-        # Copy rows into their absolute block slots; flush each block
-        # that fills.
+        # Copy rows into their absolute block slots; add each block that
+        # fills.  Overflow is reported by finalize, not as a warning.
         start = 0
         while start < len(rows):
             slot = self.count % BLOCK_ROWS
@@ -149,7 +130,8 @@ class CovAccumulator:
             self.count += take
             start += take
             if slot + take == BLOCK_ROWS:
-                self._add_term(self.pending.T @ self.pending)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self.sums += self.pending.T @ self.pending
 
 
 def accumulate(acc: CovAccumulator, batch: LogitMatrix) -> CovAccumulator:
@@ -171,18 +153,18 @@ def accumulate(acc: CovAccumulator, batch: LogitMatrix) -> CovAccumulator:
 def merge(a: CovAccumulator, b: CovAccumulator) -> CovAccumulator:
     """Combine two partial accumulators into the first one.
 
-    The second accumulator's (sums, comp) pair is folded in through the
-    same compensated update used per block, and its pending samples are
-    then accumulated after the first one's.  Merge keeps every sample;
-    it agrees with sequential accumulation exactly on roundoff-free data
-    and to the stated accuracy bound otherwise.
+    The second accumulator's block sum is added to the first one's, and
+    its pending samples are then accumulated after the first one's.
+    Merge keeps every sample; it agrees with sequential accumulation
+    exactly on roundoff-free data and to the stated accuracy bound
+    otherwise.
     """
     if a.n != b.n:
         raise DimMismatch(f"cannot merge accumulators of order {a.n} and {b.n}")
     tail = b.count % BLOCK_ROWS
     rows = b.pending[:tail].copy()  # b may be a, whose pending rows move
-    a._add_term(b.sums)
-    a._add_term(b.comp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a.sums += b.sums
     # A whole number of blocks keeps a's pending samples in their slots.
     a.count += b.count - tail
     a._push(rows)
@@ -228,18 +210,25 @@ class CovMatrix:
 def finalize(acc: CovAccumulator) -> CovMatrix:
     """Mean second moment of everything accumulated so far.
 
-    The partial block is folded into temporaries, so the accumulator is
-    left unchanged and can keep accumulating.
+    The partial block's product is added to a temporary, so the
+    accumulator is left unchanged and can keep accumulating.  The result
+    is within the blocked-sum bound of the module docstring.  Accumulated
+    rows are finite, so a non-finite result can only be float64 overflow,
+    which raises InvalidMatrix.
     """
     if acc.count == 0:
         raise EmptyAccumulator("no samples accumulated")
-    sums, comp = acc.sums, acc.comp
     tail = acc.count % BLOCK_ROWS
-    if tail:
-        blk = acc.pending[:tail]
-        sums, lost = _neumaier(sums, blk.T @ blk)
-        comp = comp + lost
-    return CovMatrix((sums + comp) / acc.count, acc.count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = acc.sums
+        if tail:
+            blk = acc.pending[:tail]
+            sums = sums + blk.T @ blk
+        mean = sums / acc.count
+    try:
+        return CovMatrix(mean, acc.count)
+    except InvalidMatrix:
+        raise InvalidMatrix("second moment overflows float64") from None
 
 
 def cross_covariance(f: LogitMatrix, g: LogitMatrix, target: int) -> CovMatrix:

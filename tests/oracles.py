@@ -178,6 +178,21 @@ def second_moment_exact(data: np.ndarray) -> np.ndarray:
     return out
 
 
+def second_moment_bound(data: np.ndarray, block_rows: int) -> np.ndarray:
+    """Entrywise error bound of a blocked sum of outer products, as a mean.
+
+    Blocks of at most ``block_rows`` products summed plainly, then
+    ceil(N / block_rows) block sums summed plainly (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 4.2): gamma_k with
+    k = block_rows + ceil(N / block_rows), plus 4u for the division by N
+    and the symmetrization, times (|X|^T |X|) / N.
+    """
+    x = np.abs(np.asarray(data, dtype=np.float64))
+    u = 2.0**-53
+    k = block_rows + -(-len(x) // block_rows)
+    return (k * u / (1 - k * u) + 4 * u) * (x.T @ x / len(x))
+
+
 def spd_matrix(rng: np.random.Generator, n: int, cond: float = 100.0, scale: float = 1.0) -> np.ndarray:
     """Random SPD matrix with prescribed condition number and scale."""
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))

@@ -13,11 +13,13 @@ import pytest
 import covlasso
 from covlasso import (
     CovMatrix,
+    LogitMatrix,
     parse_report,
     read_cov,
     read_logits,
     reduce_problem,
     write_cov,
+    write_logits,
 )
 from covlasso import solver
 from covlasso.cli import main
@@ -43,13 +45,16 @@ def run_cli(*argv, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(*argv):
-    """Run ``python -m covlasso.cli`` in a fresh interpreter with default warning filters."""
+def run_module(*argv, flags=()):
+    """Run ``python [flags] -m covlasso.cli`` in a fresh interpreter.
+
+    Warning filters are the defaults unless ``flags`` sets them.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     src = str(Path(covlasso.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "covlasso.cli", *argv],
+        [sys.executable, *flags, "-m", "covlasso.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -209,6 +214,24 @@ class TestCov:
         run_cli("cov", "--input", str(csv), "--output", str(in_process))
         assert out_path.read_bytes() == in_process.read_bytes()
         assert run_module("no-such-command").returncode != 0
+
+
+    def test_overflowing_second_moment_is_one_line(self, tmp_path):
+        # Finite logits whose squares overflow float64: one message and
+        # exit 2, with no numpy warning even when warnings are errors.
+        data = np.zeros((300, 3))
+        data[5, 1] = 1e200
+        logits = tmp_path / "huge.bin"
+        logits.write_bytes(write_logits(LogitMatrix(data)))
+        out_path = tmp_path / "c.bin"
+        for argv in (
+            ("cov", "--input", str(logits)),
+            ("cross-cov", "--f", str(logits), "--g", str(logits), "--target", "0"),
+        ):
+            done = run_module(*argv, "--output", str(out_path), flags=("-W", "error"))
+            assert done.returncode == 2, done.stderr
+            assert done.stderr == "covlasso: second moment overflows float64\n"
+            assert done.stdout == "" and not out_path.exists()
 
 
 class TestSolve:

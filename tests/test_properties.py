@@ -13,6 +13,7 @@ from covlasso import (
     certificates,
     finalize,
     lambda_max,
+    merge,
     reduce_problem,
     redundancy,
     screen,
@@ -29,6 +30,8 @@ from oracles import (
     enumerate_lasso,
     minor,
     root_form_gap,
+    second_moment_bound,
+    second_moment_exact,
 )
 
 
@@ -54,7 +57,22 @@ def test_accumulation_is_invariant_to_batching(stream):
         if len(chunk):
             accumulate(parts, LogitMatrix(chunk))
     assert parts.count == whole.count
-    assert_array_equal(finalize(parts).data, finalize(whole).data)
+    got = finalize(whole).data
+    assert_array_equal(finalize(parts).data, got)
+
+    # Plain blocked summation, sequential or merged at the first cut,
+    # stays within its gamma_{256 + ceil(N/256)} bound of the exact mean.
+    exact = second_moment_exact(data)
+    bound = second_moment_bound(data, BLOCK_ROWS)
+    assert (np.abs(got - exact) <= bound).all()
+    cut = cuts[0] if cuts else len(data) // 2
+    halves = [CovAccumulator(n), CovAccumulator(n)]
+    for acc, rows in zip(halves, (data[:cut], data[cut:])):
+        if len(rows):
+            accumulate(acc, LogitMatrix(rows))
+    merged = finalize(merge(*halves))
+    assert merged.sample_count == len(data)
+    assert (np.abs(merged.data - exact) <= bound).all()
 
 
 @st.composite
