@@ -18,13 +18,11 @@ from importlib import import_module
 
 _EXPORTS = {
     "analysis": (
-        "ErrorReductionBounds",
         "RedundancyReport",
         "ScreeningReport",
         "ScreeningRow",
         "SlopeBoundCheck",
         "check_slope_bounds",
-        "error_reduction_bounds",
         "redundancy",
         "screen",
     ),
@@ -59,7 +57,6 @@ _EXPORTS = {
         "EvalMetrics",
         "ExtensionFit",
         "evaluate",
-        "extended_logits",
         "extension_loss_grad",
         "fit_extension",
         "replace_logit",
@@ -90,17 +87,14 @@ _EXPORTS = {
         "SolutionPath",
         "certificates",
         "lambda_max",
-        "prediction_error",
         "solution_path",
         "solve",
     ),
     "synthetic": (
         "PlantedDependency",
         "PlantedTruth",
-        "RecoveryReport",
         "SyntheticSpec",
         "generate",
-        "verify_recovery",
     ),
 }
 

@@ -2,12 +2,11 @@
 
 Covers the closed-form zero-penalty error (how redundant a category is
 given all the others), a sound pre-solve screening rule for coefficients
-forced to zero, a verified Lipschitz-style bound on how KKT residuals
-drift along the penalty path, and two-sided bounds on the error
-reduction achievable at a given penalty.
+forced to zero, and a verified Lipschitz-style bound on how KKT residuals
+drift along the penalty path.
 
-Screening, slope bounds and error-reduction bounds are Gram-form: they
-read only Chat c, bhat, diag(Chat) and cov_ii, through the lasso view
+Screening and slope bounds are Gram-form: they read only Chat c, bhat,
+diag(Chat) and cov_ii, through the lasso view
 min ||y - X c||^2 + lam ||c||_1 with X^T X = Chat, X^T y = bhat and
 ||y||^2 = cov_ii.  That view, and every bound below, is valid whenever
 cov_ii >= bhat^T Chat^+ bhat, which holds for every problem
@@ -32,13 +31,7 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .solver import (
-    DependencySolution,
-    SolutionPath,
-    _residual,
-    _smooth_part,
-    lambda_max,
-)
+from .solver import SolutionPath, _residual, lambda_max
 
 # Relative spectral floor of :func:`redundancy`: eigenvalues below this
 # times the largest are lifted to it, and the report is ``floored``.
@@ -273,53 +266,3 @@ def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundChec
         margins=tuple(margins),
         passed=bool(all(m >= 0.0 for m in margins)),
     )
-
-
-@dataclass(frozen=True)
-class ErrorReductionBounds:
-    """Bracket on the error reduction cov_ii - pred_error at one penalty.
-
-    ``identity_value`` evaluates the exact dual identity at the solved
-    point (equal to the true reduction at an exact optimum, up to solver
-    tolerance); ``lower``/``upper`` bracket the same quantity using only
-    the zero-solution dual point, so they can be computed without
-    solving at this penalty.
-    """
-
-    lower: float
-    upper: float
-    identity_value: float
-
-
-def error_reduction_bounds(
-    rp: ReducedProblem, lam: float, sol: DependencySolution
-) -> ErrorReductionBounds:
-    """Two-sided bounds on how much the solved dependency reduces error.
-
-    The reduction cov_ii - pred_error(lam) equals 2 bhat^T c - c^T Chat c
-    at the solved point.  In the lasso view of the module docstring it is
-    ||y||^2 - lam^2 ||u(lam)||^2 at the optimal dual point
-    u = (y - X c)/lam, which moves at most ||y|| = sqrt(cov_ii) per unit
-    of 1/lam (see :func:`_drift_rates`) and equals y/lam_max at lam_max;
-    so ||u(lam)|| >= sqrt(cov_ii) (2/lam_max - 1/lam) and the reduction is
-    at most
-
-        cov_ii (1 - lam^2 max(0, 2/lam_max - 1/lam)^2),
-
-    valid whenever cov_ii >= bhat^T Chat^+ bhat (every problem carved
-    from a PSD Cov).  The reduction is trivially nonnegative, giving the
-    lower end.
-    """
-    if not sol.converged:
-        raise InvalidInput("error reduction bounds need a converged solution")
-    lmax = lambda_max(rp)
-    if lmax <= 0.0:
-        raise OutOfRange("target is uncorrelated with every other category")
-    if not (np.isfinite(lam) and 0.0 < lam <= lmax * (1.0 + 1e-12)):
-        raise OutOfRange(f"penalty must lie in (0, {lmax}], got {lam}")
-
-    identity_value = -_smooth_part(rp, sol.coef)
-    shrunk = lam * max(0.0, 2.0 / lmax - 1.0 / lam)
-    upper = rp.cov_ii * (1.0 - shrunk * shrunk)
-    return ErrorReductionBounds(lower=0.0, upper=upper, identity_value=identity_value)
-

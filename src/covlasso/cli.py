@@ -409,6 +409,8 @@ def cmd_synth(args) -> int:
     from .formats import write_logits
     from .reports import canonical_json
 
+    if args.truth_output is not None and args.plant is None:
+        raise InvalidSpec("--truth-output needs a planted dependency")
     planted = _parse_plant(args.plant) if args.plant is not None else None
     spec = synthetic.SyntheticSpec(
         n=args.n,
@@ -421,8 +423,6 @@ def cmd_synth(args) -> int:
     logits, truth = synthetic.generate(spec)
     Path(args.output).write_bytes(write_logits(logits))
     if args.truth_output is not None:
-        if truth is None:
-            raise InvalidSpec("--truth-output needs a planted dependency")
         payload = {"schema": "planted-truth", "version": 1, **asdict(truth)}
         _write_text(args.truth_output, canonical_json(payload))
         _say("truth_output", args.truth_output)

@@ -151,13 +151,6 @@ def evaluate(logits: LogitMatrix, target: int, theta: np.ndarray) -> EvalMetrics
     )
 
 
-def extended_logits(base: LogitMatrix, theta: np.ndarray) -> np.ndarray:
-    """Concatenate base logits with the read-out columns [f, f Theta]."""
-    if theta.ndim != 2 or theta.shape[0] != base.n:
-        raise DimMismatch(f"theta shape {theta.shape}, expected ({base.n}, n2)")
-    return np.hstack([base.data, base.data @ theta])
-
-
 @dataclass(frozen=True)
 class ExtensionFit:
     """Fitted n1 x n2 read-out Theta plus the loss at every iterate."""

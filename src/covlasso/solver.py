@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovMatrix, ReducedProblem
-from .errors import DimMismatch, InvalidInput, InvalidMatrix
+from .covariance import ReducedProblem
+from .errors import DimMismatch, InvalidInput
 
 # The homotopy takes at most this many kinks per coordinate.
 KINK_CAP_PER_COORD = 10
@@ -160,11 +160,6 @@ def _residual(rp: ReducedProblem, c: np.ndarray) -> np.ndarray:
     return r
 
 
-def reduced_objective(rp: ReducedProblem, lam: float, coef: np.ndarray) -> float:
-    c = np.asarray(coef, dtype=np.float64)
-    return _smooth_part(rp, c) + lam * float(np.abs(c).sum())
-
-
 def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, int]]:
     """Walk the lasso path once; return (coef, kinks) at each grid penalty.
 
@@ -248,13 +243,14 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
 def _point(
     rp: ReducedProblem, lam: float, coef: np.ndarray, kinks: int
 ) -> DependencySolution:
+    smooth = _smooth_part(rp, coef)
     return DependencySolution(
         target=rp.target,
         coef=coef,
         lam=lam,
-        objective=reduced_objective(rp, lam, coef),
+        objective=smooth + lam * float(np.abs(coef).sum()),
         iterations=kinks,
-        pred_error=reduced_prediction_error(rp, coef),
+        pred_error=max(0.0, smooth + rp.cov_ii),
         certificates=certificates(rp, lam, coef),
     )
 
@@ -335,16 +331,6 @@ def certificates(
     )
 
 
-def reduced_prediction_error(rp: ReducedProblem, coef: np.ndarray) -> float:
-    """Mean squared target residual for coefficients with 0 at the target.
-
-    Expands theta^T Cov theta with the -1 target coefficient folded in:
-    c^T Chat c - 2 bhat^T c + cov_ii, clamped below at zero.
-    """
-    c = np.asarray(coef, dtype=np.float64)
-    return max(0.0, _smooth_part(rp, c) + rp.cov_ii)
-
-
 def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
     """Solve along a descending penalty grid with one homotopy walk.
 
@@ -371,13 +357,3 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
         solutions=solutions,
         monotone=bool(np.all(np.diff(errors) <= 1e-9)),
     )
-
-
-def prediction_error(cov: CovMatrix, theta: np.ndarray) -> float:
-    """Quadratic form theta^T Cov theta, clamped below at zero."""
-    t = np.asarray(theta, dtype=np.float64)
-    if t.shape != (cov.n,):
-        raise DimMismatch(f"theta shape {t.shape}, expected ({cov.n},)")
-    if not np.all(np.isfinite(t)):
-        raise InvalidMatrix("theta has non-finite entries")
-    return max(0.0, float(t @ cov.data @ t))

@@ -148,7 +148,7 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class PlantedTruth:
-    """What the generator actually planted, for recovery scoring."""
+    """What the generator actually planted."""
 
     n: int
     target: int
@@ -224,33 +224,3 @@ def generate(spec: SyntheticSpec) -> tuple[LogitMatrix, PlantedTruth | None]:
         labels = np.argmax(logits, axis=1).astype(np.int64)
 
     return LogitMatrix(logits, labels), truth
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    """Support recovery quality of a solution against planted truth."""
-
-    precision: float
-    recall: float
-
-
-def verify_recovery(solution, truth: PlantedTruth) -> RecoveryReport:
-    """Score recovered support against the planted one.
-
-    Precision is 1.0 on an empty recovered support (no false positives);
-    recall counts recovered planted categories.
-    """
-    if solution.n != truth.n:
-        raise InvalidInput(
-            f"solution has {solution.n} categories, truth has {truth.n}"
-        )
-    if solution.target != truth.target:
-        raise InvalidInput(
-            f"solution targets {solution.target}, truth targets {truth.target}"
-        )
-    found = set(solution.support)
-    planted = set(truth.support)
-    hits = len(found & planted)
-    precision = 1.0 if not found else hits / len(found)
-    recall = 1.0 if not planted else hits / len(planted)
-    return RecoveryReport(precision=precision, recall=recall)

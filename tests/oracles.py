@@ -66,6 +66,21 @@ def objective(chat: np.ndarray, bhat: np.ndarray, lam: float, c: np.ndarray) -> 
     return float(c @ chat @ c - 2.0 * bhat @ c + lam * np.abs(c).sum())
 
 
+def prediction_error(cov: np.ndarray, theta: np.ndarray) -> float:
+    """The full quadratic form theta^T Cov theta, unclamped."""
+    return float(theta @ cov @ theta)
+
+
+def error_reduction_upper(cov_ii: float, lam: float, lam_max: float) -> float:
+    """Ceiling cov_ii (1 - lam^2 max(0, 2/lam_max - 1/lam)^2) on cov_ii - pred_error.
+
+    The optimal dual point (y - X c)/lam equals y/lam_max at lam_max and
+    moves at most ||y|| = sqrt(cov_ii) per unit of 1/lam.
+    """
+    shrunk = lam * max(0.0, 2.0 / lam_max - 1.0 / lam)
+    return cov_ii * (1.0 - shrunk * shrunk)
+
+
 def enumerate_lasso(
     chat: np.ndarray, bhat: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float]:

@@ -10,7 +10,6 @@ from covlasso import (
     OutOfRange,
     SingularMatrix,
     check_slope_bounds,
-    error_reduction_bounds,
     lambda_max,
     redundancy,
     reduce_problem,
@@ -24,7 +23,9 @@ from conftest import rp_from
 from oracles import (
     dense_floored_root,
     determinant_error,
+    error_reduction_upper,
     minor,
+    objective,
     screen_loop,
     spd_matrix,
 )
@@ -296,55 +297,32 @@ class TestSlopeBounds:
 
 
 class TestErrorReductionBounds:
+    """The reduction cov_ii - pred_error of solved points against its dual-drift ceiling."""
+
     def test_univariate_worked_example(self):
         rp = rp_from([[1.0]], [1.0])
-        sol = solve(rp, 1.0)
-        bounds = error_reduction_bounds(rp, 1.0, sol)
-        assert bounds.identity_value == pytest.approx(0.75, abs=1e-10)
-        assert bounds.lower == 0.0
-        assert bounds.upper == pytest.approx(1.0, abs=1e-10)
-        # lam = 1.6: c = 0.2, reduction 0.36; upper 1 - (1.6 (2/2 - 1/1.6))^2.
-        bounds = error_reduction_bounds(rp, 1.6, solve(rp, 1.6))
-        assert bounds.identity_value == pytest.approx(0.36, abs=1e-10)
-        assert bounds.upper == pytest.approx(0.64, abs=1e-12)
+        # lam = 1: c = 0.5, reduction 0.75; lam = 1.6: c = 0.2, reduction 0.36.
+        for lam, reduction, upper in ((1.0, 0.75, 1.0), (1.6, 0.36, 0.64)):
+            sol = solve(rp, lam)
+            assert rp.cov_ii - sol.pred_error == pytest.approx(reduction, abs=1e-10)
+            bound = error_reduction_upper(rp.cov_ii, lam, lambda_max(rp))
+            assert bound == pytest.approx(upper, abs=1e-12)
 
     def test_identity_matches_reduction_everywhere(self, rng):
         for _ in range(15):
             n = int(rng.integers(3, 10))
             cov = cov_of(spd_matrix(rng, n, cond=1e3))
             rp = reduce_problem(cov, int(rng.integers(0, n)))
+            chat, bhat, keep = minor(rp)
             lmax = lambda_max(rp)
             for frac in (1.0, 0.6, 0.2, 0.03):
                 lam = frac * lmax
                 sol = solve(rp, lam)
-                bounds = error_reduction_bounds(rp, lam, sol)
-                from covlasso.solver import reduced_prediction_error
-
-                reduction = rp.cov_ii - reduced_prediction_error(rp, sol.coef)
-                assert bounds.identity_value == pytest.approx(
+                reduction = rp.cov_ii - sol.pred_error
+                # 2 bhat^T c - c^T Chat c, the reduction at the solved point
+                identity = -objective(chat, bhat, 0.0, sol.coef[keep])
+                assert identity == pytest.approx(
                     reduction, abs=1e-8 * max(1.0, rp.cov_ii)
                 )
-                assert bounds.lower <= reduction + 1e-12
-                assert reduction <= bounds.upper + 1e-9
-
-    def test_validates_inputs(self):
-        rp = rp_from([[1.0]], [1.0])
-        sol = solve(rp, 1.0)
-        with pytest.raises(OutOfRange):
-            error_reduction_bounds(rp, 5.0, sol)  # above lambda_max
-        with pytest.raises(OutOfRange):
-            error_reduction_bounds(rp, 0.0, sol)
-        from covlasso import DependencySolution, SolutionCertificates
-
-        fake = DependencySolution(
-            target=0,
-            coef=np.zeros(2),
-            lam=1.0,
-            objective=0.0,
-            iterations=1,
-            pred_error=1.0,
-            certificates=SolutionCertificates(0.0, False, 0.0, 0.0),
-        )
-        with pytest.raises(InvalidInput):
-            error_reduction_bounds(rp, 1.0, fake)
-
+                assert 0.0 <= reduction + 1e-12
+                assert reduction <= error_reduction_upper(rp.cov_ii, lam, lmax) + 1e-9

@@ -130,6 +130,10 @@ class TestSynth:
             "--output", str(tmp_path / "x.bin"),
         )
         assert code == 2
+        assert "--truth-output needs a planted dependency" in err
+        # Rejected before generating: neither file is written.
+        assert not (tmp_path / "x.bin").exists()
+        assert not (tmp_path / "t.json").exists()
 
     def test_bad_plant_spec(self, tmp_path):
         code, out, err = run_cli(

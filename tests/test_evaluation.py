@@ -12,7 +12,6 @@ from covlasso import (
     MissingLabels,
     OutOfRange,
     evaluate,
-    extended_logits,
     extension_loss_grad,
     fit_extension,
     replace_logit,
@@ -215,7 +214,7 @@ class TestFitExtension:
         labels = np.argmax(z, axis=1)
         base = LogitMatrix(base_data)
         fit = fit_extension(base, labels, 1)
-        pred = np.argmax(extended_logits(base, fit.theta), axis=1)
+        pred = np.argmax(np.hstack([base_data, base_data @ fit.theta]), axis=1)
         new_mask = labels == 4
         assert new_mask.sum() > 50
         assert np.mean(pred[new_mask] == 4) >= 0.95
@@ -241,7 +240,7 @@ class TestFitExtension:
         fit = fit_extension(LogitMatrix(data), labels, 0)
         assert fit.theta.shape == (3, 0)
         assert len(fit.losses) == 1
-        assert np.array_equal(extended_logits(LogitMatrix(data), fit.theta), data)
+        assert np.array_equal(np.hstack([data, data @ fit.theta]), data)
 
     def test_zero_epochs_returns_initial_point(self, rng):
         data = rng.standard_normal((10, 3))
@@ -280,9 +279,3 @@ class TestFitExtension:
         with pytest.raises(Diverged):
             fit_extension(LogitMatrix(data), labels, 1, step_size=1e308, epochs=5)
 
-    def test_extension_matrix_shape_checked(self):
-        base = LogitMatrix(np.ones((2, 3)))
-        with pytest.raises(DimMismatch):
-            extended_logits(base, np.zeros((2, 1)))
-        with pytest.raises(DimMismatch):
-            extended_logits(base, np.zeros(3))

@@ -24,22 +24,21 @@ SRC = str(Path(covlasso.__file__).resolve().parents[1])
 EXPORTS = [
     "CovAccumulator", "CovLassoError", "CovMatrix", "DegenerateTarget",
     "DependencyReport", "DependencySolution", "DimMismatch", "DimTooSmall",
-    "Diverged", "EmptyAccumulator", "ErrorReductionBounds", "EvalMetrics",
-    "ExtensionFit", "FormatError", "InvalidInput", "InvalidLabels",
-    "InvalidMatrix", "InvalidSpec", "LogitMatrix", "MissingLabels",
-    "OutOfRange", "PlantedDependency", "PlantedTruth", "RecoveryReport",
-    "ReducedProblem", "RedundancyReport", "ScreeningReport",
-    "ScreeningRow", "SingularMatrix", "SlopeBoundCheck",
-    "SolutionCertificates", "SolutionPath", "SyntheticSpec", "accumulate",
-    "build_report", "canonical_json", "certificates", "check_slope_bounds",
+    "Diverged", "EmptyAccumulator", "EvalMetrics", "ExtensionFit",
+    "FormatError", "InvalidInput", "InvalidLabels", "InvalidMatrix",
+    "InvalidSpec", "LogitMatrix", "MissingLabels", "OutOfRange",
+    "PlantedDependency", "PlantedTruth", "ReducedProblem",
+    "RedundancyReport", "ScreeningReport", "ScreeningRow",
+    "SingularMatrix", "SlopeBoundCheck", "SolutionCertificates",
+    "SolutionPath", "SyntheticSpec", "accumulate", "build_report",
+    "canonical_json", "certificates", "check_slope_bounds",
     "cross_covariance", "default_name", "eigenvalues", "emit_graph",
-    "emit_report", "error_reduction_bounds", "evaluate", "extended_logits",
-    "extension_loss_grad", "finalize", "fit_extension", "format_float",
-    "generate", "lambda_max", "merge", "parse_report", "prediction_error",
-    "read_cov", "read_logits", "read_logits_csv", "reduce_problem",
-    "redundancy", "replace_logit", "report_theta", "screen",
-    "serialize_report", "solution_path", "solve", "verify_recovery",
-    "write_cov", "write_logits",
+    "emit_report", "evaluate", "extension_loss_grad", "finalize",
+    "fit_extension", "format_float", "generate", "lambda_max", "merge",
+    "parse_report", "read_cov", "read_logits", "read_logits_csv",
+    "reduce_problem", "redundancy", "replace_logit", "report_theta",
+    "screen", "serialize_report", "solution_path", "solve", "write_cov",
+    "write_logits",
 ]
 
 # Runs argv (possibly none) through the CLI, then prints the exit code and

@@ -22,13 +22,13 @@ from covlasso import (
 from covlasso.analysis import EIG_FLOOR_REL
 from covlasso.covariance import BLOCK_ROWS
 from covlasso.evaluation import extension_loss_grad
-from covlasso.solver import reduced_objective
 
 from oracles import (
     dense_extension_loss_grad,
     determinant_error,
     enumerate_lasso,
     minor,
+    objective,
     root_form_gap,
     second_moment_bound,
     second_moment_exact,
@@ -114,7 +114,8 @@ def degenerate_problems(draw):
 
 def gap_scale(rp, lam, coef):
     """|J(c)| + cov_ii, the size a duality gap is measured against."""
-    return abs(reduced_objective(rp, lam, coef)) + rp.cov_ii
+    chat, bhat, keep = minor(rp)
+    return abs(objective(chat, bhat, lam, coef[keep])) + rp.cov_ii
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,13 +10,11 @@ from covlasso import (
     InvalidInput,
     certificates,
     lambda_max,
-    prediction_error,
     reduce_problem,
     solution_path,
     solve,
 )
 from covlasso import solver
-from covlasso.solver import reduced_prediction_error
 
 from conftest import rp_from
 from oracles import (
@@ -24,6 +22,7 @@ from oracles import (
     enumerate_lasso,
     minor,
     objective,
+    prediction_error,
     solve_diagonal,
     solve_univariate,
     spd_matrix,
@@ -383,7 +382,7 @@ class TestEmbed:
         assert sol.target == 1
         # the prediction error equals the full quadratic form
         assert sol.pred_error == pytest.approx(
-            prediction_error(cov, sol.theta), abs=1e-12
+            prediction_error(cov.data, sol.theta), abs=1e-12
         )
         assert 1 not in sol.support
 
@@ -410,7 +409,13 @@ class TestEmbed:
             sol = solve(rp, lam)
             assert sol.certificates == certificates(rp, lam, sol.coef)
             assert sol.converged == sol.certificates.kkt_valid
-            assert sol.pred_error == reduced_prediction_error(rp, sol.coef)
+            # Against the oracle's own arithmetic, so equal only to roundoff.
+            chat, bhat, keep = minor(rp)
+            c = sol.coef[keep]
+            assert sol.pred_error == pytest.approx(
+                max(0.0, objective(chat, bhat, 0.0, c) + rp.cov_ii),
+                rel=1e-10, abs=1e-12,
+            )
             assert sol.support == tuple(solver.support_indices(sol.coef).tolist())
 
     def test_converged_is_read_only(self):
@@ -450,31 +455,14 @@ class TestEmbed:
 
 
 class TestPredictionError:
-    def test_quadratic_form(self):
-        cov = CovMatrix([[1.0, 1.0], [1.0, 1.0]], 4)
-        assert prediction_error(cov, np.array([1.0, -1.0])) == 0.0
-        assert prediction_error(cov, np.array([1.0, 1.0])) == pytest.approx(4.0)
-
-    def test_clamped_at_zero(self):
-        # roundoff can push the form a hair negative; never report that
-        cov = CovMatrix(np.eye(2) * 1e-30, 4)
-        assert prediction_error(cov, np.array([1e-8, -1e-8])) >= 0.0
-
-    def test_shape_checked(self):
-        cov = CovMatrix(np.eye(2), 4)
-        with pytest.raises(DimMismatch):
-            prediction_error(cov, np.ones(3))
-
     def test_reduced_form_matches_full_form(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 9))
             cov = CovMatrix(spd_matrix(rng, n), 10)
             target = int(rng.integers(0, n))
             rp = reduce_problem(cov, target)
-            coef = np.zeros(n)
-            coef[np.arange(n) != target] = rng.normal(size=n - 1)
-            theta = coef.copy()
-            theta[target] = -1.0
-            assert reduced_prediction_error(rp, coef) == pytest.approx(
-                prediction_error(cov, theta), rel=1e-10, abs=1e-12
-            )
+            for frac in (0.05, 0.5):
+                sol = solve(rp, frac * lambda_max(rp))
+                assert sol.pred_error == pytest.approx(
+                    prediction_error(cov.data, sol.theta), rel=1e-10, abs=1e-12
+                )

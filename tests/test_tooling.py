@@ -2,7 +2,8 @@
 
 A failing property must be reported, not crash pytest, no module of the
 package may read the process environment, no module keeps an import it
-does not use, and only two modules compute spectra.
+does not use, every export is used inside the package, and only two
+modules compute spectra.
 """
 
 import ast
@@ -81,6 +82,39 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+# Exports no pipeline stage uses, each kept for one stated reason.
+EXPORT_EXEMPT = {
+    "merge": "combines accumulators of sharded passes (README, Library use)",
+    "replace_logit": "the reference for the argmax inside evaluate",
+    "extension_loss_grad": "the seam the finite-difference gradient checks call",
+}
+
+
+def test_every_export_is_used_inside_the_package():
+    # A name is used if another module names, reads or imports it, or its
+    # own module names it outside its def or class statement; an export
+    # reached only by its own tests is library-only surface.
+    from covlasso import _EXPORTS
+
+    used = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                used.setdefault(node.id, set()).add(path.stem)
+            elif isinstance(node, ast.Attribute):
+                used.setdefault(node.attr, set()).add(path.stem + ".attr")
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    used.setdefault(alias.name, set()).add(path.stem + ".import")
+    unused = sorted(
+        name
+        for module, names in _EXPORTS.items()
+        for name in names
+        if used.get(name, set()) <= {module + ".attr", module + ".import"}
+    )
+    assert unused == sorted(EXPORT_EXEMPT)
 
 
 def test_spectra_are_computed_only_in_linalg_and_analysis():
