@@ -34,7 +34,6 @@ _EXPORTS = {
         "accumulate",
         "cross_covariance",
         "finalize",
-        "merge",
         "reduce_problem",
     ),
     "errors": (
@@ -57,9 +56,7 @@ _EXPORTS = {
         "EvalMetrics",
         "ExtensionFit",
         "evaluate",
-        "extension_loss_grad",
         "fit_extension",
-        "replace_logit",
     ),
     "formats": (
         "read_cov",

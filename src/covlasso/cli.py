@@ -72,7 +72,9 @@ def _load_logits(path: str, labels_col: int | None = None):
             )
         return read_logits(raw)
     try:
-        text = raw.decode("utf-8")
+        # utf-8-sig drops a leading byte order mark, which would
+        # otherwise turn the first data row into a header.
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(
             f"{path} is neither a logit file nor UTF-8 CSV: {exc}"
@@ -111,16 +113,12 @@ def _model_dict(args) -> dict | None:
 def cmd_cov(args) -> int:
     from .covariance import CovAccumulator, accumulate, finalize
     from .formats import write_cov
-    from .linalg import eigenvalues
 
     logits = _load_logits(args.input, args.labels_col)
     cov = finalize(accumulate(CovAccumulator(logits.n), logits))
     Path(args.output).write_bytes(write_cov(cov))
-    vals = eigenvalues(cov.data)
     _say("n", cov.n)
     _say("samples", cov.sample_count)
-    _say("eig_max", float(vals[0]))
-    _say("eig_min", float(vals[-1]))
     _say("output", args.output)
     return EXIT_OK
 

@@ -17,8 +17,7 @@ Accuracy: each entry is a plain blocked sum of N products, up to 256
 per block plus ceil(N / 256) block terms (Higham, Accuracy and Stability
 of Numerical Algorithms, sec. 4.2), so each entry of the finalized
 matrix is within about gamma_{256 + ceil(N/256)} * (|X|^T |X|)_ij / N of
-the exact mean, where gamma_k = k u / (1 - k u) and u = 2^-53.  Merging
-partial accumulators keeps every sample and obeys the same bound.
+the exact mean, where gamma_k = k u / (1 - k u) and u = 2^-53.
 """
 
 from __future__ import annotations
@@ -119,20 +118,6 @@ class CovAccumulator:
         self.sums = np.zeros((n, n))
         self.pending = np.zeros((BLOCK_ROWS, n))
 
-    def _push(self, rows: np.ndarray) -> None:
-        # Copy rows into their absolute block slots; add each block that
-        # fills.  Overflow is reported by finalize, not as a warning.
-        start = 0
-        while start < len(rows):
-            slot = self.count % BLOCK_ROWS
-            take = min(BLOCK_ROWS - slot, len(rows) - start)
-            self.pending[slot : slot + take] = rows[start : start + take]
-            self.count += take
-            start += take
-            if slot + take == BLOCK_ROWS:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self.sums += self.pending.T @ self.pending
-
 
 def accumulate(acc: CovAccumulator, batch: LogitMatrix) -> CovAccumulator:
     """Fold a batch of samples into the accumulator, in order.
@@ -146,29 +131,20 @@ def accumulate(acc: CovAccumulator, batch: LogitMatrix) -> CovAccumulator:
         raise DimMismatch(
             f"batch has {batch.n} categories, accumulator expects {acc.n}"
         )
-    acc._push(batch.data)
+    # Copy rows into their absolute block slots; add each block that
+    # fills.  Overflow is reported by finalize, not as a warning.
+    rows = batch.data
+    start = 0
+    while start < len(rows):
+        slot = acc.count % BLOCK_ROWS
+        take = min(BLOCK_ROWS - slot, len(rows) - start)
+        acc.pending[slot : slot + take] = rows[start : start + take]
+        acc.count += take
+        start += take
+        if slot + take == BLOCK_ROWS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc.sums += acc.pending.T @ acc.pending
     return acc
-
-
-def merge(a: CovAccumulator, b: CovAccumulator) -> CovAccumulator:
-    """Combine two partial accumulators into the first one.
-
-    The second accumulator's block sum is added to the first one's, and
-    its pending samples are then accumulated after the first one's.
-    Merge keeps every sample; it agrees with sequential accumulation
-    exactly on roundoff-free data and to the stated accuracy bound
-    otherwise.
-    """
-    if a.n != b.n:
-        raise DimMismatch(f"cannot merge accumulators of order {a.n} and {b.n}")
-    tail = b.count % BLOCK_ROWS
-    rows = b.pending[:tail].copy()  # b may be a, whose pending rows move
-    with np.errstate(over="ignore", invalid="ignore"):
-        a.sums += b.sums
-    # A whole number of blocks keeps a's pending samples in their slots.
-    a.count += b.count - tail
-    a._push(rows)
-    return a
 
 
 @dataclass(frozen=True)

@@ -31,56 +31,22 @@ from .errors import (
 )
 
 
-def _check_theta(logits: LogitMatrix, target: int, theta: np.ndarray) -> np.ndarray:
-    """``theta`` as float64, once it is a dependency vector for ``logits``.
-
-    It must have one entry per category and the fixed -1 at ``target``.
-    """
-    t = np.asarray(theta, dtype=np.float64)
-    if t.shape != (logits.n,):
-        raise DimMismatch(
-            f"logits have {logits.n} categories, theta has shape {t.shape}"
-        )
-    if not 0 <= target < logits.n:
-        raise OutOfRange(f"target {target} outside [0, {logits.n})")
-    if t[target] != -1.0:
-        raise InvalidInput(f"theta must be -1 at target {target}, got {t[target]}")
-    return t
-
-
-def replace_logit(logits: LogitMatrix, target: int, theta: np.ndarray) -> LogitMatrix:
-    """Swap the target column for its reconstruction from the others.
-
-    The replacement column is sum_{j != target} theta_j f_j per sample;
-    labels and names carry over unchanged.
-    """
-    theta = _check_theta(logits, target, theta)
-    data = logits.data.copy()
-    data[:, target] = _reconstruction(logits, target, theta)
-    return LogitMatrix(data, logits.labels, logits.names)
-
-
-def _reconstruction(logits: LogitMatrix, target: int, theta: np.ndarray) -> np.ndarray:
-    """Per-sample sum_{j != target} theta_j f_j; an overflow is rejected."""
-    weights = theta.copy()
-    weights[target] = 0.0
-    column = logits.data @ weights
-    if not np.all(np.isfinite(column)):
-        raise InvalidInput("replaced target logit is not finite")
-    return column
-
-
 def _replaced_argmax(
     logits: LogitMatrix, target: int, theta: np.ndarray, pred_ori: np.ndarray
 ) -> np.ndarray:
-    """Row argmax of ``replace_logit(logits, target, theta).data``, without the copy.
+    """Row argmax of the logits with the target column replaced, without a copy.
 
-    Ties go to the lowest index, as in ``np.argmax``.  Where
-    ``pred_ori`` is not the target it is already the best of the other
-    columns; only rows it points at the target need an argmax that
-    leaves the target out.
+    The replacement is the reconstruction sum_{j != target} theta_j f_j;
+    one that overflows is rejected.  Ties go to the lowest index, as in
+    ``np.argmax``.  Where ``pred_ori`` is not the target it is already
+    the best of the other columns; only rows it points at the target
+    need an argmax that leaves the target out.
     """
-    new = _reconstruction(logits, target, theta)
+    weights = theta.copy()
+    weights[target] = 0.0
+    new = logits.data @ weights
+    if not np.all(np.isfinite(new)):
+        raise InvalidInput("replaced target logit is not finite")
     best = pred_ori.copy()
     hit = np.flatnonzero(pred_ori == target)
     rows = logits.data[hit]
@@ -116,7 +82,17 @@ def evaluate(logits: LogitMatrix, target: int, theta: np.ndarray) -> EvalMetrics
     """Score the dependency vector ``theta`` of ``target`` on labeled logits."""
     if logits.labels is None:
         raise MissingLabels("evaluation needs per-sample labels")
-    theta = _check_theta(logits, target, theta)
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (logits.n,):
+        raise DimMismatch(
+            f"logits have {logits.n} categories, theta has shape {theta.shape}"
+        )
+    if not 0 <= target < logits.n:
+        raise OutOfRange(f"target {target} outside [0, {logits.n})")
+    if theta[target] != -1.0:
+        raise InvalidInput(
+            f"theta must be -1 at target {target}, got {theta[target]}"
+        )
     residual = logits.data @ theta  # = reconstruction - target logit
     abs_err = float(np.mean(np.abs(residual)))
     target_scale = float(np.mean(np.abs(logits.data[:, target])))
@@ -213,24 +189,6 @@ def _extension_epoch(
     resp[terms.new_rows, terms.new_cols] -= 1.0
     grad = base_data.T @ resp / base_data.shape[0]
     return loss, grad
-
-
-def extension_loss_grad(
-    base_data: np.ndarray, labels: np.ndarray, theta: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of [f, f Theta] and its Theta gradient.
-
-    Exposed separately so the analytic gradient can be checked against
-    finite differences; it runs the same kernel as ``fit_extension``.
-    The loss is convex in Theta (softmax cross-entropy composed with a
-    linear map).  ``labels`` must lie in [0, n1 + n2) and Theta must be
-    n1 x n2.
-    """
-    n1 = base_data.shape[1]
-    if theta.ndim != 2 or theta.shape[0] != n1:
-        raise DimMismatch(f"theta shape {theta.shape}, expected ({n1}, n2)")
-    lab = check_labels(labels, base_data.shape[0], n1 + theta.shape[1])
-    return _extension_epoch(base_data, _base_terms(base_data, lab), theta)
 
 
 def fit_extension(

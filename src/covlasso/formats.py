@@ -276,7 +276,8 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
     """Parse comma-separated logit rows, one sample per line.
 
     An optional header row names the categories (detected when any
-    field of the first line fails to parse as a float).  When
+    field of the first line fails to parse as a float); it must have as
+    many fields as the data rows.  When
     ``labels_col`` is given, that column (negative values count from the
     end) holds integer labels and the remaining columns are logits.
     Diagnostics cite 1-based line and column numbers.
@@ -307,6 +308,11 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
             raise FormatError("no data rows after the header", position="line 2")
 
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise FormatError(
+            f"header has {len(header)} fields, data rows have {width}",
+            position="line 1",
+        )
     col_index: int | None = None
     if labels_col is not None:
         col_index = labels_col if labels_col >= 0 else width + labels_col
@@ -367,9 +373,5 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
 
     names = None
     if header is not None:
-        names = [h for c, h in enumerate(header) if c != col_index]
-        if len(names) != n:
-            names = None
-        else:
-            names = tuple(names)
+        names = tuple(h for c, h in enumerate(header) if c != col_index)
     return LogitMatrix(data, labels, names)

@@ -1,11 +1,10 @@
 """Spectral conventions for symmetric matrices.
 
 All heavy lifting is delegated to LAPACK through ``numpy.linalg``; this
-module adds one convention, used by the ``cov`` command's spectrum:
-eigenvalues sorted in descending order with roundoff-scale negatives
-clamped to zero.  ``read_cov`` calls ``eigenvalues`` only on its
-rejection path, when a shifted Cholesky factorization could not show
-the matrix PSD.
+module adds one convention: eigenvalues sorted in descending order with
+roundoff-scale negatives clamped to zero.  Its one caller is
+``read_cov``, on its rejection path, when a shifted Cholesky
+factorization could not show the matrix PSD.
 """
 
 from __future__ import annotations

@@ -181,25 +181,40 @@ def parse_report(text: str) -> DependencyReport:
     try:
         target = payload["target"]
         coeffs = tuple(
-            (int(c["index"]), str(c["name"]), float(c["value"]))
+            (
+                _typed(c["index"], (int,), "coefficient index"),
+                _typed(c["name"], (str,), "coefficient name"),
+                float(_typed(c["value"], _NUMBER, "coefficient value")),
+            )
             for c in payload["coefficients"]
         )
         return DependencyReport(
-            target_index=int(target["index"]),
-            target_name=str(target["name"]),
-            lam=float(payload["lambda"]),
-            pred_error=float(payload["pred_error"]),
+            target_index=_typed(target["index"], (int,), "target index"),
+            target_name=_typed(target["name"], (str,), "target name"),
+            lam=float(_typed(payload["lambda"], _NUMBER, "lambda")),
+            pred_error=float(_typed(payload["pred_error"], _NUMBER, "pred_error")),
             coefficients=coeffs,
             certificates=_check_certificates(payload["certificates"]),
             metrics=payload["metrics"],
             models=payload["models"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"report is missing or mistypes a field: {exc}") from exc
 
 
 def _reject_constant(literal: str):
     raise InvalidInput(f"reports cannot contain non-finite numbers: {literal}")
+
+
+# JSON numbers parse as int or float; bool, although an int, is not one.
+_NUMBER = (int, float)
+
+
+def _typed(value, kinds: tuple, field: str):
+    """``value`` if its exact type is one of ``kinds``; no coercion."""
+    if type(value) not in kinds:
+        raise InvalidInput(f"report {field} is mistyped: {value!r}")
+    return value
 
 
 def _check_certificates(block) -> dict:
@@ -210,9 +225,7 @@ def _check_certificates(block) -> dict:
             f"report certificates must have exactly the fields {sorted(types)}"
         )
     for key, kind in types.items():
-        value = block[key]
-        if type(value) not in ((bool,) if kind is bool else (int, float)):
-            raise InvalidInput(f"report certificate {key!r} is mistyped: {value!r}")
+        _typed(block[key], (bool,) if kind is bool else _NUMBER, f"certificate {key!r}")
     return dict(block)
 
 

@@ -305,3 +305,12 @@ def dense_extension_loss_grad(
     resp[rows[new_mask], labels[new_mask] - n1] -= 1.0
     grad = base_data.T @ resp / base_data.shape[0]
     return loss, grad
+
+
+def replace_logit(data: np.ndarray, target: int, theta: np.ndarray) -> np.ndarray:
+    """Copy of ``data`` with the target column set to sum_{j != target} theta_j f_j."""
+    weights = np.array(theta, dtype=np.float64)
+    weights[target] = 0.0
+    out = np.array(data, dtype=np.float64)
+    out[:, target] = out @ weights
+    return out

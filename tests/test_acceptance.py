@@ -36,7 +36,7 @@ from covlasso import (
     write_logits,
 )
 from covlasso.covariance import LogitMatrix
-from covlasso.evaluation import extension_loss_grad
+from covlasso.evaluation import _base_terms, _extension_epoch
 from covlasso.solver import SUPPORT_TOL, lambda_max
 
 from conftest import rp_from
@@ -317,7 +317,8 @@ class TestAcceptance:
         fit_acc = float(np.mean(pred[new_mask] == 12))
 
         theta = rng.standard_normal((12, 1)) * 0.2
-        _, grad = extension_loss_grad(base_data, labels, theta)
+        terms = _base_terms(base_data, labels)
+        _, grad = _extension_epoch(base_data, terms, theta)
         fd = np.zeros_like(theta)
         h = 1e-6
         for a in range(12):
@@ -325,8 +326,8 @@ class TestAcceptance:
             up[a, 0] += h
             dn[a, 0] -= h
             fd[a, 0] = (
-                extension_loss_grad(base_data, labels, up)[0]
-                - extension_loss_grad(base_data, labels, dn)[0]
+                _extension_epoch(base_data, terms, up)[0]
+                - _extension_epoch(base_data, terms, dn)[0]
             ) / (2 * h)
         rel = float(np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12))
         record(

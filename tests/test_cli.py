@@ -195,18 +195,39 @@ class TestCov:
         assert crossed.read_bytes() == plain.read_bytes()
 
     def test_rank_deficient_eig_min_clamped(self, tmp_path):
-        # N=5 samples of n=20 categories: 15 zero eigenvalues, which come
-        # back from LAPACK about -1e-15 and are clamped to zero.
+        # N=5 samples of n=20 categories: 15 eigenvalues are rounding
+        # error.  cov prints no spectrum, and solve's PSD check on
+        # reading accepts the file.
         logits = synth(
             tmp_path, n="20", samples="5", **{"latent-rank": "4", "plant": None}
         )
+        cov_path = tmp_path / "c.bin"
         code, out, err = run_cli(
-            "cov", "--input", str(logits), "--output", str(tmp_path / "c.bin")
+            "cov", "--input", str(logits), "--output", str(cov_path)
         )
         assert code == 0, err
-        said = stdout_dict(out)
-        assert said["eig_min"] == "0.0"
-        assert float(said["eig_max"]) > 0.0
+        assert out == f"n=20\nsamples=5\noutput={cov_path}\n"
+        code, out, err = run_cli(
+            "solve", "--cov", str(cov_path), "--target", "0", "--lambda", "0.1",
+            "--output", str(tmp_path / "r.json"),
+        )
+        assert code == 0, err
+
+    def test_csv_byte_order_mark_is_skipped(self, tmp_path):
+        # A BOM before a headerless first row must not make that row a
+        # header named '\ufeff1.0', '2.0', which would drop a sample.
+        plain = tmp_path / "plain.csv"
+        plain.write_text("1.0,2.0\n3.0,4.0\n")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for csv in (plain, marked):
+            code, out, err = run_cli(
+                "cov", "--input", str(csv), "--output", str(csv.with_suffix(".bin"))
+            )
+            assert code == 0, err
+            assert stdout_dict(out)["samples"] == "2"
+        cov_bytes = [csv.with_suffix(".bin").read_bytes() for csv in (plain, marked)]
+        assert cov_bytes[0] == cov_bytes[1]
 
     def test_module_entry_point(self, tmp_path):
         csv = tmp_path / "logits.csv"
@@ -337,6 +358,47 @@ class TestEvalAndGraph:
         assert solved["positives"] > 0
         assert evaluated["target"] == 0
         assert {key: evaluated[key] for key in solved} == solved
+
+    def test_eval_rejects_mistyped_report_fields(self, tmp_path):
+        # Each field keeps its JSON type: a coefficient index of 2.5 must
+        # not be read as 2 and scored as that category, and an integer
+        # value too large for a float must exit 2, not raise.
+        logits = synth(tmp_path)
+        cov_path = build_cov(tmp_path, logits)
+        report_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            "solve", "--cov", str(cov_path), "--target", "0",
+            "--lambda", "0.01", "--output", str(report_path),
+        )
+        assert code == 0, err
+        good = json.loads(report_path.read_text())
+        index = good["coefficients"][0]["index"]
+        edits = [
+            ("coefficients", 0, "index", index + 0.5),
+            ("coefficients", 0, "index", str(index)),
+            ("coefficients", 0, "index", True),
+            ("coefficients", 0, "name", 7),
+            ("coefficients", 0, "value", True),
+            ("coefficients", 0, "value", 10**400),
+            ("target", "index", 0.0),
+            ("target", "name", None),
+            ("lambda", "0.01"),
+            ("lambda", True),
+            ("pred_error", False),
+        ]
+        for *where, key, value in edits:
+            payload = json.loads(report_path.read_text())
+            block = payload
+            for step in where:
+                block = block[step]
+            block[key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(payload))
+            code, out, err = run_cli(
+                "eval", "--logits", str(logits), "--report", str(bad)
+            )
+            assert code == 2, (where, key, value)
+            assert "mistype" in err and out == "", (where, key, value)
 
     def test_graph_merges_reports(self, tmp_path):
         logits = synth(tmp_path)

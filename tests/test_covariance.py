@@ -16,7 +16,6 @@ from covlasso import (
     accumulate,
     cross_covariance,
     finalize,
-    merge,
     reduce_problem,
 )
 from covlasso.covariance import BLOCK_ROWS
@@ -158,49 +157,6 @@ class TestAccumulate:
             cov = finalize(accumulate(CovAccumulator(n), LogitMatrix(data)))
             vals = np.linalg.eigvalsh(cov.data)
             assert vals[0] >= -1e-8 * max(vals[-1], 1e-300)
-
-
-class TestMerge:
-    def test_merge_equals_sequential_on_exact_data(self, rng):
-        # Small integers sum without roundoff, so merge must agree
-        # bitwise with one-stream accumulation.
-        a_rows = LogitMatrix([[1.0, 2.0], [3.0, 4.0]])
-        b_rows = LogitMatrix([[5.0, 6.0], [7.0, 8.0]])
-        seq = accumulate(CovAccumulator(2), a_rows)
-        accumulate(seq, b_rows)
-        left = accumulate(CovAccumulator(2), a_rows)
-        right = accumulate(CovAccumulator(2), b_rows)
-        assert_same_state(merge(left, right), seq)
-
-        data = rng.integers(-8, 9, size=(LONG, 3)).astype(float)
-        seq = accumulate(CovAccumulator(3), LogitMatrix(data))
-        for split in [77, BLOCK_ROWS, 300, 2 * BLOCK_ROWS, 700]:
-            left = accumulate(CovAccumulator(3), LogitMatrix(data[:split]))
-            right = accumulate(CovAccumulator(3), LogitMatrix(data[split:]))
-            merged = merge(left, right)
-            assert merged.count == seq.count
-            assert_array_equal(finalize(merged).data, finalize(seq).data)
-            if split % BLOCK_ROWS == 0:
-                # A block-aligned left part leaves the right part's
-                # samples in the same blocks as in one stream.
-                assert_same_state(merged, seq)
-
-    def test_merge_close_on_random_data(self, rng):
-        # The reference is exact and independent of the accumulator, so
-        # a merge that dropped samples cannot pass by matching itself.
-        for sizes in [(77, 123), (300, 600), (5, 700)]:
-            data = rng.normal(size=(sum(sizes), 5)) * 1e6
-            seq = finalize(accumulate(CovAccumulator(5), LogitMatrix(data)))
-            left = accumulate(CovAccumulator(5), LogitMatrix(data[: sizes[0]]))
-            right = accumulate(CovAccumulator(5), LogitMatrix(data[sizes[0] :]))
-            both = finalize(merge(left, right))
-            assert both.sample_count == seq.sample_count == len(data)
-            assert within_block_bound(both.data, data).all()
-            assert within_block_bound(seq.data, data).all()
-
-    def test_merge_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            merge(CovAccumulator(2), CovAccumulator(3))
 
 
 class TestCrossCovariance:

@@ -12,37 +12,16 @@ from covlasso import (
     MissingLabels,
     OutOfRange,
     evaluate,
-    extension_loss_grad,
     fit_extension,
-    replace_logit,
 )
+from covlasso.evaluation import _base_terms, _extension_epoch
 
-from oracles import dense_extension_loss_grad
+from oracles import dense_extension_loss_grad, replace_logit
 
 
-class TestReplaceLogit:
-    def test_exact_reconstruction_is_identity(self):
-        data = np.array([[2.0, 4.0], [-1.0, -2.0]])
-        out = replace_logit(LogitMatrix(data), 0, [-1.0, 0.5])
-        assert_allclose(out.data, data, rtol=0, atol=0)
-
-    def test_replaced_column_values(self):
-        data = np.array([[2.0, 4.0], [6.0, 1.0]])
-        out = replace_logit(LogitMatrix(data), 0, [-1.0, 0.5])
-        assert_allclose(out.data[:, 0], [2.0, 0.5])
-        assert_allclose(out.data[:, 1], data[:, 1])
-
-    def test_original_untouched_and_metadata_kept(self):
-        data = np.array([[1.0, 2.0], [3.0, 4.0]])
-        logits = LogitMatrix(data, labels=np.array([0, 1]), names=("a", "b"))
-        out = replace_logit(logits, 1, [0.25, -1.0])
-        assert_allclose(logits.data, data)
-        assert np.array_equal(out.labels, logits.labels)
-        assert out.names == ("a", "b")
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            replace_logit(LogitMatrix(np.ones((2, 3))), 0, [-1.0, 0.5])
+def loss_grad(data, labels, theta):
+    """The loss and gradient kernel that every fit_extension epoch runs."""
+    return _extension_epoch(data, _base_terms(data, labels), theta)
 
 
 class TestEvaluate:
@@ -80,11 +59,10 @@ class TestEvaluate:
         # Small integer logits and weights make the replacement tie the
         # best other logit often, on both sides of the target's index.
         data = rng.integers(-2, 3, size=(500, 6)).astype(float)
-        unlabelled = LogitMatrix(data, labels=np.zeros(500, dtype=int))
         for target in range(6):
             theta = rng.integers(-1, 2, size=6).astype(float)
             theta[target] = -1.0
-            expected = np.argmax(replace_logit(unlabelled, target, theta).data, axis=1)
+            expected = np.argmax(replace_logit(data, target, theta), axis=1)
             m = evaluate(LogitMatrix(data, labels=expected), target, theta)
             assert m.acc == 1.0
 
@@ -94,9 +72,7 @@ class TestEvaluate:
         logits = LogitMatrix(data, labels=np.array([0, 1]))
         theta = [-1.0, 10.0, 10.0]
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidInput):
-                replace_logit(logits, 0, theta)
-            with pytest.raises(InvalidInput):
+            with pytest.raises(InvalidInput, match="replaced target logit is not finite"):
                 evaluate(logits, 0, theta)
 
     def test_no_positive_samples(self):
@@ -123,8 +99,6 @@ class TestEvaluate:
         for target in (2, -1):
             with pytest.raises(OutOfRange):
                 evaluate(logits, target, [-1.0, 0.5])
-            with pytest.raises(OutOfRange):
-                replace_logit(logits, target, [-1.0, 0.5])
         with pytest.raises(InvalidInput, match="-1 at target 1"):
             evaluate(logits, 1, [-1.0, 0.5])
 
@@ -135,7 +109,7 @@ class TestExtensionLossGrad:
         # prediction is uniform over n1 + n2 categories.
         data = np.zeros((8, 3))
         labels = np.array([0, 1, 2, 3, 4, 0, 1, 2])
-        loss, _ = extension_loss_grad(data, labels, np.zeros((3, 2)))
+        loss, _ = loss_grad(data, labels, np.zeros((3, 2)))
         assert loss == pytest.approx(np.log(5.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -143,7 +117,7 @@ class TestExtensionLossGrad:
             data = rng.standard_normal((30, 4))
             labels = rng.integers(0, 6, size=30)
             theta = rng.standard_normal((4, 2)) * 0.3
-            _, grad = extension_loss_grad(data, labels, theta)
+            _, grad = loss_grad(data, labels, theta)
             fd = np.zeros_like(theta)
             h = 1e-6
             for a in range(4):
@@ -152,32 +126,16 @@ class TestExtensionLossGrad:
                     up[a, b] += h
                     dn = theta.copy()
                     dn[a, b] -= h
-                    lu, _ = extension_loss_grad(data, labels, up)
-                    ld, _ = extension_loss_grad(data, labels, dn)
+                    lu, _ = loss_grad(data, labels, up)
+                    ld, _ = loss_grad(data, labels, dn)
                     fd[a, b] = (lu - ld) / (2 * h)
             scale = max(np.abs(fd).max(), 1e-12)
             assert np.abs(grad - fd).max() / scale < 1e-4
 
     def test_huge_logits_stay_finite(self):
         data = np.array([[500.0, -500.0]])
-        loss, grad = extension_loss_grad(data, np.array([0]), np.array([[1.0], [0.0]]))
+        loss, grad = loss_grad(data, np.array([0]), np.array([[1.0], [0.0]]))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
-
-    def test_negative_label_rejected(self, rng):
-        # A label of -1 must not be read as the last column.
-        data = rng.standard_normal((5, 3))
-        with pytest.raises(InvalidLabels):
-            extension_loss_grad(data, np.array([0, 1, 2, 3, -1]), np.zeros((3, 2)))
-
-    def test_label_past_new_categories_rejected(self, rng):
-        data = rng.standard_normal((5, 3))
-        with pytest.raises(InvalidLabels):
-            extension_loss_grad(data, np.array([0, 1, 2, 3, 5]), np.zeros((3, 2)))
-
-    def test_theta_row_count_checked(self, rng):
-        data = rng.standard_normal((5, 3))
-        with pytest.raises(DimMismatch):
-            extension_loss_grad(data, np.array([0, 1, 2, 3, 4]), np.zeros((2, 2)))
 
 
 class TestFitExtension:
@@ -201,9 +159,9 @@ class TestFitExtension:
         # and land near a stationary point.
         base, labels, truth = self._problem(rng, samples=400)
         fit = fit_extension(base, labels, 2, step_size=0.5, epochs=400)
-        loss_at_truth, _ = extension_loss_grad(base.data, labels, truth)
+        loss_at_truth, _ = dense_extension_loss_grad(base.data, labels, truth)
         assert fit.losses[-1] <= loss_at_truth
-        _, grad = extension_loss_grad(base.data, labels, fit.theta)
+        _, grad = dense_extension_loss_grad(base.data, labels, fit.theta)
         assert np.abs(grad).max() < 1e-3
 
     def test_dominant_new_category_is_learned(self, rng):

@@ -306,6 +306,13 @@ class TestCsv:
         with pytest.raises(FormatError, match="no data rows"):
             read_logits_csv("a,b\n")
 
+    def test_header_width_must_match_rows(self):
+        # A header of the wrong width is an error, not silently dropped.
+        for text, labels_col in (("a,b,c\n1,2\n3,4\n", None), ("a,b\n1,2,0\n", -1)):
+            with pytest.raises(FormatError, match="header has") as exc:
+                read_logits_csv(text, labels_col)
+            assert "line 1" in str(exc.value)
+
     def test_ragged_row_cites_line(self):
         with pytest.raises(FormatError, match="columns") as exc:
             read_logits_csv("h1,h2\n1,2\n1,2,3\n")

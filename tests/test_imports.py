@@ -28,16 +28,15 @@ EXPORTS = [
     "FormatError", "InvalidInput", "InvalidLabels", "InvalidMatrix",
     "InvalidSpec", "LogitMatrix", "MissingLabels", "OutOfRange",
     "PlantedDependency", "PlantedTruth", "ReducedProblem",
-    "RedundancyReport", "ScreeningReport", "ScreeningRow",
-    "SingularMatrix", "SlopeBoundCheck", "SolutionCertificates",
-    "SolutionPath", "SyntheticSpec", "accumulate", "build_report",
-    "canonical_json", "certificates", "check_slope_bounds",
-    "cross_covariance", "default_name", "eigenvalues", "emit_graph",
-    "emit_report", "evaluate", "extension_loss_grad", "finalize",
-    "fit_extension", "format_float", "generate", "lambda_max", "merge",
+    "RedundancyReport", "ScreeningReport", "ScreeningRow", "SingularMatrix",
+    "SlopeBoundCheck", "SolutionCertificates", "SolutionPath",
+    "SyntheticSpec", "accumulate", "build_report", "canonical_json",
+    "certificates", "check_slope_bounds", "cross_covariance",
+    "default_name", "eigenvalues", "emit_graph", "emit_report", "evaluate",
+    "finalize", "fit_extension", "format_float", "generate", "lambda_max",
     "parse_report", "read_cov", "read_logits", "read_logits_csv",
-    "reduce_problem", "redundancy", "replace_logit", "report_theta",
-    "screen", "serialize_report", "solution_path", "solve", "write_cov",
+    "reduce_problem", "redundancy", "report_theta", "screen",
+    "serialize_report", "solution_path", "solve", "write_cov",
     "write_logits",
 ]
 

@@ -13,7 +13,6 @@ from covlasso import (
     certificates,
     finalize,
     lambda_max,
-    merge,
     reduce_problem,
     redundancy,
     screen,
@@ -21,7 +20,7 @@ from covlasso import (
 )
 from covlasso.analysis import EIG_FLOOR_REL
 from covlasso.covariance import BLOCK_ROWS
-from covlasso.evaluation import extension_loss_grad
+from covlasso.evaluation import _base_terms, _extension_epoch
 
 from oracles import (
     dense_extension_loss_grad,
@@ -60,19 +59,11 @@ def test_accumulation_is_invariant_to_batching(stream):
     got = finalize(whole).data
     assert_array_equal(finalize(parts).data, got)
 
-    # Plain blocked summation, sequential or merged at the first cut,
-    # stays within its gamma_{256 + ceil(N/256)} bound of the exact mean.
+    # Plain blocked summation stays within its gamma_{256 + ceil(N/256)}
+    # bound of the exact mean.
     exact = second_moment_exact(data)
     bound = second_moment_bound(data, BLOCK_ROWS)
     assert (np.abs(got - exact) <= bound).all()
-    cut = cuts[0] if cuts else len(data) // 2
-    halves = [CovAccumulator(n), CovAccumulator(n)]
-    for acc, rows in zip(halves, (data[:cut], data[cut:])):
-        if len(rows):
-            accumulate(acc, LogitMatrix(rows))
-    merged = finalize(merge(*halves))
-    assert merged.sample_count == len(data)
-    assert (np.abs(merged.data - exact) <= bound).all()
 
 
 @st.composite
@@ -265,7 +256,7 @@ def test_split_normalizer_matches_dense_softmax(case):
     if theta.shape[1]:
         gap = (data @ theta).max(axis=1) - data.max(axis=1)
         assert gap[-3] > 0.0 and np.exp(-gap[-1]) == 0.0
-    loss, grad = extension_loss_grad(data, labels, theta)
+    loss, grad = _extension_epoch(data, _base_terms(data, labels), theta)
     want_loss, want_grad = dense_extension_loss_grad(data, labels, theta)
     assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
     assert grad.shape == want_grad.shape

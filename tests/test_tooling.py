@@ -84,14 +84,6 @@ def test_package_has_no_unused_imports():
     assert unused == []
 
 
-# Exports no pipeline stage uses, each kept for one stated reason.
-EXPORT_EXEMPT = {
-    "merge": "combines accumulators of sharded passes (README, Library use)",
-    "replace_logit": "the reference for the argmax inside evaluate",
-    "extension_loss_grad": "the seam the finite-difference gradient checks call",
-}
-
-
 def test_every_export_is_used_inside_the_package():
     # A name is used if another module names, reads or imports it, or its
     # own module names it outside its def or class statement; an export
@@ -114,7 +106,7 @@ def test_every_export_is_used_inside_the_package():
         for name in names
         if used.get(name, set()) <= {module + ".attr", module + ".import"}
     )
-    assert unused == sorted(EXPORT_EXEMPT)
+    assert unused == []
 
 
 def test_spectra_are_computed_only_in_linalg_and_analysis():
