@@ -65,7 +65,6 @@ _EXPORTS = {
         "write_cov",
         "write_logits",
     ),
-    "linalg": ("eigenvalues",),
     "reports": (
         "DependencyReport",
         "build_report",

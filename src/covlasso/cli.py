@@ -344,11 +344,12 @@ def cmd_fit_extension(args) -> int:
 
     base = _load_logits(args.logits, args.labels_col)
     if args.labels is not None:
+        text = Path(args.labels).read_text()
         try:
-            labels = np.asarray(
-                [int(tok) for tok in Path(args.labels).read_text().split()],
-                dtype=np.int64,
-            )
+            # int() also reads "1_0" and non-ASCII digits; labels have neither.
+            if not text.isascii() or "_" in text:
+                raise ValueError(text)
+            labels = np.asarray([int(tok) for tok in text.split()], dtype=np.int64)
         except ValueError:
             raise FormatError(
                 f"labels file {args.labels} must contain whitespace-separated integers"

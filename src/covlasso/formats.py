@@ -37,7 +37,7 @@ import numpy as np
 
 from .covariance import CovMatrix, LogitMatrix
 from .errors import CovLassoError, FormatError
-from .linalg import NEG_EIG_BAND, eigenvalues
+from .linalg import NEG_EIG_BAND
 
 LOGIT_MAGIC = b"NDLM"
 COV_MAGIC = b"NDCV"
@@ -207,29 +207,19 @@ def write_cov(cov: CovMatrix) -> bytes:
     )
 
 
-def _cholesky_accepts(mat: np.ndarray) -> bool:
-    """True when ``mat + delta I`` has a Cholesky factor, delta = band / 2.
-
-    A factor computed in floating point is exact for a perturbation of
-    at most (n+1) u max|mat| per entry (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), so success shows lambda_min(mat) >=
-    -delta - n (n+1) u max|mat| to first order.  For n up to about 6000
-    that is above the eigenvalue band -NEG_EIG_BAND max|mat|: this test
-    never accepts a matrix the band rule rejects.  The shift lets
-    rank-deficient matrices (fewer samples than categories) pass without
-    an eigendecomposition.  A failure proves nothing.
-    """
-    delta = 0.5 * NEG_EIG_BAND * float(np.max(np.abs(mat)))
-    shifted = mat.copy()
-    shifted.flat[:: mat.shape[0] + 1] += delta
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def read_cov(buf: bytes) -> CovMatrix:
+    """Parse an NDCV file; S is accepted iff S + delta I has a Cholesky factor.
+
+    delta = NEG_EIG_BAND * max|S|, max|S| floored at the smallest normal
+    float so that S = 0 passes.  A computed factor is exact for a
+    perturbation of at most (n+1) u max|S| per entry, so success shows
+    lambda_min(S) >= -delta - n(n+1) u max|S|; the factorization cannot
+    fail when lambda_min(S + delta I) exceeds O(n u max|S|), so failure
+    shows lambda_min(S) < -delta + O(n u max|S|) (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thms 10.3 and 10.7).  That is the
+    eigenvalue band rule up to a roundoff sliver, with no eigenvalue
+    computed; the shift lets rank-deficient S (N < n) pass.
+    """
     r = _Reader(buf)
     _check_magic(r, COV_MAGIC, "second-moment")
     n = r.u64("matrix order")
@@ -258,18 +248,25 @@ def read_cov(buf: bytes) -> CovMatrix:
         # CovMatrix's scan is the payload's only one on success.
         _raise_nonfinite(tri, tri_off, "non-finite matrix value")
         raise
-    if _cholesky_accepts(cov.data):
-        return cov
-    # The eigenvalue band rule alone decides a rejection: roundoff-negative
-    # eigenvalues come back clamped to zero.
-    smallest = float(eigenvalues(cov.data)[-1])
-    if smallest < 0.0:
+    # CovMatrix copied mat, so the shift can go in place.
+    delta = NEG_EIG_BAND * max(float(tri.max()), -float(tri.min()), np.finfo(float).tiny)
+    mat.flat[:: n + 1] += delta
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
         raise FormatError(
-            f"matrix is not positive semidefinite: smallest eigenvalue "
-            f"{smallest:.6e}",
+            f"matrix is not positive semidefinite: S + d I has no Cholesky "
+            f"factor at d = {NEG_EIG_BAND:g} max|S| = {delta:.6e}",
             position=f"byte {tri_off}",
-        )
+        ) from None
     return cov
+
+
+def _ascii_number(cell: str, kind: type):
+    """``kind(cell)``, refusing the underscores and non-ASCII digits int and float take."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return kind(cell)
 
 
 def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
@@ -340,7 +337,7 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
         for c, cell in enumerate(cells):
             if c == col_index:
                 try:
-                    labels[k] = int(cell)
+                    labels[k] = _ascii_number(cell, int)
                 except ValueError:
                     raise FormatError(
                         f"label {cell!r} is not an integer",
@@ -348,7 +345,7 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
                     ) from None
                 continue
             try:
-                value = float(cell)
+                value = _ascii_number(cell, float)
             except ValueError:
                 raise FormatError(
                     f"value {cell!r} is not a number",

@@ -10,10 +10,9 @@ sorted order.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInput
 
@@ -27,16 +26,14 @@ SCHEMA = "dependency-report"
 SCHEMA_VERSION = 3
 
 
-@functools.cache
-def _certificate_types() -> dict:
-    """A report's certificate block: each SolutionCertificates field, typed.
-
-    Looked up on first use, so serializing plain payloads never loads the
-    solver.
-    """
-    from .solver import SolutionCertificates
-
-    return get_type_hints(SolutionCertificates)
+# A report's certificate block: each SolutionCertificates field, typed.
+# Spelled out so that parsing a report loads neither the solver nor numpy.
+_CERTIFICATE_TYPES = {
+    "kkt_max_violation": float,
+    "kkt_valid": bool,
+    "dual_gap": float,
+    "dual_feasibility_violation": float,
+}
 
 
 def format_float(value: float) -> str:
@@ -120,7 +117,7 @@ def build_report(
     )
     cert_dict = {
         key: kind(getattr(solution.certificates, key))
-        for key, kind in _certificate_types().items()
+        for key, kind in _CERTIFICATE_TYPES.items()
     }
     metrics_dict = None
     if metrics is not None:
@@ -219,12 +216,11 @@ def _typed(value, kinds: tuple, field: str):
 
 def _check_certificates(block) -> dict:
     """Require exactly the SolutionCertificates fields, each of its JSON type."""
-    types = _certificate_types()
-    if not isinstance(block, dict) or block.keys() != types.keys():
+    if not isinstance(block, dict) or block.keys() != _CERTIFICATE_TYPES.keys():
         raise InvalidInput(
-            f"report certificates must have exactly the fields {sorted(types)}"
+            f"report certificates must have exactly the fields {sorted(_CERTIFICATE_TYPES)}"
         )
-    for key, kind in types.items():
+    for key, kind in _CERTIFICATE_TYPES.items():
         _typed(block[key], (bool,) if kind is bool else _NUMBER, f"certificate {key!r}")
     return dict(block)
 

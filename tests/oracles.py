@@ -215,6 +215,11 @@ def spd_matrix(rng: np.random.Generator, n: int, cond: float = 100.0, scale: flo
     return (q * eigs) @ q.T
 
 
+def psd_by_band(mat: np.ndarray, band_rel: float) -> bool:
+    """The eigenvalue band rule: lambda_min(mat) >= -band_rel * max|mat|."""
+    return float(np.linalg.eigvalsh(mat)[0]) >= -band_rel * float(np.max(np.abs(mat)))
+
+
 def dense_floored_root(sym: np.ndarray, rel: float) -> np.ndarray:
     """Dense symmetric root Q diag(sqrt(max(vals, rel * top))) Q^T.
 

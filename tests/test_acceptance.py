@@ -6,7 +6,6 @@ monitor which reports a rate without gating.  Tolerances and instance
 counts are part of the contract; do not relax them here.
 """
 
-import json
 import time
 
 import numpy as np

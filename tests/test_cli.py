@@ -621,6 +621,22 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_underscore_numerals_rejected(self, tmp_path):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("1_0,2\n3,4\n")
+        code, out, err = run_cli("cov", "--input", str(csv), "--output", str(tmp_path / "c.bin"))
+        assert code == 2
+        assert "'1_0' is not a number (line 1, column 1)" in err
+        csv.write_text("1,2\n3,4\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0_0 1\n")
+        code, out, err = run_cli(
+            "fit-extension", "--logits", str(csv), "--labels", str(labels),
+            "--new-count", "1", "--output", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "must contain whitespace-separated integers" in err
+
     def test_non_utf8_report_names_the_file(self, tmp_path):
         logits = synth(tmp_path)
         report = tmp_path / "report.json"

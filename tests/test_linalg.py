@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covlasso import CovMatrix, InvalidMatrix, eigenvalues
+from covlasso import CovMatrix, InvalidMatrix
 
 
 class TestCovMatrix:
@@ -55,50 +55,3 @@ class TestCovMatrix:
         mat[0, 0] = 5.0
         assert s.data[0, 0] == 1.0
 
-
-class TestEigendecompose:
-    """The spectrum conventions of ``eigenvalues``."""
-
-    def test_identity(self):
-        vals = eigenvalues(np.eye(2))
-        assert_allclose(vals, [1.0, 1.0])
-
-    def test_rank_one_all_ones(self):
-        vals = eigenvalues(np.ones((2, 2)))
-        assert_allclose(vals, [2.0, 0.0], atol=1e-12)
-
-    def test_block_example(self):
-        s = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert_allclose(eigenvalues(s), [1.9, 1.0, 0.1], atol=1e-12)
-
-    def test_descending_and_equal_to_raw_spectrum(self, rng):
-        # Indefinite input: no eigenvalue sits in the roundoff band, so
-        # nothing is clamped and the values are eigvalsh's, reversed.
-        for _ in range(25):
-            n = int(rng.integers(1, 12))
-            g = rng.normal(size=(n, n))
-            s = (g + g.T) / 2.0
-            max_abs = np.max(np.abs(s))
-            vals = eigenvalues(s)
-            assert np.all(np.diff(vals) <= 0.0)
-            raw = np.linalg.eigvalsh(s)[::-1]
-            if not np.any((raw < 0.0) & (raw >= -1e-8 * max_abs)):
-                assert np.array_equal(vals, raw)
-            assert_allclose(np.sum(vals), np.trace(s), atol=1e-10 * (1.0 + max_abs))
-
-    def test_psd_clamping(self, rng):
-        # Gram matrices can acquire tiny negative eigenvalues from
-        # roundoff; after clamping the spectrum is nonnegative, and only
-        # those roundoff negatives changed.
-        clamped = 0
-        for _ in range(10):
-            g = rng.normal(size=(20, 8))
-            s = g @ g.T  # rank 8 of 20: exact zeros expected
-            vals = eigenvalues(s)
-            raw = np.linalg.eigvalsh(s)[::-1]
-            assert np.min(vals) >= 0.0
-            assert np.min(raw) >= -1e-8 * np.max(np.abs(s))
-            changed = vals != raw
-            assert np.all(raw[changed] < 0.0) and np.all(vals[changed] == 0.0)
-            clamped += int(changed.sum())
-        assert clamped > 0

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import asdict
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from covlasso import (
     serialize_report,
 )
 from covlasso.covariance import LogitMatrix
+from covlasso.reports import _CERTIFICATE_TYPES
 from covlasso.solver import DependencySolution, SolutionCertificates
 
 
@@ -85,6 +87,11 @@ class TestReportRoundTrip:
         again = serialize_report(parse_report(text))
         assert again == text
         assert text.encode() == again.encode()
+
+    def test_certificate_types_are_the_solver_fields(self):
+        # Reports spell the fields out so that graph never loads the solver.
+        hints = get_type_hints(SolutionCertificates)
+        assert list(_CERTIFICATE_TYPES.items()) == list(hints.items())
 
     def test_report_fields(self):
         sol = _solution([-1.0, 0.5, 0.0, -0.125])

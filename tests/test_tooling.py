@@ -2,8 +2,8 @@
 
 A failing property must be reported, not crash pytest, no module of the
 package may read the process environment, no module keeps an import it
-does not use, every export is used inside the package, and only two
-modules compute spectra.
+does not use (nor does any test file), every export is used inside the
+package, and only ``analysis`` computes spectra.
 """
 
 import ast
@@ -14,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "covlasso"
+TESTS = ROOT / "tests"
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -65,10 +66,12 @@ def test_package_never_reads_the_environment():
 
 
 def test_package_has_no_unused_imports():
-    # Every name a module imports is used in that module; __init__.py
-    # imports only to re-export.
+    # Every name a module or test file imports is used in that file;
+    # __init__.py imports only to re-export.
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
+    modules += tests
     unused = []
     for path in modules:
         tree = ast.parse(path.read_text("utf-8"), str(path))
@@ -80,7 +83,7 @@ def test_package_has_no_unused_imports():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
-                        unused.append(f"{path.name}:{node.lineno} {name}")
+                        unused.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
     assert unused == []
 
 
@@ -110,11 +113,12 @@ def test_every_export_is_used_inside_the_package():
 
 
 def test_spectra_are_computed_only_in_linalg_and_analysis():
-    # read_cov proves PSD with a Cholesky factorization and the solvers
-    # need no spectrum; an eigh or eigvalsh elsewhere is a slow path
-    # creeping back in.
+    # Only analysis may: read_cov decides PSD with one Cholesky
+    # factorization, linalg holds a constant, and the solvers need no
+    # spectrum.  An eigh or eigvalsh elsewhere is a slow path creeping
+    # back in.
     spectral = {"eigh", "eigvalsh"}
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name not in {"linalg.py", "analysis.py"})
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "analysis.py")
     assert modules
     found = []
     for path in modules:
