@@ -38,19 +38,9 @@ _EXPORTS = {
     ),
     "errors": (
         "CovLassoError",
-        "DegenerateTarget",
-        "DimMismatch",
-        "DimTooSmall",
-        "Diverged",
-        "EmptyAccumulator",
+        "Degenerate",
         "FormatError",
         "InvalidInput",
-        "InvalidLabels",
-        "InvalidMatrix",
-        "InvalidSpec",
-        "MissingLabels",
-        "OutOfRange",
-        "SingularMatrix",
     ),
     "evaluation": (
         "EvalMetrics",

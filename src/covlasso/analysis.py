@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovMatrix, ReducedProblem, reduce_problem
-from .errors import (
-    DegenerateTarget,
-    DimTooSmall,
-    InvalidInput,
-    OutOfRange,
-    SingularMatrix,
-)
+from .errors import Degenerate, InvalidInput
 from .solver import SolutionPath, _residual, lambda_max
 
 # Relative spectral floor of :func:`redundancy`: eigenvalues below this
@@ -85,15 +79,13 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
     """
     n = cov.n
     if n < 2:
-        raise DimTooSmall("redundancy needs at least two categories")
+        raise InvalidInput("redundancy needs at least two categories")
     if not 0 <= target < n:
-        raise OutOfRange(f"target {target} outside [0, {n})")
+        raise InvalidInput(f"target {target} outside [0, {n})")
     full = cov.data
     cov_ii = float(full[target, target])
     if cov_ii <= 1e-300:
-        raise DegenerateTarget(
-            f"category {target} has numerically zero second moment"
-        )
+        raise Degenerate(f"category {target} has numerically zero second moment")
 
     vals, vecs = np.linalg.eigh(full)
     vals, weights = vals[::-1], vecs[target, ::-1]
@@ -101,15 +93,13 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
     lifted = np.maximum(vals, floor)
     floored = bool(np.min(vals) < floor)
     if np.min(lifted) < 1e-300:
-        raise SingularMatrix(
+        raise Degenerate(
             f"matrix numerically singular: smallest effective eigenvalue "
             f"{np.min(lifted):.3e}"
         )
     # In a PSD matrix a zero diagonal entry means a zero row and column.
     if np.max(np.delete(np.diag(full), target)) <= 0.0:
-        raise SingularMatrix(
-            f"every category other than {target} has zero second moment"
-        )
+        raise Degenerate(f"every category other than {target} has zero second moment")
     eigen_sum = float(np.sum(weights * weights / lifted))
     if not floored:
         basis = np.zeros(n)
@@ -184,14 +174,17 @@ def screen(cov: CovMatrix, target: int, lam: float) -> ScreeningReport:
     rp = reduce_problem(cov, target)
     lmax = lambda_max(rp)
     if not (np.isfinite(lam) and 0.0 < lam < lmax):
-        raise OutOfRange(
-            f"penalty must lie in (0, {lmax}) for screening, got {lam}"
-        )
+        raise InvalidInput(f"penalty must lie in (0, {lmax}) for screening, got {lam}")
 
     binf = float(np.max(np.abs(rp.bhat)))
     ratios = np.abs(rp.bhat) / binf
-    drift = 2.0 * _drift_rates(rp) * abs(1.0 / lam - 1.0 / lmax)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = 2.0 * _drift_rates(rp) * abs(1.0 / lam - 1.0 / lmax)
     thresholds = 1.0 - drift
+    if not np.all(np.isfinite(thresholds)):
+        raise InvalidInput(
+            f"penalty {lam} is too small: the screening threshold overflows"
+        )
     guard = 1e-12 * np.maximum(1.0, np.abs(thresholds))
     others = np.arange(rp.n) != target
     certified = np.flatnonzero(others & (ratios < thresholds - guard))

@@ -6,10 +6,11 @@ redundancy reports, evaluation, extension fitting, synthetic data and
 graph export.  All outputs are deterministic: identical inputs produce
 byte-identical files and stdout.
 
-Exit codes: 0 success; 2 usage, parse or validation problems; 3 solver
-did not converge (outputs are still written); 4 numerical degeneracy
-(singular or degenerate inputs, diverged fits, or spectral flooring
-engaged in ``redundancy --strict``).
+Exit codes: 0 success; 2 usage, parse or validation problems
+(``InvalidInput``, ``FormatError``, any other ``CovLassoError`` and
+``OSError``); 3 solver did not converge (outputs are still written); 4
+numerical degeneracy (``Degenerate``: singular or degenerate inputs,
+diverged fits; or spectral flooring engaged in ``redundancy --strict``).
 
 Certificates, screening and path checks need no spectral floor.  Only
 ``redundancy`` inverts a possibly singular matrix; its relative floor is
@@ -27,15 +28,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    CovLassoError,
-    DegenerateTarget,
-    Diverged,
-    FormatError,
-    InvalidInput,
-    InvalidSpec,
-    SingularMatrix,
-)
+from .errors import CovLassoError, Degenerate, FormatError, InvalidInput
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -192,7 +185,7 @@ def _parse_grid(args, lmax: float):
     if args.auto_grid < 1:
         raise InvalidInput("--auto-grid must be at least 1")
     if lmax <= 0.0:
-        raise DegenerateTarget(
+        raise Degenerate(
             "target is uncorrelated with every other category; no automatic grid"
         )
     return np.geomspace(lmax, lmax / 1000.0, args.auto_grid)
@@ -396,7 +389,7 @@ def _parse_plant(text: str):
             coeffs[int(j)] = float(w)
         return synthetic.PlantedDependency(target, coeffs)
     except (ValueError, IndexError):
-        raise InvalidSpec(
+        raise InvalidInput(
             f"could not parse --plant {text!r}; expected TARGET:J=W[,J=W...]"
         ) from None
 
@@ -409,7 +402,7 @@ def cmd_synth(args) -> int:
     from .reports import canonical_json
 
     if args.truth_output is not None and args.plant is None:
-        raise InvalidSpec("--truth-output needs a planted dependency")
+        raise InvalidInput("--truth-output needs a planted dependency")
     planted = _parse_plant(args.plant) if args.plant is not None else None
     spec = synthetic.SyntheticSpec(
         n=args.n,
@@ -436,7 +429,17 @@ def cmd_synth(args) -> int:
 def cmd_graph(args) -> int:
     from . import reports
 
-    parsed = [_load_report(p) for p in args.reports]
+    parsed = []
+    seen: dict[str, str] = {}  # target name -> the report that gave it
+    for path in args.reports:
+        report = _load_report(path)
+        if report.target_name in seen:
+            raise InvalidInput(
+                f"reports {seen[report.target_name]} and {path} share target "
+                f"{report.target_name!r}; each target may appear once"
+            )
+        seen[report.target_name] = path
+        parsed.append(report)
     dot = reports.emit_graph(parsed)
     Path(args.output).write_bytes(dot.encode("utf-8"))
     names = {r.target_name for r in parsed}
@@ -551,7 +554,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (SingularMatrix, DegenerateTarget, Diverged) as exc:
+    except Degenerate as exc:
         sys.stderr.write(f"covlasso: {exc}\n")
         return EXIT_DEGENERATE
     except CovLassoError as exc:

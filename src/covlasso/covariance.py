@@ -26,29 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    DimTooSmall,
-    EmptyAccumulator,
-    InvalidInput,
-    InvalidLabels,
-    InvalidMatrix,
-    OutOfRange,
-)
+from .errors import InvalidInput
 
 
 def check_labels(labels, samples: int, categories: int) -> np.ndarray:
     """Validate one integer label per sample in [0, categories); return int64 labels."""
     lab = np.asarray(labels)
     if lab.shape != (samples,):
-        raise InvalidLabels(
+        raise InvalidInput(
             f"labels shape {lab.shape} does not match sample count {samples}"
         )
     if not np.issubdtype(lab.dtype, np.integer):
-        raise InvalidLabels("labels must be integers")
+        raise InvalidInput("labels must be integers")
     lab = lab.astype(np.int64)
     if lab.min() < 0 or lab.max() >= categories:
-        raise InvalidLabels(
+        raise InvalidInput(
             f"labels must lie in [0, {categories}), got range [{lab.min()}, {lab.max()}]"
         )
     return lab
@@ -112,7 +104,7 @@ class CovAccumulator:
 
     def __init__(self, n: int):
         if n < 1:
-            raise DimTooSmall("accumulator needs at least one category")
+            raise InvalidInput("accumulator needs at least one category")
         self.n = int(n)
         self.count = 0
         self.sums = np.zeros((n, n))
@@ -128,7 +120,7 @@ def accumulate(acc: CovAccumulator, batch: LogitMatrix) -> CovAccumulator:
     given BLAS build and thread count).
     """
     if batch.n != acc.n:
-        raise DimMismatch(
+        raise InvalidInput(
             f"batch has {batch.n} categories, accumulator expects {acc.n}"
         )
     # Copy rows into their absolute block slots; add each block that
@@ -165,13 +157,13 @@ class CovMatrix:
     def __init__(self, data, sample_count: int):
         arr = np.array(data, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
+            raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
-            raise InvalidMatrix("matrix must have at least one row")
+            raise InvalidInput("matrix must have at least one row")
         if not np.all(np.isfinite(arr)):
-            raise InvalidMatrix("matrix has non-finite entries")
+            raise InvalidInput("matrix has non-finite entries")
         if sample_count < 1:
-            raise InvalidMatrix(f"sample count must be positive, got {sample_count}")
+            raise InvalidInput(f"sample count must be positive, got {sample_count}")
         if not np.array_equal(arr, arr.T):
             arr = arr / 2.0 + arr.T / 2.0
         arr.flags.writeable = False
@@ -190,10 +182,10 @@ def finalize(acc: CovAccumulator) -> CovMatrix:
     accumulator is left unchanged and can keep accumulating.  The result
     is within the blocked-sum bound of the module docstring.  Accumulated
     rows are finite, so a non-finite result can only be float64 overflow,
-    which raises InvalidMatrix.
+    which raises InvalidInput.
     """
     if acc.count == 0:
-        raise EmptyAccumulator("no samples accumulated")
+        raise InvalidInput("no samples accumulated")
     tail = acc.count % BLOCK_ROWS
     with np.errstate(over="ignore", invalid="ignore"):
         sums = acc.sums
@@ -203,8 +195,8 @@ def finalize(acc: CovAccumulator) -> CovMatrix:
         mean = sums / acc.count
     try:
         return CovMatrix(mean, acc.count)
-    except InvalidMatrix:
-        raise InvalidMatrix("second moment overflows float64") from None
+    except InvalidInput:
+        raise InvalidInput("second moment overflows float64") from None
 
 
 def cross_covariance(f: LogitMatrix, g: LogitMatrix, target: int) -> CovMatrix:
@@ -216,11 +208,11 @@ def cross_covariance(f: LogitMatrix, g: LogitMatrix, target: int) -> CovMatrix:
     bit-identical to the plain covariance.
     """
     if f.data.shape != g.data.shape:
-        raise DimMismatch(
+        raise InvalidInput(
             f"logit matrices differ in shape: {f.data.shape} vs {g.data.shape}"
         )
     if not 0 <= target < f.n:
-        raise OutOfRange(f"target {target} outside [0, {f.n})")
+        raise InvalidInput(f"target {target} outside [0, {f.n})")
     mixed = f.data.copy()
     mixed[:, target] = g.data[:, target]
     return finalize(accumulate(CovAccumulator(f.n), LogitMatrix(mixed)))
@@ -259,9 +251,9 @@ def reduce_problem(cov: CovMatrix, target: int) -> ReducedProblem:
     """The one-vs-rest regression data for ``target``, viewing ``cov``."""
     n = cov.n
     if n < 2:
-        raise DimTooSmall("need at least two categories to form a reduced problem")
+        raise InvalidInput("need at least two categories to form a reduced problem")
     if not 0 <= target < n:
-        raise OutOfRange(f"target {target} outside [0, {n})")
+        raise InvalidInput(f"target {target} outside [0, {n})")
     full = cov.data
     bhat = full[:, target].copy()
     bhat[target] = 0.0

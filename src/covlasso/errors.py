@@ -2,9 +2,12 @@
 
 Every error raised deliberately by this package derives from
 :class:`CovLassoError`, so callers can catch one base class at API
-boundaries.  Solver non-convergence is *not* an exception: the solver
-returns its best iterate with ``converged=False`` and leaves the policy
-to the caller.
+boundaries.  There is one class per outcome, and the command line maps
+each to an exit code: :class:`InvalidInput` and :class:`FormatError`
+exit 2, :class:`Degenerate` exits 4.  Within a class the message is
+what tells cases apart.  Solver non-convergence is *not* an exception:
+the solver returns its best iterate with ``converged=False`` and leaves
+the policy to the caller.
 """
 
 from __future__ import annotations
@@ -14,57 +17,16 @@ class CovLassoError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidMatrix(CovLassoError):
-    """Matrix input is malformed (non-finite entries, wrong shape)."""
-
-
-class SingularMatrix(CovLassoError):
-    """``redundancy`` found a numerically singular spectrum.
-
-    Raised when the smallest eigenvalue stays below 1e-300 even after
-    the relative floor, or when every category but the target has zero
-    second moment.
-    """
-
-
-class DimMismatch(CovLassoError):
-    """Operands have incompatible dimensions."""
-
-
-class DimTooSmall(CovLassoError):
-    """The operation needs at least two categories."""
-
-
-class EmptyAccumulator(CovLassoError):
-    """finalize() called before any sample was accumulated."""
-
-
-class OutOfRange(CovLassoError):
-    """A scalar parameter lies outside its admissible interval."""
-
-
-class DegenerateTarget(CovLassoError):
-    """The target category has (numerically) zero second moment."""
-
-
 class InvalidInput(CovLassoError):
-    """A structured argument violates a precondition."""
+    """An argument violates a precondition (shape, range, labels, spec)."""
 
 
-class InvalidSpec(CovLassoError):
-    """A synthetic-data specification is inconsistent."""
+class Degenerate(CovLassoError):
+    """The problem is numerically degenerate.
 
-
-class InvalidLabels(CovLassoError):
-    """Label values fall outside the valid category range."""
-
-
-class MissingLabels(CovLassoError):
-    """The operation needs per-sample labels but none are attached."""
-
-
-class Diverged(CovLassoError):
-    """An iterative fit produced a non-finite loss."""
+    A singular spectrum in ``redundancy``, a target with zero second
+    moment, or an iterative fit whose loss became non-finite.
+    """
 
 
 class FormatError(CovLassoError):

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import LogitMatrix, check_labels
-from .errors import (
-    DegenerateTarget,
-    DimMismatch,
-    Diverged,
-    InvalidInput,
-    MissingLabels,
-    OutOfRange,
-)
+from .errors import Degenerate, InvalidInput
 
 
 def _replaced_argmax(
@@ -81,23 +74,21 @@ class EvalMetrics:
 def evaluate(logits: LogitMatrix, target: int, theta: np.ndarray) -> EvalMetrics:
     """Score the dependency vector ``theta`` of ``target`` on labeled logits."""
     if logits.labels is None:
-        raise MissingLabels("evaluation needs per-sample labels")
+        raise InvalidInput("evaluation needs per-sample labels")
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (logits.n,):
-        raise DimMismatch(
+        raise InvalidInput(
             f"logits have {logits.n} categories, theta has shape {theta.shape}"
         )
     if not 0 <= target < logits.n:
-        raise OutOfRange(f"target {target} outside [0, {logits.n})")
+        raise InvalidInput(f"target {target} outside [0, {logits.n})")
     if theta[target] != -1.0:
-        raise InvalidInput(
-            f"theta must be -1 at target {target}, got {theta[target]}"
-        )
+        raise InvalidInput(f"theta must be -1 at target {target}, got {theta[target]}")
     residual = logits.data @ theta  # = reconstruction - target logit
     abs_err = float(np.mean(np.abs(residual)))
     target_scale = float(np.mean(np.abs(logits.data[:, target])))
     if target_scale <= 0.0:
-        raise DegenerateTarget("target logit is identically zero")
+        raise Degenerate("target logit is identically zero")
     rel_err = 100.0 * abs_err / target_scale
 
     pred_ori = np.argmax(logits.data, axis=1)
@@ -205,7 +196,7 @@ def fit_extension(
     [0, base.n + new_count)).  Theta starts at zero; each epoch applies
     one gradient step of ``step_size``.  The recorded loss trace has one
     entry per iterate including the initial and final ones.  A
-    non-finite loss aborts with Diverged.
+    non-finite loss aborts with Degenerate.
 
     Cost: the base columns' row max and exp-sum are computed once, one
     O(N n1) exp pass per fit.  Each epoch then costs two thin products
@@ -225,16 +216,16 @@ def fit_extension(
     losses: list[float] = []
     loss, grad = _extension_epoch(base.data, terms, theta)
     if not np.isfinite(loss):
-        raise Diverged(f"initial loss is not finite: {loss}")
+        raise Degenerate(f"initial loss is not finite: {loss}")
     losses.append(loss)
     if new_count:
         # Overflow in a diverging step surfaces as a non-finite loss,
-        # reported as Diverged, not as a numpy warning.
+        # reported as Degenerate, not as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
                 theta = theta - step_size * grad
                 loss, grad = _extension_epoch(base.data, terms, theta)
                 if not np.isfinite(loss):
-                    raise Diverged("loss became non-finite during fitting")
+                    raise Degenerate("loss became non-finite during fitting")
                 losses.append(loss)
     return ExtensionFit(theta=theta, losses=tuple(losses))

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import ReducedProblem
-from .errors import DimMismatch, InvalidInput
+from .errors import InvalidInput
 
 # The homotopy takes at most this many kinks per coordinate.
 KINK_CAP_PER_COORD = 10
@@ -291,14 +291,14 @@ def certificates(
         gap = J(c) + (1-s)^2 cov_ii + 2 s (1-s) bhat^T c + s^2 c^T Chat c
 
     with J the objective.  The feasibility violation is
-    max(0, (sqrt(2)/lam) ||r||_inf - sqrt(2)/2).  At an optimum s = 1 and
-    the gap is 0.
+    max(0, (sqrt(2)/lam) ||r||_inf - sqrt(2)/2); a penalty so small that it
+    overflows is rejected.  At an optimum s = 1 and the gap is 0.
     """
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidInput(f"penalty must be positive and finite, got {lam}")
     c = np.asarray(coef, dtype=np.float64)
     if c.shape != (rp.n,):
-        raise DimMismatch(f"coef shape {c.shape}, expected ({rp.n},)")
+        raise InvalidInput(f"coef shape {c.shape}, expected ({rp.n},)")
     if c[rp.target] != 0.0:
         raise InvalidInput(f"coefficient of target {rp.target} must be 0")
 
@@ -312,7 +312,11 @@ def certificates(
     r_inf = float(abs_r.max())
 
     sqrt2 = float(np.sqrt(2.0))
-    feas_violation = max(0.0, sqrt2 / lam * r_inf - sqrt2 / 2.0)
+    feas_violation = sqrt2 / lam * r_inf - sqrt2 / 2.0
+    if not np.isfinite(feas_violation):
+        raise InvalidInput(
+            f"penalty {lam} is too small: the dual feasibility violation overflows"
+        )
     s = 1.0 if r_inf <= half else half / r_inf
     b_c = float(rp.bhat @ c)
     c_chat_c = float(c @ r) + b_c
@@ -327,7 +331,7 @@ def certificates(
         kkt_max_violation=worst,
         kkt_valid=worst <= 1e-6 * max(lam, 1.0),
         dual_gap=float(gap),
-        dual_feasibility_violation=feas_violation,
+        dual_feasibility_violation=max(0.0, feas_violation),
     )
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import LogitMatrix
-from .errors import InvalidInput, InvalidSpec
+from .errors import InvalidInput
 
 GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -159,29 +159,31 @@ class PlantedTruth:
 
 def _validate(spec: SyntheticSpec) -> None:
     if spec.n < 1:
-        raise InvalidSpec("need at least one category")
+        raise InvalidInput("need at least one category")
     if spec.samples < 1:
-        raise InvalidSpec("need at least one sample")
+        raise InvalidInput("need at least one sample")
     if spec.latent_rank < 1:
-        raise InvalidSpec("latent rank must be at least 1")
+        raise InvalidInput("latent rank must be at least 1")
     if not math.isfinite(spec.noise_sigma) or spec.noise_sigma < 0.0:
-        raise InvalidSpec(f"noise sigma must be nonnegative, got {spec.noise_sigma}")
+        raise InvalidInput(f"noise sigma must be nonnegative, got {spec.noise_sigma}")
     if spec.planted is not None:
         p = spec.planted
         if not 0 <= p.target < spec.n:
-            raise InvalidSpec(f"planted target {p.target} outside [0, {spec.n})")
+            raise InvalidInput(f"planted target {p.target} outside [0, {spec.n})")
         if not p.coefficients:
-            raise InvalidSpec("planted dependency needs at least one coefficient")
+            raise InvalidInput("planted dependency needs at least one coefficient")
         seen = set()
         for j, w in p.coefficients:
             if not 0 <= j < spec.n:
-                raise InvalidSpec(f"planted index {j} outside [0, {spec.n})")
+                raise InvalidInput(f"planted index {j} outside [0, {spec.n})")
             if j == p.target:
-                raise InvalidSpec("planted support must not contain the target")
+                raise InvalidInput("planted support must not contain the target")
             if j in seen:
-                raise InvalidSpec(f"planted index {j} repeated")
+                raise InvalidInput(f"planted index {j} repeated")
             if not math.isfinite(w) or w == 0.0:
-                raise InvalidSpec(f"planted coefficient for {j} must be finite nonzero")
+                raise InvalidInput(
+                    f"planted coefficient for {j} must be finite nonzero"
+                )
             seen.add(j)
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -31,3 +32,8 @@ def rp_from(chat, bhat, cov_ii: float = 1.0):
     b = np.asarray(bhat, dtype=np.float64)
     full = np.block([[np.array([[cov_ii]]), b[None, :]], [b[:, None], chat]])
     return reduce_problem(CovMatrix(full, 10), 0)
+
+
+def raises_exact(cls, message: str):
+    """``pytest.raises(cls)`` that also requires the whole message."""
+    return pytest.raises(cls, match=f"^{re.escape(message)}$")

@@ -4,11 +4,8 @@ from numpy.testing import assert_allclose
 
 from covlasso import (
     CovMatrix,
-    DegenerateTarget,
-    DimTooSmall,
+    Degenerate,
     InvalidInput,
-    OutOfRange,
-    SingularMatrix,
     check_slope_bounds,
     lambda_max,
     redundancy,
@@ -19,7 +16,7 @@ from covlasso import (
 )
 from covlasso.solver import SUPPORT_TOL
 
-from conftest import rp_from
+from conftest import raises_exact, rp_from
 from oracles import (
     dense_floored_root,
     determinant_error,
@@ -89,22 +86,23 @@ class TestRedundancy:
     def test_singular_without_floor_raises(self):
         # The floor is relative, so a spectrum at the bottom of the float
         # range lifts to a floor that is itself numerically zero.
-        with pytest.raises(SingularMatrix, match="numerically singular"):
+        with pytest.raises(Degenerate, match="^matrix numerically singular: smallest"):
             redundancy(cov_of(1e-295 * np.ones((3, 3))), 0)
 
     def test_all_zero_minor_raises(self):
         # Every other category has zero second moment: the minor has no
         # spectrum to floor, so its log-determinant is undefined.
-        with pytest.raises(SingularMatrix, match="zero second moment") as info:
+        expect = "every category other than 0 has zero second moment"
+        with raises_exact(Degenerate, expect) as info:
             redundancy(cov_of(np.diag([1.0, 0.0, 0.0])), 0)
         assert "floor" not in str(info.value)
 
     def test_degenerate_target(self):
-        with pytest.raises(DegenerateTarget):
+        with raises_exact(Degenerate, "category 0 has numerically zero second moment"):
             redundancy(cov_of(np.diag([0.0, 1.0])), 0)
 
     def test_needs_two_categories(self):
-        with pytest.raises(DimTooSmall):
+        with raises_exact(InvalidInput, "redundancy needs at least two categories"):
             redundancy(cov_of([[1.0]]), 0)
 
     def test_routes_agree_on_random_spd(self, rng):
@@ -164,15 +162,19 @@ class TestScreen:
 
     def test_penalty_range_enforced(self):
         cov = cov_of(BLOCK)
-        with pytest.raises(OutOfRange):
-            screen(cov, 0, 1.8)  # == lambda_max
-        with pytest.raises(OutOfRange):
-            screen(cov, 0, 0.0)
-        with pytest.raises(OutOfRange):
-            screen(cov, 0, -0.5)
+        for lam in (1.8, 0.0, -0.5):  # 1.8 == lambda_max
+            expect = f"penalty must lie in (0, 1.8) for screening, got {lam}"
+            with raises_exact(InvalidInput, expect):
+                screen(cov, 0, lam)
+        # 1/lam overflows; a zero diagonal turns the drift into 0 * inf.
+        expect = "penalty 1e-320 is too small: the screening threshold overflows"
+        for mat in (BLOCK, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]):
+            with raises_exact(InvalidInput, expect):
+                screen(cov_of(mat), 0, 1e-320)
 
     def test_uncorrelated_target_rejected(self):
-        with pytest.raises(OutOfRange):
+        expect = "penalty must lie in (0, 0.0) for screening, got 0.1"
+        with raises_exact(InvalidInput, expect):
             screen(cov_of(np.eye(3)), 0, 0.1)
 
     def test_certificates_are_sound(self, rng):

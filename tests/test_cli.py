@@ -420,6 +420,24 @@ class TestEvalAndGraph:
         edges = int(stdout_dict(out)["edges"])
         assert text.count("->") == edges > 0
 
+    def test_graph_rejects_two_reports_for_one_target(self, tmp_path):
+        logits = synth(tmp_path)
+        cov_path = build_cov(tmp_path, logits)
+        rep_a = tmp_path / "a.json"
+        run_cli("solve", "--cov", str(cov_path), "--target", "0",
+                "--lambda", "0.01", "--output", str(rep_a))
+        rep_b = tmp_path / "b.json"
+        rep_b.write_bytes(rep_a.read_bytes())
+        dot_path = tmp_path / "deps.dot"
+        for second in (rep_a, rep_b):
+            code, out, err = run_cli(
+                "graph", "--report", str(rep_a), "--report", str(second),
+                "--output", str(dot_path),
+            )
+            assert code == 2 and out == ""
+            assert f"reports {rep_a} and {second} share target" in err
+            assert not dot_path.exists()
+
     def test_fit_extension_with_labels_file(self, tmp_path):
         rng = np.random.default_rng(3)
         base = rng.standard_normal((200, 4))
@@ -648,6 +666,23 @@ class TestExitCodes:
             code, out, err = run_cli(*argv)
             assert code == 2
             assert str(report) in err and "UTF-8" in err
+
+    def test_penalty_whose_reciprocal_overflows_is_rejected(self, tmp_path):
+        # sqrt(2)/lam and 1/lam overflow float64 at lam = 1e-320.
+        cov_path = build_cov(tmp_path, synth(tmp_path))
+        out_path = tmp_path / "out.json"
+        for argv in (
+            ["solve", "--lambda", "1e-320"],
+            ["screen", "--lambda", "1e-320"],
+            ["path", "--lambda-grid", "1e-320"],
+        ):
+            code, out, err = run_cli(
+                *argv, "--cov", str(cov_path), "--target", "0",
+                "--output", str(out_path),
+            )
+            assert code == 2, (argv, out, err)
+            assert "covlasso: penalty 1e-320 is too small: the " in err, argv
+            assert not out_path.exists(), argv
 
     def test_hilbert_converges(self, tmp_path):
         cov_path = hilbert_cov(tmp_path)

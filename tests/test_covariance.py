@@ -6,19 +6,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from covlasso import (
     CovAccumulator,
-    DimMismatch,
-    DimTooSmall,
-    EmptyAccumulator,
     InvalidInput,
-    InvalidLabels,
     LogitMatrix,
-    OutOfRange,
     accumulate,
     cross_covariance,
     finalize,
     reduce_problem,
 )
 from covlasso.covariance import BLOCK_ROWS
+from conftest import raises_exact
 from oracles import second_moment_bound, second_moment_exact
 
 # Straddles block edges: spans several blocks and ends mid-block.
@@ -50,11 +46,13 @@ class TestLogitMatrix:
             LogitMatrix([[np.inf, 0.0]])
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(InvalidLabels):
+        with raises_exact(InvalidInput, "labels must lie in [0, 2), got range [2, 2]"):
             LogitMatrix([[1.0, 2.0]], labels=[2])
-        with pytest.raises(InvalidLabels):
+        expect = "labels must lie in [0, 2), got range [-1, -1]"
+        with raises_exact(InvalidInput, expect):
             LogitMatrix([[1.0, 2.0]], labels=[-1])
-        with pytest.raises(InvalidLabels):
+        expect = "labels shape (2,) does not match sample count 1"
+        with raises_exact(InvalidInput, expect):
             LogitMatrix([[1.0, 2.0]], labels=[0, 1])
 
     def test_rejects_bad_names(self):
@@ -76,11 +74,12 @@ class TestAccumulate:
         assert cov.sample_count == 2
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        expect = "batch has 2 categories, accumulator expects 3"
+        with raises_exact(InvalidInput, expect):
             accumulate(CovAccumulator(3), LogitMatrix([[1.0, 2.0]]))
 
     def test_empty_finalize(self):
-        with pytest.raises(EmptyAccumulator):
+        with raises_exact(InvalidInput, "no samples accumulated"):
             finalize(CovAccumulator(2))
 
     def test_batch_partition_is_bitwise_invariant(self, rng):
@@ -174,12 +173,13 @@ class TestCrossCovariance:
         assert_allclose(cov.data, [[9.0, 6.0], [6.0, 4.0]])
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimMismatch):
+        expect = "logit matrices differ in shape: (1, 2) vs (2, 2)"
+        with raises_exact(InvalidInput, expect):
             cross_covariance(LogitMatrix([[1.0, 2.0]]), LogitMatrix([[1.0, 2.0], [3.0, 4.0]]), 0)
 
     def test_target_out_of_range(self):
         f = LogitMatrix([[1.0, 2.0]])
-        with pytest.raises(OutOfRange):
+        with raises_exact(InvalidInput, "target 2 outside [0, 2)"):
             cross_covariance(f, f, 2)
 
 
@@ -218,9 +218,11 @@ class TestReduce:
         assert peak < 64 * n
 
     def test_too_small(self):
-        with pytest.raises(DimTooSmall):
+        with raises_exact(
+            InvalidInput, "need at least two categories to form a reduced problem"
+        ):
             reduce_problem(self._cov([[2.0]]), 0)
 
     def test_target_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with raises_exact(InvalidInput, "target 5 outside [0, 2)"):
             reduce_problem(self._cov(np.eye(2)), 5)

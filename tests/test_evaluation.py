@@ -2,20 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covlasso import (
-    DegenerateTarget,
-    DimMismatch,
-    Diverged,
-    InvalidInput,
-    InvalidLabels,
-    LogitMatrix,
-    MissingLabels,
-    OutOfRange,
-    evaluate,
-    fit_extension,
-)
+from covlasso import Degenerate, InvalidInput, LogitMatrix, evaluate, fit_extension
 from covlasso.evaluation import _base_terms, _extension_epoch
 
+from conftest import raises_exact
 from oracles import dense_extension_loss_grad, replace_logit
 
 
@@ -83,21 +73,22 @@ class TestEvaluate:
         assert m.pos_acc is None and m.ori_pos_acc is None
 
     def test_requires_labels(self):
-        with pytest.raises(MissingLabels):
+        with raises_exact(InvalidInput, "evaluation needs per-sample labels"):
             evaluate(LogitMatrix(np.ones((2, 2))), 0, [-1.0, 0.5])
 
     def test_zero_target_column_rejected(self):
         data = np.array([[0.0, 1.0], [0.0, 2.0]])
         logits = LogitMatrix(data, labels=np.array([1, 1]))
-        with pytest.raises(DegenerateTarget):
+        with raises_exact(Degenerate, "target logit is identically zero"):
             evaluate(logits, 0, [-1.0, 0.5])
 
     def test_theta_must_be_a_dependency_of_the_target(self):
         logits = LogitMatrix(np.ones((2, 2)), labels=np.array([1, 1]))
-        with pytest.raises(DimMismatch):
+        expect = "logits have 2 categories, theta has shape (3,)"
+        with raises_exact(InvalidInput, expect):
             evaluate(logits, 0, [-1.0, 0.5, 0.0])
         for target in (2, -1):
-            with pytest.raises(OutOfRange):
+            with raises_exact(InvalidInput, f"target {target} outside [0, 2)"):
                 evaluate(logits, target, [-1.0, 0.5])
         with pytest.raises(InvalidInput, match="-1 at target 1"):
             evaluate(logits, 1, [-1.0, 0.5])
@@ -210,20 +201,19 @@ class TestFitExtension:
     def test_label_validation(self, rng):
         data = rng.standard_normal((6, 2))
         good = np.array([0, 1, 2, 0, 1, 2])
-        with pytest.raises(InvalidLabels):
+        expect = "labels shape (4,) does not match sample count 6"
+        with raises_exact(InvalidInput, expect):
             fit_extension(LogitMatrix(data), good[:4], 1)
-        with pytest.raises(InvalidLabels):
+        with raises_exact(InvalidInput, "labels must be integers"):
             fit_extension(LogitMatrix(data), good.astype(float), 1)
-        with pytest.raises(InvalidLabels):
-            fit_extension(LogitMatrix(data), np.full(6, 3), 1)
-        with pytest.raises(InvalidLabels):
-            fit_extension(LogitMatrix(data), np.full(6, -1), 1)
+        for bad in (3, -1):
+            expect = f"labels must lie in [0, 3), got range [{bad}, {bad}]"
+            with raises_exact(InvalidInput, expect):
+                fit_extension(LogitMatrix(data), np.full(6, bad), 1)
 
     def test_config_validation(self, rng):
         data = rng.standard_normal((6, 2))
         labels = np.zeros(6, dtype=np.int64)
-        from covlasso import InvalidInput
-
         with pytest.raises(InvalidInput):
             fit_extension(LogitMatrix(data), labels, -1)
         with pytest.raises(InvalidInput):
@@ -234,6 +224,6 @@ class TestFitExtension:
     def test_divergence_detected(self, rng):
         data = rng.standard_normal((20, 2)) * 10.0
         labels = rng.integers(0, 3, size=20)
-        with pytest.raises(Diverged):
+        with raises_exact(Degenerate, "loss became non-finite during fitting"):
             fit_extension(LogitMatrix(data), labels, 1, step_size=1e308, epochs=5)
 

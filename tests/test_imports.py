@@ -22,18 +22,16 @@ SRC = str(Path(covlasso.__file__).resolve().parents[1])
 
 # Every name covlasso exports; each resolves lazily to its submodule.
 EXPORTS = [
-    "CovAccumulator", "CovLassoError", "CovMatrix", "DegenerateTarget",
-    "DependencyReport", "DependencySolution", "DimMismatch", "DimTooSmall",
-    "Diverged", "EmptyAccumulator", "EvalMetrics", "ExtensionFit",
-    "FormatError", "InvalidInput", "InvalidLabels", "InvalidMatrix",
-    "InvalidSpec", "LogitMatrix", "MissingLabels", "OutOfRange",
+    "CovAccumulator", "CovLassoError", "CovMatrix", "Degenerate",
+    "DependencyReport", "DependencySolution", "EvalMetrics",
+    "ExtensionFit", "FormatError", "InvalidInput", "LogitMatrix",
     "PlantedDependency", "PlantedTruth", "ReducedProblem",
-    "RedundancyReport", "ScreeningReport", "ScreeningRow", "SingularMatrix",
+    "RedundancyReport", "ScreeningReport", "ScreeningRow",
     "SlopeBoundCheck", "SolutionCertificates", "SolutionPath",
     "SyntheticSpec", "accumulate", "build_report", "canonical_json",
     "certificates", "check_slope_bounds", "cross_covariance",
-    "default_name", "emit_graph", "emit_report", "evaluate",
-    "finalize", "fit_extension", "format_float", "generate", "lambda_max",
+    "default_name", "emit_graph", "emit_report", "evaluate", "finalize",
+    "fit_extension", "format_float", "generate", "lambda_max",
     "parse_report", "read_cov", "read_logits", "read_logits_csv",
     "reduce_problem", "redundancy", "report_theta", "screen",
     "serialize_report", "solution_path", "solve", "write_cov",

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from covlasso import CovMatrix, InvalidMatrix
+from covlasso import CovMatrix, InvalidInput
+
+from conftest import raises_exact
 
 
 class TestCovMatrix:
@@ -18,18 +20,19 @@ class TestCovMatrix:
             assert np.array_equal(CovMatrix(m, 1).data, (m + m.T) / 2.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidMatrix):
+        with raises_exact(InvalidInput, "matrix has non-finite entries"):
             CovMatrix([[1.0, np.nan], [np.nan, 1.0]], 1)
 
     def test_rejects_non_square(self):
-        with pytest.raises(InvalidMatrix):
+        with raises_exact(InvalidInput, "expected a square matrix, got shape (2, 3)"):
             CovMatrix(np.ones((2, 3)), 1)
 
     def test_rejects_sample_count_below_one(self):
         # The NDCV format needs a positive count: 0 used to write a file
         # read_cov rejects, and -1 made write_cov raise struct.error.
         for count in (0, -1):
-            with pytest.raises(InvalidMatrix, match="sample count"):
+            expect = f"sample count must be positive, got {count}"
+            with raises_exact(InvalidInput, expect):
                 CovMatrix(np.eye(2), count)
 
     def test_data_is_immutable(self):

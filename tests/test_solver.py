@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from covlasso import (
     CovMatrix,
-    DimMismatch,
     InvalidInput,
     certificates,
     lambda_max,
@@ -16,7 +15,7 @@ from covlasso import (
 )
 from covlasso import solver
 
-from conftest import rp_from
+from conftest import raises_exact, rp_from
 from oracles import (
     coordinate_descent,
     enumerate_lasso,
@@ -227,10 +226,9 @@ class TestKkt:
             certificates(rp_1d(), 0.0, np.zeros(2))
         with pytest.raises(InvalidInput):
             certificates(rp_1d(), float("nan"), np.zeros(2))
-        with pytest.raises(DimMismatch):
-            certificates(rp_1d(), 1.0, np.zeros(1))
-        with pytest.raises(DimMismatch):
-            certificates(rp_1d(), 1.0, np.zeros(3))
+        for size in (1, 3):
+            with raises_exact(InvalidInput, f"coef shape ({size},), expected (2,)"):
+                certificates(rp_1d(), 1.0, np.zeros(size))
 
     def test_nonzero_target_coefficient_rejected(self):
         cov = CovMatrix(spd_matrix(np.random.default_rng(3), 4), 10)

@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from covlasso import (
     CovAccumulator,
-    InvalidSpec,
+    InvalidInput,
     PlantedDependency,
     SyntheticSpec,
     accumulate,
@@ -16,6 +15,7 @@ from covlasso import (
 )
 from covlasso.synthetic import derive_seed, mix64, normals, unit_doubles
 
+from conftest import raises_exact
 from oracles import reference_normals
 
 
@@ -128,36 +128,37 @@ class TestGenerate:
         assert vals[6] / vals[-1] < 1e-10  # only 3 nonzero directions
 
     def test_spec_validation(self):
-        with pytest.raises(InvalidSpec):
+        with raises_exact(InvalidInput, "need at least one category"):
             generate(SyntheticSpec(n=0, samples=1, latent_rank=1))
-        with pytest.raises(InvalidSpec):
+        with raises_exact(InvalidInput, "need at least one sample"):
             generate(SyntheticSpec(n=2, samples=0, latent_rank=1))
-        with pytest.raises(InvalidSpec):
+        with raises_exact(InvalidInput, "latent rank must be at least 1"):
             generate(SyntheticSpec(n=2, samples=1, latent_rank=0))
-        with pytest.raises(InvalidSpec):
+        with raises_exact(InvalidInput, "noise sigma must be nonnegative, got -0.1"):
             generate(SyntheticSpec(n=2, samples=1, latent_rank=1, noise_sigma=-0.1))
-        with pytest.raises(InvalidSpec):
+        with raises_exact(InvalidInput, "planted support must not contain the target"):
             generate(
                 SyntheticSpec(
                     n=3, samples=1, latent_rank=1,
                     planted=PlantedDependency(0, {0: 1.0}),
                 )
             )
-        with pytest.raises(InvalidSpec):
+        with raises_exact(InvalidInput, "planted index 5 outside [0, 3)"):
             generate(
                 SyntheticSpec(
                     n=3, samples=1, latent_rank=1,
                     planted=PlantedDependency(0, {5: 1.0}),
                 )
             )
-        with pytest.raises(InvalidSpec):
+        expect = "planted coefficient for 1 must be finite nonzero"
+        with raises_exact(InvalidInput, expect):
             generate(
                 SyntheticSpec(
                     n=3, samples=1, latent_rank=1,
                     planted=PlantedDependency(0, {1: 0.0}),
                 )
             )
-        with pytest.raises(InvalidSpec):
+        with raises_exact(InvalidInput, "planted index 1 repeated"):
             generate(
                 SyntheticSpec(
                     n=3, samples=1, latent_rank=1,

@@ -3,7 +3,8 @@
 A failing property must be reported, not crash pytest, no module of the
 package may read the process environment, no module keeps an import it
 does not use (nor does any test file), every export is used inside the
-package, and only ``analysis`` computes spectra.
+package, errors come in one class per exit code, and only ``analysis``
+computes spectra.
 """
 
 import ast
@@ -110,6 +111,30 @@ def test_every_export_is_used_inside_the_package():
         if used.get(name, set()) <= {module + ".attr", module + ".import"}
     )
     assert unused == []
+
+
+def test_errors_are_one_class_per_exit_code():
+    # errors.py holds the base class and one class per outcome: InvalidInput
+    # and FormatError exit 2, Degenerate exits 4.  Every raise names one of
+    # them, so a narrow type cannot grow back.  The only builtins raised are
+    # AttributeError (the module __getattr__ protocol) and ValueError (which
+    # the parsers' int()/float() helpers raise and their callers catch).
+    outcomes = {"InvalidInput", "FormatError", "Degenerate"}
+    builtins = {"AttributeError", "ValueError"}
+    tree = ast.parse((PACKAGE / "errors.py").read_text("utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == outcomes | {"CovLassoError"}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+                if name not in outcomes | builtins:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_spectra_are_computed_only_in_linalg_and_analysis():
