@@ -20,7 +20,6 @@ _EXPORTS = {
     "analysis": (
         "RedundancyReport",
         "ScreeningReport",
-        "ScreeningRow",
         "SlopeBoundCheck",
         "check_slope_bounds",
         "redundancy",

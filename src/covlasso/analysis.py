@@ -118,15 +118,6 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
 
 
 @dataclass(frozen=True)
-class ScreeningRow:
-    """Per-category screening data; ``index`` is the category's index in Cov."""
-
-    index: int
-    correlation_ratio: float
-    certificate_threshold: float
-
-
-@dataclass(frozen=True)
 class ScreeningReport:
     """Pre-solve support screening for one target and penalty.
 
@@ -135,7 +126,9 @@ class ScreeningReport:
     drift bound along the path).  ``heuristic_zero`` lists categories
     whose cross moment with the target falls below half the penalty; on
     many instances this also predicts a zero coefficient, but it carries
-    no guarantee and is reported for monitoring only.
+    no guarantee and is reported for monitoring only.  ``per_category``
+    holds, per category but the target, the dict the screening report
+    writes: ``index`` in Cov, ``correlation_ratio`` and ``certificate_threshold``.
     """
 
     target: int
@@ -143,7 +136,7 @@ class ScreeningReport:
     lam_max: float
     certified_zero: frozenset[int]
     heuristic_zero: frozenset[int]
-    per_category: tuple[ScreeningRow, ...]
+    per_category: tuple[dict, ...]
 
 
 def _drift_rates(rp: ReducedProblem) -> np.ndarray:
@@ -191,7 +184,7 @@ def screen(cov: CovMatrix, target: int, lam: float) -> ScreeningReport:
     heuristic = np.flatnonzero(others & (np.abs(rp.bhat) < 0.5 * lam))
     idx = np.flatnonzero(others)
     rows = tuple(
-        ScreeningRow(index=j, correlation_ratio=r, certificate_threshold=t)
+        {"index": j, "correlation_ratio": r, "certificate_threshold": t}
         for j, r, t in zip(
             idx.tolist(), ratios[idx].tolist(), thresholds[idx].tolist()
         )
@@ -225,7 +218,9 @@ class SlopeBoundCheck:
         return len(self.margins)
 
 
-def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundCheck:
+def check_slope_bounds(
+    rp: ReducedProblem, path: SolutionPath
+) -> SlopeBoundCheck | None:
     """Verify the residual drift bound on every consecutive path pair.
 
     For penalties lam1, lam2 in (0, lam_max] and each off-target
@@ -235,22 +230,20 @@ def check_slope_bounds(rp: ReducedProblem, path: SolutionPath) -> SlopeBoundChec
             <= sqrt(Chat_jj cov_ii) |1/lam1 - 1/lam2|
 
     up to 1e-8 roundoff slack (see :func:`_drift_rates`; valid whenever
-    cov_ii >= bhat^T Chat^+ bhat).  All path points must have converged.
+    cov_ii >= bhat^T Chat^+ bhat).  Returns ``None``, checking nothing,
+    when the bound does not apply: the path has fewer than two points,
+    a point did not converge, or a penalty exceeds lam_max (1 + 1e-12).
     """
-    if any(not s.converged for s in path.solutions):
-        raise InvalidInput("slope bound check needs a fully converged path")
-    lmax = lambda_max(rp)
-    if any(l > lmax * (1.0 + 1e-12) for l in path.lambdas):
-        raise InvalidInput(
-            "slope bound check is only valid for penalties at or below "
-            "the zero-solution threshold"
-        )
+    sols = path.solutions
+    top = lambda_max(rp) * (1.0 + 1e-12)
+    if len(sols) < 2 or not all(s.converged and s.lam <= top for s in sols):
+        return None
 
     rates = _drift_rates(rp)
-    residuals = [_residual(rp, s.coef) for s in path.solutions]
+    residuals = [_residual(rp, s.coef) for s in sols]
     margins: list[float] = []
-    for k in range(len(path.lambdas) - 1):
-        l1, l2 = path.lambdas[k], path.lambdas[k + 1]
+    for k in range(len(sols) - 1):
+        l1, l2 = sols[k].lam, sols[k + 1].lam
         lhs = np.abs(residuals[k] / l1 - residuals[k + 1] / l2)
         slack = rates * abs(1.0 / l1 - 1.0 / l2) + 1e-8 - lhs
         slack[rp.target] = np.inf  # the target has no residual

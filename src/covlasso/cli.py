@@ -201,25 +201,19 @@ def cmd_path(args) -> int:
     lmax = solver.lambda_max(rp)
     grid = _parse_grid(args, lmax)
     path = solver.solution_path(rp, grid)
+    slope = analysis.check_slope_bounds(rp, path)
 
-    all_converged = all(s.converged for s in path.solutions)
-    in_range = all(l <= lmax * (1.0 + 1e-12) for l in path.lambdas)
-    slope = None
-    if all_converged and in_range and len(path.lambdas) >= 2:
-        slope = analysis.check_slope_bounds(rp, path)
-
-    points = []
-    for lam, sol in zip(path.lambdas, path.solutions):
-        points.append(
-            {
-                "lambda": float(lam),
-                "support_size": len(sol.support),
-                "pred_error": float(sol.pred_error),
-                "objective": float(sol.objective),
-                "converged": bool(sol.converged),
-                "iterations": int(sol.iterations),
-            }
-        )
+    points = [
+        {
+            "lambda": sol.lam,
+            "support_size": len(sol.support),
+            "pred_error": float(sol.pred_error),
+            "objective": float(sol.objective),
+            "converged": bool(sol.converged),
+            "iterations": int(sol.iterations),
+        }
+        for sol in path.solutions
+    ]
     payload = {
         "schema": "dependency-path-report",
         "version": 3,
@@ -232,7 +226,7 @@ def cmd_path(args) -> int:
         else {
             "pairs": slope.pairs,
             "passed": slope.passed,
-            "min_margin": min(slope.margins) if slope.margins else 0.0,
+            "min_margin": min(slope.margins),
         },
     }
     _write_text(args.output, canonical_json(payload))
@@ -245,7 +239,7 @@ def cmd_path(args) -> int:
     if slope is not None:
         _say("slope_passed", slope.passed)
     _say("output", args.output)
-    if not all_converged:
+    if not all(s.converged for s in path.solutions):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 
@@ -264,15 +258,7 @@ def cmd_screen(args) -> int:
         "lambda_max": rep.lam_max,
         "certified_zero": sorted(rep.certified_zero),
         "heuristic_zero": sorted(rep.heuristic_zero),
-        # Plain dicts: asdict deep-copies each of the n - 1 rows.
-        "per_category": [
-            {
-                "index": row.index,
-                "correlation_ratio": row.correlation_ratio,
-                "certificate_threshold": row.certificate_threshold,
-            }
-            for row in rep.per_category
-        ],
+        "per_category": rep.per_category,
     }
     _write_text(args.output, canonical_json(payload))
     _say("target", rep.target)
@@ -337,8 +323,8 @@ def cmd_fit_extension(args) -> int:
 
     base = _load_logits(args.logits, args.labels_col)
     if args.labels is not None:
-        text = Path(args.labels).read_text()
         try:
+            text = Path(args.labels).read_text("utf-8")
             # int() also reads "1_0" and non-ASCII digits; labels have neither.
             if not text.isascii() or "_" in text:
                 raise ValueError(text)
@@ -557,10 +543,7 @@ def main(argv=None) -> int:
     except Degenerate as exc:
         sys.stderr.write(f"covlasso: {exc}\n")
         return EXIT_DEGENERATE
-    except CovLassoError as exc:
-        sys.stderr.write(f"covlasso: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CovLassoError, OSError) as exc:
         sys.stderr.write(f"covlasso: {exc}\n")
         return EXIT_USAGE
 

@@ -207,7 +207,7 @@ def fit_extension(
         raise InvalidInput(f"new category count must be nonnegative, got {new_count}")
     lab = check_labels(labels, base.samples, base.n + new_count)
     if step_size <= 0.0 or not np.isfinite(step_size):
-        raise InvalidInput(f"step size must be positive, got {step_size}")
+        raise InvalidInput(f"step size must be positive and finite, got {step_size}")
     if epochs < 0:
         raise InvalidInput(f"epoch count must be nonnegative, got {epochs}")
 

@@ -132,9 +132,8 @@ class DependencySolution:
 
 @dataclass(frozen=True)
 class SolutionPath:
-    """Solutions along a descending penalty grid."""
+    """Solutions along a descending penalty grid; each holds its ``lam``."""
 
-    lambdas: tuple[float, ...]
     solutions: tuple[DependencySolution, ...]
     monotone: bool
 
@@ -357,7 +356,6 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
     )
     errors = [s.pred_error for s in solutions]
     return SolutionPath(
-        lambdas=tuple(float(v) for v in lams),
         solutions=solutions,
         monotone=bool(np.all(np.diff(errors) <= 1e-9)),
     )

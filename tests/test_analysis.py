@@ -132,16 +132,16 @@ class TestScreen:
         assert rep.certified_zero == frozenset({2})
         assert rep.heuristic_zero == frozenset({2})
         # category 1 is too correlated to certify
-        row1 = next(r for r in rep.per_category if r.index == 1)
-        assert row1.correlation_ratio == pytest.approx(1.0)
-        row2 = next(r for r in rep.per_category if r.index == 2)
+        row1 = next(r for r in rep.per_category if r["index"] == 1)
+        assert row1["correlation_ratio"] == pytest.approx(1.0)
+        row2 = next(r for r in rep.per_category if r["index"] == 2)
         # 1 - 2 sqrt(Chat_22 cov_ii) (1/1.7 - 1/1.8) = 1 - 2 / 30.6
-        assert row2.certificate_threshold == pytest.approx(1.0 - 2.0 / 30.6, rel=1e-14)
+        assert row2["certificate_threshold"] == pytest.approx(1.0 - 2.0 / 30.6, rel=1e-14)
 
     def test_rows_cover_every_category_but_the_target(self, rng):
         cov = cov_of(spd_matrix(rng, 6))
         rep = screen(cov, 3, 0.5 * lambda_max(reduce_problem(cov, 3)))
-        assert [r.index for r in rep.per_category] == [0, 1, 2, 4, 5]
+        assert [r["index"] for r in rep.per_category] == [0, 1, 2, 4, 5]
         assert 3 not in rep.certified_zero | rep.heuristic_zero
 
     def test_slope_margins_ignore_the_target(self):
@@ -216,7 +216,7 @@ class TestScreen:
                     assert rep.certified_zero == certified
                     assert rep.heuristic_zero == heuristic
                     assert [
-                        (r.index, r.correlation_ratio, r.certificate_threshold)
+                        (r["index"], r["correlation_ratio"], r["certificate_threshold"])
                         for r in rep.per_category
                     ] == rows
 
@@ -267,7 +267,7 @@ class TestSlopeBounds:
         root = dense_floored_root(chat, 0.0)
         assert_allclose(np.linalg.norm(root, axis=0), np.sqrt(np.diag(chat)), rtol=1e-12)
         assert np.linalg.norm(np.linalg.solve(root, bhat)) ** 2 <= rp.cov_ii
-        l1, l2 = path.lambdas
+        l1, l2 = path.solutions[0].lam, path.solutions[1].lam
         r1 = chat @ path.solutions[0].coef[keep] - bhat
         r2 = chat @ path.solutions[1].coef[keep] - bhat
         lhs = np.abs(r1 / l1 - r2 / l2)
@@ -287,15 +287,15 @@ class TestSlopeBounds:
             pred_error=1.0,
             certificates=SolutionCertificates(0.0, False, 0.0, 0.0),
         )
-        path = SolutionPath((1.0, 0.5), (fake, fake), True)
-        with pytest.raises(InvalidInput):
-            check_slope_bounds(rp, path)
+        path = SolutionPath((fake, fake), True)
+        assert check_slope_bounds(rp, path) is None
 
     def test_rejects_penalties_above_lambda_max(self):
+        # The bound holds only on (0, lambda_max], and needs a pair.
         rp = rp_from(np.eye(2), [0.9, 0.0])
-        path = solution_path(rp, [2.5, 0.9])  # 2.5 > lambda_max = 1.8
-        with pytest.raises(InvalidInput):
-            check_slope_bounds(rp, path)
+        assert check_slope_bounds(rp, solution_path(rp, [1.8, 0.9])) is not None
+        for grid in ([2.5, 0.9], [0.9]):  # 2.5 > lambda_max = 1.8
+            assert check_slope_bounds(rp, solution_path(rp, grid)) is None
 
 
 class TestErrorReductionBounds:

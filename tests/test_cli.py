@@ -721,6 +721,40 @@ class TestExitCodes:
         (point,) = json.loads(out_path.read_text())["points"]
         assert point["converged"] is False and point["iterations"] == 9
 
+    def test_unconverged_point_skips_the_slope_check(self, tmp_path, monkeypatch):
+        # Both penalties lie below lambda_max = 1, so only the kink budget
+        # running out keeps the slope bound from applying.
+        monkeypatch.setattr(solver, "KINK_CAP_PER_COORD", 1)
+        cov_path = hilbert_cov(tmp_path)
+        out_path = tmp_path / "p.json"
+        code, out, err = run_cli(
+            "path", "--cov", str(cov_path), "--target", "0",
+            "--lambda-grid", "1e-3,1e-10", "--output", str(out_path),
+        )
+        assert code == 3, err
+        info = stdout_dict(out)
+        assert info["slope_checked"] == "false" and "slope_passed" not in info
+        payload = json.loads(out_path.read_text())
+        assert payload["lambda_max"] == 1.0
+        assert [p["converged"] for p in payload["points"]] == [False, False]
+        assert payload["slope_check"] is None
+
+    def test_labels_file_that_is_not_utf8_is_rejected(self, tmp_path):
+        csv = tmp_path / "base.csv"
+        csv.write_text("1,2\n3,4\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(b"\xff\n")
+        code, out, err = run_cli(
+            "fit-extension", "--logits", str(csv), "--labels", str(labels),
+            "--new-count", "1", "--output", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert err == (
+            f"covlasso: labels file {labels} must contain "
+            "whitespace-separated integers\n"
+        )
+        assert not (tmp_path / "x.json").exists()
+
     def test_strict_flags_degenerate_cov(self, tmp_path):
         # Only redundancy floors a spectrum, so only it takes --strict.
         mat = np.ones((3, 3))

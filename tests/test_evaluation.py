@@ -218,6 +218,10 @@ class TestFitExtension:
             fit_extension(LogitMatrix(data), labels, -1)
         with pytest.raises(InvalidInput):
             fit_extension(LogitMatrix(data), labels, 1, step_size=0.0)
+        for step in (float("inf"), float("nan")):
+            expect = f"step size must be positive and finite, got {step}"
+            with raises_exact(InvalidInput, expect):
+                fit_extension(LogitMatrix(data), labels, 1, step_size=step)
         with pytest.raises(InvalidInput):
             fit_extension(LogitMatrix(data), labels, 1, epochs=-1)
 

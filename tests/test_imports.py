@@ -26,11 +26,11 @@ EXPORTS = [
     "DependencyReport", "DependencySolution", "EvalMetrics",
     "ExtensionFit", "FormatError", "InvalidInput", "LogitMatrix",
     "PlantedDependency", "PlantedTruth", "ReducedProblem",
-    "RedundancyReport", "ScreeningReport", "ScreeningRow",
-    "SlopeBoundCheck", "SolutionCertificates", "SolutionPath",
-    "SyntheticSpec", "accumulate", "build_report", "canonical_json",
-    "certificates", "check_slope_bounds", "cross_covariance",
-    "default_name", "emit_graph", "emit_report", "evaluate", "finalize",
+    "RedundancyReport", "ScreeningReport", "SlopeBoundCheck",
+    "SolutionCertificates", "SolutionPath", "SyntheticSpec",
+    "accumulate", "build_report", "canonical_json", "certificates",
+    "check_slope_bounds", "cross_covariance", "default_name",
+    "emit_graph", "emit_report", "evaluate", "finalize",
     "fit_extension", "format_float", "generate", "lambda_max",
     "parse_report", "read_cov", "read_logits", "read_logits_csv",
     "reduce_problem", "redundancy", "report_theta", "screen",

@@ -137,11 +137,10 @@ def test_errors_are_one_class_per_exit_code():
     assert found == []
 
 
-def test_spectra_are_computed_only_in_linalg_and_analysis():
-    # Only analysis may: read_cov decides PSD with one Cholesky
-    # factorization, linalg holds a constant, and the solvers need no
-    # spectrum.  An eigh or eigvalsh elsewhere is a slow path creeping
-    # back in.
+def test_spectra_are_computed_only_in_analysis():
+    # read_cov decides PSD with one Cholesky factorization and the
+    # solvers need no spectrum, so only analysis.redundancy may call
+    # eigh.  An eigh or eigvalsh elsewhere is a slow path creeping back in.
     spectral = {"eigh", "eigvalsh"}
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "analysis.py")
     assert modules
