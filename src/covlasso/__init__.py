@@ -77,8 +77,6 @@ _EXPORTS = {
     ),
     "synthetic": (
         "PlantedDependency",
-        "PlantedTruth",
-        "SyntheticSpec",
         "generate",
     ),
 }

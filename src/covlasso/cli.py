@@ -369,11 +369,11 @@ def _parse_plant(text: str):
     try:
         head, tail = text.split(":", 1)
         target = int(head)
-        coeffs = {}
+        pairs = []
         for part in tail.split(","):
             j, w = part.split("=", 1)
-            coeffs[int(j)] = float(w)
-        return synthetic.PlantedDependency(target, coeffs)
+            pairs.append((int(j), float(w)))
+        return synthetic.PlantedDependency(target, pairs)
     except (ValueError, IndexError):
         raise InvalidInput(
             f"could not parse --plant {text!r}; expected TARGET:J=W[,J=W...]"
@@ -390,24 +390,29 @@ def cmd_synth(args) -> int:
     if args.truth_output is not None and args.plant is None:
         raise InvalidInput("--truth-output needs a planted dependency")
     planted = _parse_plant(args.plant) if args.plant is not None else None
-    spec = synthetic.SyntheticSpec(
-        n=args.n,
-        samples=args.samples,
-        latent_rank=args.latent_rank,
+    logits = synthetic.generate(
+        args.n,
+        args.samples,
+        args.latent_rank,
         noise_sigma=args.noise_sigma,
         planted=planted,
         seed=args.seed,
     )
-    logits, truth = synthetic.generate(spec)
     Path(args.output).write_bytes(write_logits(logits))
     if args.truth_output is not None:
-        payload = {"schema": "planted-truth", "version": 1, **asdict(truth)}
+        payload = {
+            "schema": "planted-truth",
+            "version": 1,
+            "n": logits.n,
+            "noise_sigma": args.noise_sigma,
+            **asdict(planted),
+        }
         _write_text(args.truth_output, canonical_json(payload))
         _say("truth_output", args.truth_output)
     _say("n", logits.n)
     _say("samples", logits.samples)
     _say("seed", args.seed)
-    _say("planted", truth is not None)
+    _say("planted", planted is not None)
     _say("output", args.output)
     return EXIT_OK
 

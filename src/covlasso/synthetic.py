@@ -27,7 +27,8 @@ per-sample latent factors z ~ N(0, I_r) (also filled column by column).
 A planted dependency overwrites the target column with the requested
 linear combination of other columns before labels are taken, and labels
 are always the argmax of the noise-free logits; target noise, if any,
-is added afterwards.
+is added afterwards.  Noise goes on the planted target only, so a
+positive ``noise_sigma`` without a planted dependency is rejected.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ TAG_LATENT = 2
 TAG_NOISE = 3
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 output finalizer (scalar, for seed derivation)."""
-    z &= _MASK
+def mix64(z):
+    """SplitMix64 output finalizer on a 64-bit int or a uint64 array."""
     z = ((z ^ (z >> 30)) * _K1) & _MASK
     z = ((z ^ (z >> 27)) * _K2) & _MASK
     return z ^ (z >> 31)
@@ -71,10 +71,7 @@ def _outputs(seed: int, start: int, count: int) -> np.ndarray:
     state after k draws is seed + k * GAMMA mod 2^64.
     """
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed) + np.uint64(GAMMA) * idx).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_K1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_K2)
-    return z ^ (z >> np.uint64(31))
+    return mix64(np.uint64(seed) + np.uint64(GAMMA) * idx)
 
 
 def unit_doubles(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -119,110 +116,86 @@ def normals(seed: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlantedDependency:
-    """Ground-truth sparse combination to overwrite the target with."""
+    """Ground-truth sparse combination to overwrite the target with.
 
-    target: int
-    coefficients: tuple[tuple[int, float], ...]
+    Built from ``(index, weight)`` pairs, kept sorted by index: the
+    order in which ``generate`` sums the combination.
+    """
 
-    def __init__(self, target: int, coefficients):
-        object.__setattr__(self, "target", int(target))
-        if hasattr(coefficients, "items"):
-            items = coefficients.items()
-        else:
-            items = coefficients
-        pairs = tuple(sorted((int(j), float(w)) for j, w in items))
-        object.__setattr__(self, "coefficients", pairs)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Full description of one synthetic dataset."""
-
-    n: int
-    samples: int
-    latent_rank: int
-    noise_sigma: float = 0.0
-    planted: PlantedDependency | None = None
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class PlantedTruth:
-    """What the generator actually planted."""
-
-    n: int
     target: int
     support: tuple[int, ...]
     coefficients: tuple[float, ...]
-    noise_sigma: float
+
+    def __init__(self, target: int, pairs):
+        pairs = sorted((int(j), float(w)) for j, w in pairs)
+        object.__setattr__(self, "target", int(target))
+        object.__setattr__(self, "support", tuple(j for j, _ in pairs))
+        object.__setattr__(self, "coefficients", tuple(w for _, w in pairs))
 
 
-def _validate(spec: SyntheticSpec) -> None:
-    if spec.n < 1:
+def _validate(n, samples, latent_rank, noise_sigma, planted) -> None:
+    if n < 1:
         raise InvalidInput("need at least one category")
-    if spec.samples < 1:
+    if samples < 1:
         raise InvalidInput("need at least one sample")
-    if spec.latent_rank < 1:
+    if latent_rank < 1:
         raise InvalidInput("latent rank must be at least 1")
-    if not math.isfinite(spec.noise_sigma) or spec.noise_sigma < 0.0:
-        raise InvalidInput(f"noise sigma must be nonnegative, got {spec.noise_sigma}")
-    if spec.planted is not None:
-        p = spec.planted
-        if not 0 <= p.target < spec.n:
-            raise InvalidInput(f"planted target {p.target} outside [0, {spec.n})")
-        if not p.coefficients:
-            raise InvalidInput("planted dependency needs at least one coefficient")
-        seen = set()
-        for j, w in p.coefficients:
-            if not 0 <= j < spec.n:
-                raise InvalidInput(f"planted index {j} outside [0, {spec.n})")
-            if j == p.target:
-                raise InvalidInput("planted support must not contain the target")
-            if j in seen:
-                raise InvalidInput(f"planted index {j} repeated")
-            if not math.isfinite(w) or w == 0.0:
-                raise InvalidInput(
-                    f"planted coefficient for {j} must be finite nonzero"
-                )
-            seen.add(j)
+    if not math.isfinite(noise_sigma) or noise_sigma < 0.0:
+        raise InvalidInput(f"noise sigma must be nonnegative, got {noise_sigma}")
+    if planted is None:
+        if noise_sigma > 0.0:
+            raise InvalidInput(
+                f"noise sigma {noise_sigma} needs a planted dependency: "
+                "noise is added to the planted target only"
+            )
+        return
+    if not 0 <= planted.target < n:
+        raise InvalidInput(f"planted target {planted.target} outside [0, {n})")
+    if not planted.support:
+        raise InvalidInput("planted dependency needs at least one coefficient")
+    seen = set()
+    for j, w in zip(planted.support, planted.coefficients):
+        if not 0 <= j < n:
+            raise InvalidInput(f"planted index {j} outside [0, {n})")
+        if j == planted.target:
+            raise InvalidInput("planted support must not contain the target")
+        if j in seen:
+            raise InvalidInput(f"planted index {j} repeated")
+        if not math.isfinite(w) or w == 0.0:
+            raise InvalidInput(f"planted coefficient for {j} must be finite nonzero")
+        seen.add(j)
 
 
-def generate(spec: SyntheticSpec) -> tuple[LogitMatrix, PlantedTruth | None]:
+def generate(
+    n: int,
+    samples: int,
+    latent_rank: int,
+    *,
+    noise_sigma: float = 0.0,
+    planted: PlantedDependency | None = None,
+    seed: int = 0,
+) -> LogitMatrix:
     """Generate a labeled logit matrix, bit-deterministic in the seed."""
-    _validate(spec)
-    seed = spec.seed & _MASK
-    n, big_n, rank = spec.n, spec.samples, spec.latent_rank
+    _validate(n, samples, latent_rank, noise_sigma, planted)
+    seed &= _MASK
 
-    weights = np.empty((n, rank))
-    w_scale = 1.0 / math.sqrt(rank)
-    for k in range(rank):
+    weights = np.empty((n, latent_rank))
+    w_scale = 1.0 / math.sqrt(latent_rank)
+    for k in range(latent_rank):
         weights[:, k] = normals(derive_seed(seed, TAG_WEIGHTS, k), n) * w_scale
 
-    latent = np.empty((big_n, rank))
-    for k in range(rank):
-        latent[:, k] = normals(derive_seed(seed, TAG_LATENT, k), big_n)
+    latent = np.empty((samples, latent_rank))
+    for k in range(latent_rank):
+        latent[:, k] = normals(derive_seed(seed, TAG_LATENT, k), samples)
 
     logits = latent @ weights.T
-
-    truth: PlantedTruth | None = None
-    if spec.planted is not None:
-        p = spec.planted
-        combo = np.zeros(big_n)
-        for j, w in p.coefficients:
+    if planted is not None:
+        combo = np.zeros(samples)
+        for j, w in zip(planted.support, planted.coefficients):
             combo += w * logits[:, j]
-        logits[:, p.target] = combo
-        labels = np.argmax(logits, axis=1).astype(np.int64)
-        if spec.noise_sigma > 0.0:
-            noise = normals(derive_seed(seed, TAG_NOISE, p.target), big_n)
-            logits[:, p.target] = logits[:, p.target] + spec.noise_sigma * noise
-        truth = PlantedTruth(
-            n=n,
-            target=p.target,
-            support=tuple(j for j, _ in p.coefficients),
-            coefficients=tuple(w for _, w in p.coefficients),
-            noise_sigma=spec.noise_sigma,
-        )
-    else:
-        labels = np.argmax(logits, axis=1).astype(np.int64)
-
-    return LogitMatrix(logits, labels), truth
+        logits[:, planted.target] = combo
+    labels = np.argmax(logits, axis=1).astype(np.int64)
+    if noise_sigma > 0.0:
+        noise = normals(derive_seed(seed, TAG_NOISE, planted.target), samples)
+        logits[:, planted.target] += noise_sigma * noise
+    return LogitMatrix(logits, labels)

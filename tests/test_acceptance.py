@@ -15,7 +15,6 @@ from covlasso import (
     CovAccumulator,
     CovMatrix,
     PlantedDependency,
-    SyntheticSpec,
     accumulate,
     check_slope_bounds,
     emit_report,
@@ -218,9 +217,7 @@ class TestAcceptance:
         )
 
     def test_criterion_8_markov_consistency(self):
-        spec = SyntheticSpec(n=8, samples=10000, latent_rank=8,
-                             noise_sigma=0.3, seed=108)
-        logits, _ = generate(spec)
+        logits = generate(8, 10000, 8, seed=108)
         cov = finalize(accumulate(CovAccumulator(8), logits))
         configs = 0
         ok = True
@@ -253,18 +250,15 @@ class TestAcceptance:
                 int(j): float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
                 for j in support
             }
-            spec = SyntheticSpec(
-                n=50, samples=2000, latent_rank=50, noise_sigma=0.0,
-                planted=PlantedDependency(0, coeffs), seed=seed,
-            )
-            logits, truth = generate(spec)
+            planted = PlantedDependency(0, coeffs.items())
+            logits = generate(50, 2000, 50, planted=planted, seed=seed)
             cov = finalize(accumulate(CovAccumulator(50), logits))
             rp = reduce_problem(cov, 0)
             lmax = lambda_max(rp)
             path = solution_path(rp, np.geomspace(lmax, lmax / 1000.0, 30))
             for sol in path.solutions:
                 # Both sorted, so equal supports mean precision = recall = 1.
-                if sol.support == truth.support:
+                if sol.support == planted.support:
                     wins += 1
                     break
         record(9, wins == 20, f"{wins}/20 seeds hit precision = recall = 1")

@@ -122,6 +122,43 @@ class TestSynth:
         assert truth["target"] == 1
         assert truth["support"] == [0]
         assert truth["coefficients"] == [0.5]
+        # The README walkthrough's truth file, byte for byte.
+        code, out, err = run_cli(
+            "synth", "--n", "8", "--samples", "4000", "--latent-rank", "8",
+            "--noise-sigma", "0.05", "--plant", "0:2=0.5,5=-0.25", "--seed", "7",
+            "--output", str(tmp_path / "logits.bin"),
+            "--truth-output", str(truth_path),
+        )
+        assert code == 0, err
+        assert truth_path.read_bytes() == (
+            b'{"coefficients":[0.5,-0.25],"n":8,"noise_sigma":0.050000000000000003,'
+            b'"schema":"planted-truth","support":[2,5],"target":0,"version":1}\n'
+        )
+
+    def test_repeated_plant_index_rejected(self, tmp_path):
+        code, out, err = run_cli(
+            "synth", "--n", "6", "--samples", "50", "--latent-rank", "3",
+            "--plant", "0:1=0.5,1=0.3", "--truth-output", str(tmp_path / "t.json"),
+            "--output", str(tmp_path / "x.bin"),
+        )
+        assert code == 2
+        assert "planted index 1 repeated" in err
+        assert out == ""
+        assert not (tmp_path / "x.bin").exists()
+        assert not (tmp_path / "t.json").exists()
+
+    def test_noise_sigma_requires_plant(self, tmp_path):
+        code, out, err = run_cli(
+            "synth", "--n", "6", "--samples", "50", "--latent-rank", "3",
+            "--noise-sigma", "0.5", "--output", str(tmp_path / "x.bin"),
+        )
+        assert code == 2
+        assert (
+            "noise sigma 0.5 needs a planted dependency: "
+            "noise is added to the planted target only"
+        ) in err
+        assert out == ""
+        assert not (tmp_path / "x.bin").exists()
 
     def test_truth_output_requires_plant(self, tmp_path):
         code, out, err = run_cli(

@@ -25,9 +25,9 @@ EXPORTS = [
     "CovAccumulator", "CovLassoError", "CovMatrix", "Degenerate",
     "DependencyReport", "DependencySolution", "EvalMetrics",
     "ExtensionFit", "FormatError", "InvalidInput", "LogitMatrix",
-    "PlantedDependency", "PlantedTruth", "ReducedProblem",
-    "RedundancyReport", "ScreeningReport", "SlopeBoundCheck",
-    "SolutionCertificates", "SolutionPath", "SyntheticSpec",
+    "PlantedDependency", "ReducedProblem", "RedundancyReport",
+    "ScreeningReport", "SlopeBoundCheck", "SolutionCertificates",
+    "SolutionPath",
     "accumulate", "build_report", "canonical_json", "certificates",
     "check_slope_bounds", "cross_covariance", "default_name",
     "emit_graph", "emit_report", "evaluate", "finalize",
