@@ -67,13 +67,6 @@ from .errors import InvalidInput
 # The homotopy takes at most this many kinks per coordinate.
 KINK_CAP_PER_COORD = 10
 
-SUPPORT_TOL = 1e-10
-
-
-def support_indices(values) -> np.ndarray:
-    """Positions of ``values`` that count as support members: |value| > SUPPORT_TOL."""
-    return np.flatnonzero(np.abs(np.asarray(values, dtype=np.float64)) > SUPPORT_TOL)
-
 
 @dataclass(frozen=True)
 class SolutionCertificates:
@@ -90,9 +83,9 @@ class DependencySolution:
     """One solved dependency: coefficients indexed like Cov, 0 at the target.
 
     ``theta`` is the dependency vector, ``coef`` with the target's fixed
-    -1 in place; ``support`` lists the categories whose coefficients lie
-    beyond the support tolerance.  Both are read from ``coef``, so they
-    cannot disagree with it.  ``pred_error`` is theta^T Cov theta and
+    -1 in place; ``support`` lists the categories whose coefficients are
+    nonzero, however small.  Both are read from ``coef``, so they cannot
+    disagree with it.  ``pred_error`` is theta^T Cov theta and
     ``iterations`` counts the homotopy's kinks.
     """
 
@@ -118,7 +111,7 @@ class DependencySolution:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(int(j) for j in support_indices(self.coef))
+        return tuple(int(j) for j in np.flatnonzero(self.coef))
 
     @property
     def converged(self) -> bool:

@@ -133,7 +133,9 @@ class PlantedDependency:
         object.__setattr__(self, "coefficients", tuple(w for _, w in pairs))
 
 
-def _validate(n, samples, latent_rank, noise_sigma, planted) -> None:
+def _validate(n, samples, latent_rank, noise_sigma, planted, seed) -> None:
+    if not -(1 << 63) <= seed <= _MASK:
+        raise InvalidInput(f"seed must lie in [-2^63, 2^64), got {seed}")
     if n < 1:
         raise InvalidInput("need at least one category")
     if samples < 1:
@@ -175,8 +177,8 @@ def generate(
     planted: PlantedDependency | None = None,
     seed: int = 0,
 ) -> LogitMatrix:
-    """Generate a labeled logit matrix, bit-deterministic in the seed."""
-    _validate(n, samples, latent_rank, noise_sigma, planted)
+    """Generate a labeled logit matrix, bit-deterministic in the seed (mod 2^64)."""
+    _validate(n, samples, latent_rank, noise_sigma, planted, seed)
     seed &= _MASK
 
     weights = np.empty((n, latent_rank))
@@ -189,13 +191,15 @@ def generate(
         latent[:, k] = normals(derive_seed(seed, TAG_LATENT, k), samples)
 
     logits = latent @ weights.T
-    if planted is not None:
-        combo = np.zeros(samples)
-        for j, w in zip(planted.support, planted.coefficients):
-            combo += w * logits[:, j]
-        logits[:, planted.target] = combo
-    labels = np.argmax(logits, axis=1).astype(np.int64)
-    if noise_sigma > 0.0:
-        noise = normals(derive_seed(seed, TAG_NOISE, planted.target), samples)
-        logits[:, planted.target] += noise_sigma * noise
+    # Overflowing weights or noise give non-finite logits: LogitMatrix says so.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if planted is not None:
+            combo = np.zeros(samples)
+            for j, w in zip(planted.support, planted.coefficients):
+                combo += w * logits[:, j]
+            logits[:, planted.target] = combo
+        labels = np.argmax(logits, axis=1).astype(np.int64)
+        if noise_sigma > 0.0:
+            noise = normals(derive_seed(seed, TAG_NOISE, planted.target), samples)
+            logits[:, planted.target] += noise_sigma * noise
     return LogitMatrix(logits, labels)

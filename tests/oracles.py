@@ -33,6 +33,12 @@ def solve_diagonal(diag: np.ndarray, bhat: np.ndarray, lam: float) -> np.ndarray
     )
 
 
+# Iterative coordinate descent stops at a tolerance, so a coefficient that
+# is exactly 0 at the optimum may be left a little off it; below this
+# magnitude its output counts as 0.  Only the oracle's output is read so.
+CD_ZERO_TOL = 1e-10
+
+
 def coordinate_descent(
     chat: np.ndarray,
     bhat: np.ndarray,

@@ -35,7 +35,7 @@ from covlasso import (
 )
 from covlasso.covariance import LogitMatrix
 from covlasso.evaluation import _base_terms, _extension_epoch
-from covlasso.solver import SUPPORT_TOL, lambda_max
+from covlasso.solver import lambda_max
 
 from conftest import rp_from
 from oracles import determinant_error, enumerate_lasso, minor, solve_diagonal, solve_univariate, spd_matrix
@@ -176,7 +176,7 @@ class TestAcceptance:
         for _ in range(100):
             rp = random_problem(rng, int(rng.integers(1, 13)))
             sol = solve(rp, 1.0001 * lambda_max(rp))
-            empty += int(np.all(np.abs(sol.coef) <= SUPPORT_TOL))
+            empty += int(np.all(sol.coef == 0.0))
         record(5, empty == 100, f"{empty}/100 empty supports at 1.0001 lambda_max")
 
     def test_criterion_6_screening_soundness(self):
@@ -195,7 +195,7 @@ class TestAcceptance:
                 if not rep.certified_zero:
                     continue
                 sol = solve(rp, float(lam))
-                support = set(np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL))
+                support = set(np.flatnonzero(sol.coef != 0.0))
                 unsound += len(rep.certified_zero & support)
         record(
             6,
@@ -388,10 +388,9 @@ class TestAcceptance:
             if not rep.heuristic_zero:
                 continue
             sol = solve(rp, lam)
-            for j_full in rep.heuristic_zero:
+            for j in rep.heuristic_zero:  # indexed like Cov, as sol.coef is
                 certified += 1
-                j = j_full - 1 if j_full > target else j_full
-                if abs(sol.coef[j]) > SUPPORT_TOL:
+                if sol.coef[j] != 0.0:
                     violations += 1
         rate = violations / certified if certified else 0.0
         # Non-gating monitor: the heuristic screen is expected to be

@@ -14,7 +14,6 @@ from covlasso import (
     solution_path,
     solve,
 )
-from covlasso.solver import SUPPORT_TOL
 
 from conftest import raises_exact, rp_from
 from oracles import (
@@ -191,7 +190,7 @@ class TestScreen:
                 rep = screen(cov, target, lam)
                 sol = solve(rp, lam)
                 assert sol.converged
-                active = set(np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL))
+                active = set(np.flatnonzero(sol.coef != 0.0))
                 assert not (rep.certified_zero & active)
 
     def test_matches_the_per_category_loop(self, rng):
@@ -232,7 +231,7 @@ class TestScreen:
             lam = float(rng.uniform(0.05, 0.95)) * lambda_max(rp)
             rep = screen(cov, target, lam)
             sol = solve(rp, lam)
-            active = set(np.flatnonzero(np.abs(sol.coef) > SUPPORT_TOL))
+            active = set(np.flatnonzero(sol.coef != 0.0))
             checked += len(rep.heuristic_zero)
             violations += len(rep.heuristic_zero & active)
         rate = violations / checked if checked else 0.0

@@ -23,6 +23,7 @@ from covlasso import (
 )
 from covlasso import solver
 from covlasso.cli import main
+from covlasso.reports import format_float
 from covlasso.solver import lambda_max
 
 
@@ -171,6 +172,38 @@ class TestSynth:
         # Rejected before generating: neither file is written.
         assert not (tmp_path / "x.bin").exists()
         assert not (tmp_path / "t.json").exists()
+
+    def test_seed_outside_its_range_rejected(self, tmp_path):
+        # 2^64 would otherwise name the same stream as seed 0.
+        out_path = tmp_path / "x.bin"
+        for seed in ("18446744073709551616", "-9223372036854775809"):
+            code, out, err = run_cli(
+                "synth", "--n", "3", "--samples", "20", "--latent-rank", "3",
+                "--seed", seed, "--output", str(out_path),
+            )
+            assert code == 2
+            assert err == f"covlasso: seed must lie in [-2^63, 2^64), got {seed}\n"
+            assert out == "" and not out_path.exists()
+        for seed in ("18446744073709551615", "-9223372036854775808"):
+            code, out, err = run_cli(
+                "synth", "--n", "3", "--samples", "20", "--latent-rank", "3",
+                "--seed", seed, "--output", str(out_path),
+            )
+            assert code == 0, err
+            assert stdout_dict(out)["seed"] == seed
+
+    def test_overflowing_plant_is_one_line(self, tmp_path):
+        # Overflow in the planted combination or its noise must not leak
+        # a numpy warning.
+        out_path = tmp_path / "x.bin"
+        for plant in (("0:1=1e308,2=1e308",), ("0:1=1", "--noise-sigma", "1e308")):
+            done = run_module(
+                "synth", "--n", "3", "--samples", "20", "--latent-rank", "3",
+                "--plant", *plant, "--output", str(out_path),
+            )
+            assert done.returncode == 2
+            assert done.stderr == "covlasso: logit data has non-finite entries\n"
+            assert done.stdout == "" and not out_path.exists()
 
     def test_bad_plant_spec(self, tmp_path):
         code, out, err = run_cli(
@@ -395,6 +428,31 @@ class TestEvalAndGraph:
         assert solved["positives"] > 0
         assert evaluated["target"] == 0
         assert {key: evaluated[key] for key in solved} == solved
+
+    def test_eval_reproduces_metrics_with_a_tiny_coefficient(self, tmp_path):
+        # Just below lambda_max the one active coefficient is about 3e-13:
+        # the report must list it, because solve scored it.
+        logits = synth(tmp_path, **{"latent-rank": "4", "plant": None, "seed": "2"})
+        cov_path = build_cov(tmp_path, logits)
+        lmax = lambda_max(reduce_problem(read_cov(cov_path.read_bytes()), 0))
+        report_path = tmp_path / "r.json"
+        code, out, err = run_cli(
+            "solve", "--cov", str(cov_path), "--target", "0",
+            "--lambda", repr(lmax * (1.0 - 1e-12)), "--logits", str(logits),
+            "--output", str(report_path),
+        )
+        assert code == 0, err
+        assert stdout_dict(out)["support_size"] == "1"
+        report = parse_report(report_path.read_text())
+        assert [(j, abs(v) < 1e-12) for j, _, v in report.coefficients] == [(2, True)]
+        code, out, err = run_cli(
+            "eval", "--logits", str(logits), "--report", str(report_path),
+            "--output", str(tmp_path / "m.json"),
+        )
+        assert code == 0, err
+        evaluated = stdout_dict(out)
+        for key in ("abs_err", "rel_err", "acc", "ori_acc"):
+            assert evaluated[key] == format_float(report.metrics[key]), key
 
     def test_eval_rejects_mistyped_report_fields(self, tmp_path):
         # Each field keeps its JSON type: a coefficient index of 2.5 must

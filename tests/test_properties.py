@@ -1,5 +1,7 @@
 """Property tests over randomly drawn shapes, data and batchings."""
 
+from dataclasses import asdict
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,14 @@ from covlasso import (
     LogitMatrix,
     accumulate,
     certificates,
+    emit_report,
+    evaluate,
     finalize,
     lambda_max,
+    parse_report,
     reduce_problem,
     redundancy,
+    report_theta,
     screen,
     solve,
 )
@@ -289,3 +295,45 @@ def test_redundancy_floors_with_its_minor_and_agrees_unfloored(cov):
             assert rep.max_disagreement() <= 1e-6
             oracle = determinant_error(cov.data, target)
             assert abs(rep.min_error - oracle) <= 1e-8 * oracle
+
+
+@st.composite
+def labelled_solves(draw):
+    """Labelled logits, a target and a penalty fraction in (0, 1] of lam_max.
+
+    The fractions include 1 - 1e-12, where the one active coefficient is
+    roundoff-sized.
+    """
+    n = draw(st.integers(2, 6))
+    samples = draw(st.integers(2, 60))
+    rank = draw(st.integers(1, n))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    frac = draw(st.one_of(st.just(1.0 - 1e-12), st.floats(1e-3, 1.0)))
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(samples, rank)) @ rng.normal(size=(rank, n))
+    data = scale * (data + 0.1 * rng.normal(size=(samples, n)))
+    labels = rng.integers(0, n, size=samples)
+    return LogitMatrix(data, labels), int(rng.integers(0, n)), frac
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_solves())
+def test_eval_of_a_report_reproduces_its_metrics(case):
+    logits, target, frac = case
+    cov = finalize(accumulate(CovAccumulator(logits.n), logits))
+    rp = reduce_problem(cov, target)
+    lam = frac * lambda_max(rp)
+    assume(lam > 0.0)
+    dep = solve(rp, lam)
+    text = emit_report(dep, evaluate(logits, target, dep.theta))
+    report = parse_report(text)
+    again = evaluate(logits, target, report_theta(report, logits.n))
+    assert report.metrics.keys() == asdict(again).keys() - {"target"}
+    for key, value in report.metrics.items():
+        got = getattr(again, key)
+        assert type(got) is type(value), key
+        if isinstance(value, float):
+            assert got.hex() == value.hex(), key
+        else:
+            assert got == value, key

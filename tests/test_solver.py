@@ -17,6 +17,7 @@ from covlasso import solver
 
 from conftest import raises_exact, rp_from
 from oracles import (
+    CD_ZERO_TOL,
     coordinate_descent,
     enumerate_lasso,
     minor,
@@ -316,9 +317,7 @@ class TestSolutionPath:
             ref = None
             for lam, point in zip(grid, path.solutions):
                 ref = coordinate_descent(chat, bhat, lam, init=ref)
-                assert np.array_equal(
-                    np.abs(point.coef[keep]) > solver.SUPPORT_TOL, np.abs(ref) > solver.SUPPORT_TOL
-                )
+                assert np.array_equal(point.coef[keep] != 0.0, np.abs(ref) > CD_ZERO_TOL)
                 assert point.objective <= objective(chat, bhat, lam, ref) + 1e-12
 
     def test_one_certificate_pass_per_point(self, monkeypatch):
@@ -388,11 +387,6 @@ class TestEmbed:
         rp = rp_from(np.eye(2), [0.9, 0.0])
         assert solve(rp, 0.4).support == (1,)
 
-    def test_support_rule_is_magnitude_strictly_above_tolerance(self):
-        tol = solver.SUPPORT_TOL
-        values = [0.0, tol, -2.0 * tol, 2.0 * tol, -tol]
-        assert solver.support_indices(values).tolist() == [2, 3]
-
     def test_certificates_present(self):
         sol = solve(rp_1d(), 1.0)
         assert sol.certificates.kkt_valid
@@ -414,7 +408,8 @@ class TestEmbed:
                 max(0.0, objective(chat, bhat, 0.0, c) + rp.cov_ii),
                 rel=1e-10, abs=1e-12,
             )
-            assert sol.support == tuple(solver.support_indices(sol.coef).tolist())
+            # The support is exactly the nonzero coefficients, however small.
+            assert sol.support == tuple(j for j in range(sol.n) if sol.coef[j] != 0.0)
 
     def test_converged_is_read_only(self):
         sol = solve(rp_1d(), 1.0)

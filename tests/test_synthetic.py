@@ -135,6 +135,9 @@ class TestGenerate:
             generate(3, 1, 1, planted=PlantedDependency(0, [(1, 0.0)]))
         with raises_exact(InvalidInput, "planted index 1 repeated"):
             generate(3, 1, 1, planted=PlantedDependency(0, [(1, 0.5), (1, 0.25)]))
+        for seed in (1 << 64, -(1 << 63) - 1):
+            with raises_exact(InvalidInput, f"seed must lie in [-2^63, 2^64), got {seed}"):
+                generate(2, 1, 1, seed=seed)
 
 
 class TestVerifyRecovery:
