@@ -3,7 +3,7 @@
 from dataclasses import asdict
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -151,12 +151,33 @@ def test_gap_at_solve_output_bounds_suboptimality(case):
     assert certificates(rp, lam, coef).dual_gap <= 1e-9 * gap_scale(rp, lam, coef)
 
 
+# A Cov of rank 2 whose Chat has condition number 1.3e8.  Rounded to
+# doubles, Cov is indefinite (eigenvalue -3e-14), and its exact Schur
+# complement cov_ii - bhat^T Chat^-1 bhat is -1.0e-6, about cond(Chat) u
+# relative to cov_ii: the Gram gap lies 1.9e-7 below the root gap.
+_ILL_CONDITIONED_COV = np.array(
+    [
+        [186.09503237719767, 140.0086264844335, 110.2257571341875],
+        [140.0086264844335, 279.11267516383975, 219.68802558828818],
+        [110.2257571341875, 219.68802558828818, 172.9152219829593],
+    ]
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rank_deficient_problems(), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+@example(
+    case=(CovMatrix(_ILL_CONDITIONED_COV, 10), 0, 140.0086264844335),
+    seed=0,
+    log_size=0.0,
+)
 def test_gram_gap_matches_root_gap(case, seed, log_size):
-    # The two gaps differ by (1-s)^2 (cov_ii - bhat^T Chat^+ bhat) >= 0,
-    # which vanishes at s = 1.  The root form computes bhat^T Chat^+ bhat
-    # with relative error up to cond(Chat) u, hence the (1-s)^2 cov_ii slack.
+    # The two gaps differ by (1-s)^2 (cov_ii - bhat^T Chat^+ bhat), which
+    # vanishes at s = 1 and is >= 0 for an exactly PSD Cov.  Cov rounded to
+    # doubles moves that Schur complement, and the root form computes
+    # bhat^T Chat^+ bhat, with relative error up to cond(Chat) u, hence the
+    # (1-s)^2 cov_ii cond(Chat) u slack.  cond(Chat) is taken over the
+    # eigenvalues the root form keeps (above 1e-12 of the largest).
     cov, target, lam = case
     rp = reduce_problem(cov, target)
     chat, bhat, keep = minor(rp)
@@ -176,7 +197,10 @@ def test_gram_gap_matches_root_gap(case, seed, log_size):
         assert abs(gram - root) <= tol
     else:
         s = 0.5 * lam / r_inf
-        assert gram >= root - tol - 1e-9 * (1.0 - s) ** 2 * rp.cov_ii
+        eig = np.linalg.eigvalsh(chat)
+        cond = eig[-1] / eig[eig > 1e-12 * eig[-1]][0]
+        slack = cond * np.finfo(np.float64).eps * (1.0 - s) ** 2 * rp.cov_ii
+        assert gram >= root - tol - slack
 
 
 @settings(max_examples=300, deadline=None)
