@@ -77,13 +77,8 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
     Cauchy interlacing the target-deleted minor can dip below its own
     relative floor only when Cov does, so Cov's spectrum alone decides.
     """
-    n = cov.n
-    if n < 2:
-        raise InvalidInput("redundancy needs at least two categories")
-    if not 0 <= target < n:
-        raise InvalidInput(f"target {target} outside [0, {n})")
     full = cov.data
-    cov_ii = float(full[target, target])
+    cov_ii = reduce_problem(cov, target).cov_ii
     if cov_ii <= 1e-300:
         raise Degenerate(f"category {target} has numerically zero second moment")
 
@@ -102,7 +97,7 @@ def redundancy(cov: CovMatrix, target: int) -> RedundancyReport:
         raise Degenerate(f"every category other than {target} has zero second moment")
     eigen_sum = float(np.sum(weights * weights / lifted))
     if not floored:
-        basis = np.zeros(n)
+        basis = np.zeros(cov.n)
         basis[target] = 1.0
         min_error = 1.0 / float(np.linalg.solve(full, basis)[target])
     else:

@@ -36,6 +36,21 @@ EXIT_NOT_CONVERGED = 3
 EXIT_DEGENERATE = 4
 
 
+def _number(kind: type):
+    """``kind(text)`` for ASCII numerals without ``_``: every number the CLI parses.
+
+    This is ``formats._ascii_number``'s rule, restated since ``formats`` loads numpy.
+    """
+
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse says "invalid float value"
+    return parse
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -92,9 +107,9 @@ def _load_report(path: str):
 
 
 def _model_dict(args) -> dict | None:
-    if getattr(args, "model_f", None) is None and getattr(args, "model_g", None) is None:
+    if args.model_f is None and args.model_g is None:
         return None
-    if getattr(args, "model_g", None) is None:
+    if args.model_g is None:
         return {"mode": "within", "model": args.model_f}
     return {
         "mode": "between",
@@ -174,13 +189,12 @@ def _parse_grid(args, lmax: float):
 
     if args.lambda_grid is not None:
         try:
-            values = [float(tok) for tok in args.lambda_grid.split(",") if tok.strip()]
+            tokens = args.lambda_grid.split(",")
+            values = [_number(float)(tok) for tok in tokens if tok.strip()]
         except ValueError:
             raise InvalidInput(
                 f"could not parse --lambda-grid {args.lambda_grid!r}"
             ) from None
-        if not values:
-            raise InvalidInput("--lambda-grid is empty")
         return np.asarray(values)
     if args.auto_grid < 1:
         raise InvalidInput("--auto-grid must be at least 1")
@@ -324,11 +338,8 @@ def cmd_fit_extension(args) -> int:
     base = _load_logits(args.logits, args.labels_col)
     if args.labels is not None:
         try:
-            text = Path(args.labels).read_text("utf-8")
-            # int() also reads "1_0" and non-ASCII digits; labels have neither.
-            if not text.isascii() or "_" in text:
-                raise ValueError(text)
-            labels = np.asarray([int(tok) for tok in text.split()], dtype=np.int64)
+            tokens = Path(args.labels).read_text("ascii").split()
+            labels = np.asarray([_number(int)(tok) for tok in tokens], dtype=np.int64)
         except ValueError:
             raise FormatError(
                 f"labels file {args.labels} must contain whitespace-separated integers"
@@ -368,11 +379,11 @@ def _parse_plant(text: str):
 
     try:
         head, tail = text.split(":", 1)
-        target = int(head)
+        target = _number(int)(head)
         pairs = []
         for part in tail.split(","):
             j, w = part.split("=", 1)
-            pairs.append((int(j), float(w)))
+            pairs.append((_number(int)(j), _number(float)(w)))
         return synthetic.PlantedDependency(target, pairs)
     except (ValueError, IndexError):
         raise InvalidInput(
@@ -433,11 +444,9 @@ def cmd_graph(args) -> int:
         parsed.append(report)
     dot = reports.emit_graph(parsed)
     Path(args.output).write_bytes(dot.encode("utf-8"))
-    names = {r.target_name for r in parsed}
-    for r in parsed:
-        names.update(name for _, name, _ in r.coefficients)
-    _say("nodes", len(names))
-    _say("edges", sum(len(r.coefficients) for r in parsed))
+    coef_names = [name for r in parsed for _, name, _ in r.coefficients]
+    _say("nodes", len({*seen, *coef_names}))
+    _say("edges", len(coef_names))
     _say("output", args.output)
     return EXIT_OK
 
@@ -451,23 +460,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cov", help="accumulate a second-moment matrix from logits")
     p.add_argument("--input", required=True, help="logit file (binary or CSV)")
-    p.add_argument("--labels-col", type=int, default=None)
+    p.add_argument("--labels-col", type=_number(int), default=None)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_cov)
 
     p = sub.add_parser("cross-cov", help="between-network second-moment matrix")
     p.add_argument("--f", required=True, help="base logit file")
     p.add_argument("--g", required=True, help="logit file supplying the target column")
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=_number(int), required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_cross_cov)
 
     p = sub.add_parser("solve", help="solve one dependency at a fixed penalty")
     p.add_argument("--cov", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--target", type=_number(int), required=True)
+    p.add_argument("--lambda", dest="lam", type=_number(float), required=True)
     p.add_argument("--logits", default=None, help="labeled logits for metrics")
-    p.add_argument("--labels-col", type=int, default=None)
+    p.add_argument("--labels-col", type=_number(int), default=None)
     p.add_argument("--model-f", default=None)
     p.add_argument("--model-g", default=None)
     p.add_argument("--output", required=True)
@@ -475,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path", help="solve along a descending penalty grid")
     p.add_argument("--cov", required=True)
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=_number(int), required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda-grid", default=None, help="comma-separated penalties")
     group.add_argument(
         "--auto-grid",
-        type=int,
+        type=_number(int),
         default=None,
         help="log-spaced grid size from lambda_max down three decades",
     )
@@ -489,42 +498,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("screen", help="certify zero coefficients before solving")
     p.add_argument("--cov", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--target", type=_number(int), required=True)
+    p.add_argument("--lambda", dest="lam", type=_number(float), required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_screen)
 
     p = sub.add_parser("redundancy", help="zero-penalty redundancy report")
     p.add_argument("--cov", required=True)
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=_number(int), required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_redundancy)
 
     p = sub.add_parser("eval", help="evaluate a dependency report on logits")
     p.add_argument("--logits", required=True)
-    p.add_argument("--labels-col", type=int, default=None)
+    p.add_argument("--labels-col", type=_number(int), default=None)
     p.add_argument("--report", required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("fit-extension", help="fit new-category read-out weights")
     p.add_argument("--logits", required=True, help="base logits")
-    p.add_argument("--labels-col", type=int, default=None)
+    p.add_argument("--labels-col", type=_number(int), default=None)
     p.add_argument("--labels", default=None, help="labels file (one integer per line)")
-    p.add_argument("--new-count", type=int, required=True)
-    p.add_argument("--step-size", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--new-count", type=_number(int), required=True)
+    p.add_argument("--step-size", type=_number(float), default=0.5)
+    p.add_argument("--epochs", type=_number(int), default=500)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_fit_extension)
 
     p = sub.add_parser("synth", help="generate synthetic logits")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--latent-rank", type=int, required=True)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--n", type=_number(int), required=True)
+    p.add_argument("--samples", type=_number(int), required=True)
+    p.add_argument("--latent-rank", type=_number(int), required=True)
+    p.add_argument("--noise-sigma", type=_number(float), default=0.0)
     p.add_argument("--plant", default=None, help="TARGET:J=W[,J=W...]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int), default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--truth-output", default=None)
     p.set_defaults(func=cmd_synth)

@@ -6,12 +6,6 @@ sizes and top-1 accuracy before/after, overall and restricted to the
 samples whose true label is the replaced category.  Second, fitting a
 read-out matrix that expresses new categories as linear combinations of
 a frozen base network's logits by minimizing softmax cross-entropy.
-
-Cost of extension fitting: the base columns never change, so their row
-max and shifted exp-sum are computed once per fit, one O(N n1) exp
-pass.  Each epoch then costs two thin products with the N x n1 base
-logits (f Theta and f^T R) plus O(N n2) elementwise work on the n2 new
-columns, which are folded into the base normalizer at their row peak.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ class TestRedundancy:
             redundancy(cov_of(np.diag([0.0, 1.0])), 0)
 
     def test_needs_two_categories(self):
-        with raises_exact(InvalidInput, "redundancy needs at least two categories"):
+        with raises_exact(InvalidInput, "need at least two categories to form a reduced problem"):
             redundancy(cov_of([[1.0]]), 0)
 
     def test_routes_agree_on_random_spd(self, rng):

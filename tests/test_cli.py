@@ -750,6 +750,53 @@ class TestExitCodes:
         assert code == 2
         assert "must contain whitespace-separated integers" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--target", "0", "--lambda", "0_0.05"], "invalid float value: '0_0.05'"),
+            (["solve", "--target", "\u0660", "--lambda", "0.05"], "invalid int value: '\u0660'"),
+            (["path", "--target", "0", "--lambda-grid", "0_0.5,0.01"], "could not parse --lambda-grid"),
+            (["synth", "--seed", "1_0"], "invalid int value: '1_0'"),
+            (["synth", "--plant", "0:1_0=0.5"], "could not parse --plant '0:1_0=0.5'"),
+        ],
+    )
+    def test_option_numerals_follow_the_csv_rule(self, tmp_path, argv, message):
+        # int and float would run these as lambda 0.05, target 0, a
+        # two-point grid, seed 10 and planted index 10.
+        if argv[0] == "synth":
+            argv = [*argv, "--n", "12", "--samples", "40", "--latent-rank", "3"]
+        else:
+            argv = [*argv, "--cov", str(build_cov(tmp_path, synth(tmp_path)))]
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(*argv, "--output", str(out_path))
+        assert code == 2
+        assert message in err
+        assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", " 7 ", "+7", "1e3", "0x10", "nan", ""])
+    def test_options_and_csv_cells_accept_the_same_numerals(self, token):
+        from covlasso.cli import build_parser
+        from covlasso.formats import _ascii_number
+
+        def option(text, kind):
+            argv = ["solve", "--cov", "c", "--target", "0", "--lambda", "1", "--output", "o"]
+            argv[argv.index("--target" if kind is int else "--lambda") + 1] = text
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    args = build_parser().parse_args(argv)
+            except SystemExit:
+                raise ValueError(text) from None
+            return args.target if kind is int else args.lam
+
+        def outcome(parse, kind):
+            try:
+                return repr(parse(token, kind))
+            except ValueError:
+                return "rejected"
+
+        for kind in (int, float):
+            assert outcome(option, kind) == outcome(_ascii_number, kind)
+
     def test_non_utf8_report_names_the_file(self, tmp_path):
         logits = synth(tmp_path)
         report = tmp_path / "report.json"
