@@ -38,7 +38,6 @@ _EXPORTS = {
     "errors": (
         "CovLassoError",
         "Degenerate",
-        "FormatError",
         "InvalidInput",
     ),
     "evaluation": (

@@ -7,10 +7,10 @@ graph export.  All outputs are deterministic: identical inputs produce
 byte-identical files and stdout.
 
 Exit codes: 0 success; 2 usage, parse or validation problems
-(``InvalidInput``, ``FormatError``, any other ``CovLassoError`` and
-``OSError``); 3 solver did not converge (outputs are still written); 4
-numerical degeneracy (``Degenerate``: singular or degenerate inputs,
-diverged fits; or spectral flooring engaged in ``redundancy --strict``).
+(``InvalidInput``, any other ``CovLassoError`` and ``OSError``); 3
+solver did not converge (outputs are still written); 4 numerical
+degeneracy (``Degenerate``: singular or degenerate inputs, diverged
+fits; or spectral flooring engaged in ``redundancy --strict``).
 
 Certificates, screening and path checks need no spectral floor.  Only
 ``redundancy`` inverts a possibly singular matrix; its relative floor is
@@ -28,7 +28,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import CovLassoError, Degenerate, FormatError, InvalidInput
+from .errors import CovLassoError, Degenerate, InvalidInput
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -84,7 +84,7 @@ def _load_logits(path: str, labels_col: int | None = None):
         # otherwise turn the first data row into a header.
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise FormatError(
+        raise InvalidInput(
             f"{path} is neither a logit file nor UTF-8 CSV: {exc}"
         ) from exc
     return read_logits_csv(text, labels_col)
@@ -102,7 +102,7 @@ def _load_report(path: str):
     try:
         text = Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"report {path} is not UTF-8: {exc}") from exc
+        raise InvalidInput(f"report {path} is not UTF-8: {exc}") from exc
     return reports.parse_report(text)
 
 
@@ -189,8 +189,7 @@ def _parse_grid(args, lmax: float):
 
     if args.lambda_grid is not None:
         try:
-            tokens = args.lambda_grid.split(",")
-            values = [_number(float)(tok) for tok in tokens if tok.strip()]
+            values = [_number(float)(tok) for tok in args.lambda_grid.split(",")]
         except ValueError:
             raise InvalidInput(
                 f"could not parse --lambda-grid {args.lambda_grid!r}"
@@ -341,8 +340,12 @@ def cmd_fit_extension(args) -> int:
             tokens = Path(args.labels).read_text("ascii").split()
             labels = np.asarray([_number(int)(tok) for tok in tokens], dtype=np.int64)
         except ValueError:
-            raise FormatError(
+            raise InvalidInput(
                 f"labels file {args.labels} must contain whitespace-separated integers"
+            ) from None
+        except OverflowError:
+            raise InvalidInput(
+                f"labels file {args.labels} holds a label outside the int64 range"
             ) from None
     elif base.labels is not None:
         labels = base.labels

@@ -36,7 +36,7 @@ import struct
 import numpy as np
 
 from .covariance import CovMatrix, LogitMatrix
-from .errors import CovLassoError, FormatError
+from .errors import CovLassoError, InvalidInput
 from .linalg import NEG_EIG_BAND
 
 LOGIT_MAGIC = b"NDLM"
@@ -60,10 +60,9 @@ class _Reader:
 
     def take(self, count: int, what: str) -> memoryview:
         if self.off + count > len(self.buf):
-            raise FormatError(
-                f"unexpected end of file while reading {what}: need {count} "
-                f"bytes at offset {self.off}, file has {len(self.buf)}",
-                position=f"byte {self.off}",
+            raise InvalidInput(
+                f"unexpected end of file while reading {what}: need {count} bytes "
+                f"at offset {self.off}, file has {len(self.buf)} (byte {self.off})"
             )
         chunk = self.buf[self.off : self.off + count]
         self.off += count
@@ -78,24 +77,20 @@ class _Reader:
     def finish(self) -> None:
         extra = len(self.buf) - self.off
         if extra:
-            raise FormatError(
-                f"{extra} trailing bytes after the end of the payload",
-                position=f"byte {self.off}",
+            raise InvalidInput(
+                f"{extra} trailing bytes after the end of the payload (byte {self.off})"
             )
 
 
 def _check_magic(r: _Reader, magic: bytes, kind: str) -> None:
     got = bytes(r.take(4, "magic"))
     if got != magic:
-        raise FormatError(
-            f"bad magic for a {kind} file: expected {magic!r}, got {got!r}",
-            position="byte 0",
+        raise InvalidInput(
+            f"bad magic for a {kind} file: expected {magic!r}, got {got!r} (byte 0)"
         )
     version = r.u32("format version")
     if version != FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported {kind} format version {version}", position="byte 4"
-        )
+        raise InvalidInput(f"unsupported {kind} format version {version} (byte 4)")
 
 
 def _raise_nonfinite(values: np.ndarray, off: int, what: str) -> None:
@@ -106,7 +101,7 @@ def _raise_nonfinite(values: np.ndarray, off: int, what: str) -> None:
     """
     bad = np.flatnonzero(~np.isfinite(values.ravel()))
     if bad.size:
-        raise FormatError(what, position=f"byte {off + int(bad[0]) * 8}")
+        raise InvalidInput(f"{what} (byte {off + int(bad[0]) * 8})")
 
 
 def write_logits(matrix: LogitMatrix) -> bytes:
@@ -136,12 +131,11 @@ def read_logits(buf: bytes) -> LogitMatrix:
     n = r.u64("category count")
     flags = r.u32("flags")
     if samples == 0 or n == 0:
-        raise FormatError(
-            f"sample and category counts must be positive, got {samples} x {n}",
-            position="byte 8",
+        raise InvalidInput(
+            f"sample and category counts must be positive, got {samples} x {n} (byte 8)"
         )
     if flags & ~(FLAG_LABELS | FLAG_NAMES):
-        raise FormatError(f"unknown flag bits 0x{flags:x}", position="byte 24")
+        raise InvalidInput(f"unknown flag bits 0x{flags:x} (byte 24)")
 
     data_off = r.off
     raw = r.take(samples * n * 8, "logit data")
@@ -171,9 +165,9 @@ def _read_labels_and_names(r: _Reader, samples: int, n: int, flags: int):
         )
         bad = np.flatnonzero(labels >= n)
         if bad.size:
-            raise FormatError(
-                f"label {labels[bad[0]]} out of range [0, {n})",
-                position=f"byte {lab_off + int(bad[0]) * 4}",
+            raise InvalidInput(
+                f"label {labels[bad[0]]} out of range [0, {n}) "
+                f"(byte {lab_off + int(bad[0]) * 4})"
             )
 
     names = None
@@ -186,9 +180,8 @@ def _read_labels_and_names(r: _Reader, samples: int, n: int, flags: int):
             try:
                 names.append(bytes(raw_name).decode("utf-8"))
             except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"name {k} is not valid UTF-8: {exc}",
-                    position=f"byte {length_off + 4}",
+                raise InvalidInput(
+                    f"name {k} is not valid UTF-8: {exc} (byte {length_off + 4})"
                 ) from exc
         names = tuple(names)
     return labels, names
@@ -225,9 +218,9 @@ def read_cov(buf: bytes) -> CovMatrix:
     n = r.u64("matrix order")
     count = r.u64("sample count")
     if n == 0:
-        raise FormatError("matrix order must be positive", position="byte 8")
+        raise InvalidInput("matrix order must be positive (byte 8)")
     if count == 0:
-        raise FormatError("sample count must be positive", position="byte 16")
+        raise InvalidInput("sample count must be positive (byte 16)")
     tri_off = r.off
     entries = n * (n + 1) // 2
     tri = np.frombuffer(r.take(entries * 8, "triangle data"), dtype="<f8")
@@ -254,10 +247,9 @@ def read_cov(buf: bytes) -> CovMatrix:
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        raise FormatError(
+        raise InvalidInput(
             f"matrix is not positive semidefinite: S + d I has no Cholesky "
-            f"factor at d = {NEG_EIG_BAND:g} max|S| = {delta:.6e}",
-            position=f"byte {tri_off}",
+            f"factor at d = {NEG_EIG_BAND:g} max|S| = {delta:.6e} (byte {tri_off})"
         ) from None
     return cov
 
@@ -284,10 +276,10 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
     header: list[str] | None = None
     lines = text.splitlines()
     if not lines:
-        raise FormatError("empty input", position="line 1")
+        raise InvalidInput("empty input (line 1)")
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
-            raise FormatError("blank line", position=f"line {lineno}")
+            raise InvalidInput(f"blank line (line {lineno})")
         rows.append([cell.strip() for cell in line.split(",")])
 
     def parses_as_float(cell: str) -> bool:
@@ -302,26 +294,25 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
         rows = rows[1:]
         first_data_line = 2
         if not rows:
-            raise FormatError("no data rows after the header", position="line 2")
+            raise InvalidInput("no data rows after the header (line 2)")
 
     width = len(rows[0])
     if header is not None and len(header) != width:
-        raise FormatError(
-            f"header has {len(header)} fields, data rows have {width}",
-            position="line 1",
+        raise InvalidInput(
+            f"header has {len(header)} fields, data rows have {width} (line 1)"
         )
     col_index: int | None = None
     if labels_col is not None:
         col_index = labels_col if labels_col >= 0 else width + labels_col
         if not 0 <= col_index < width:
-            raise FormatError(
-                f"labels column {labels_col} out of range for {width} columns",
-                position=f"line {first_data_line}",
+            raise InvalidInput(
+                f"labels column {labels_col} out of range for {width} columns "
+                f"(line {first_data_line})"
             )
         if width < 2:
-            raise FormatError(
-                "need at least one logit column besides the labels",
-                position=f"line {first_data_line}",
+            raise InvalidInput(
+                "need at least one logit column besides the labels "
+                f"(line {first_data_line})"
             )
 
     data = np.empty((len(rows), width - (0 if col_index is None else 1)))
@@ -329,9 +320,8 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
     for k, cells in enumerate(rows):
         lineno = first_data_line + k
         if len(cells) != width:
-            raise FormatError(
-                f"expected {width} columns, got {len(cells)}",
-                position=f"line {lineno}",
+            raise InvalidInput(
+                f"expected {width} columns, got {len(cells)} (line {lineno})"
             )
         dest = 0
         for c, cell in enumerate(cells):
@@ -339,22 +329,25 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
                 try:
                     labels[k] = _ascii_number(cell, int)
                 except ValueError:
-                    raise FormatError(
-                        f"label {cell!r} is not an integer",
-                        position=f"line {lineno}, column {c + 1}",
+                    raise InvalidInput(
+                        f"label {cell!r} is not an integer "
+                        f"(line {lineno}, column {c + 1})"
+                    ) from None
+                except OverflowError:  # an integer beyond int64
+                    raise InvalidInput(
+                        f"label {cell} out of range [0, {data.shape[1]}) "
+                        f"(line {lineno}, column {c + 1})"
                     ) from None
                 continue
             try:
                 value = _ascii_number(cell, float)
             except ValueError:
-                raise FormatError(
-                    f"value {cell!r} is not a number",
-                    position=f"line {lineno}, column {c + 1}",
+                raise InvalidInput(
+                    f"value {cell!r} is not a number (line {lineno}, column {c + 1})"
                 ) from None
             if not np.isfinite(value):
-                raise FormatError(
-                    f"non-finite value {cell!r}",
-                    position=f"line {lineno}, column {c + 1}",
+                raise InvalidInput(
+                    f"non-finite value {cell!r} (line {lineno}, column {c + 1})"
                 )
             data[k, dest] = value
             dest += 1
@@ -363,9 +356,9 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
     if labels is not None:
         bad = np.flatnonzero((labels < 0) | (labels >= n))
         if bad.size:
-            raise FormatError(
-                f"label {labels[bad[0]]} out of range [0, {n})",
-                position=f"line {first_data_line + int(bad[0])}",
+            raise InvalidInput(
+                f"label {labels[bad[0]]} out of range [0, {n}) "
+                f"(line {first_data_line + int(bad[0])})"
             )
 
     names = None

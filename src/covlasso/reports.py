@@ -3,9 +3,10 @@
 Serialization must be byte-reproducible: the same report always yields
 the same bytes, and serialize -> parse -> serialize is the identity on
 bytes.  That rules out repr-based float formatting, so every float is
-written with the shortest-roundtrip '%.17g' form, normalized to always
-contain a decimal point or exponent, and object keys are emitted in
-sorted order.
+written as '%.17g': 17 significant digits, which round-trip every
+double (0.1 is written 0.10000000000000001).  The text is normalized to
+always contain a decimal point or exponent, and object keys are emitted
+in sorted order.
 """
 
 from __future__ import annotations

@@ -608,6 +608,19 @@ class TestPath:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0.5, 0.1,,0.01", "0.5,0.05,", ",0.5", " , ", ""])
+    def test_empty_grid_entry_rejected(self, tmp_path, grid):
+        # An empty entry is refused, as an empty CSV cell is, not dropped.
+        cov_path = build_cov(tmp_path, synth(tmp_path))
+        out_path = tmp_path / "p.json"
+        code, out, err = run_cli(
+            "path", "--cov", str(cov_path), "--target", "0",
+            "--lambda-grid", grid, "--output", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"covlasso: could not parse --lambda-grid {grid!r}\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("size", ["-1", "0"])
     def test_auto_grid_below_one_rejected(self, tmp_path, size):
         logits = synth(tmp_path)
@@ -894,6 +907,22 @@ class TestExitCodes:
         assert err == (
             f"covlasso: labels file {labels} must contain "
             "whitespace-separated integers\n"
+        )
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809"])
+    def test_labels_file_beyond_int64_is_rejected(self, tmp_path, label):
+        csv = tmp_path / "base.csv"
+        csv.write_text("1,2\n3,4\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"0 {label}\n")
+        code, out, err = run_cli(
+            "fit-extension", "--logits", str(csv), "--labels", str(labels),
+            "--new-count", "1", "--output", str(tmp_path / "x.json"),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"covlasso: labels file {labels} holds a label outside the int64 range\n"
         )
         assert not (tmp_path / "x.json").exists()
 

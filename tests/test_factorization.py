@@ -47,7 +47,7 @@ def cov(rng):
     return make_cov(rng, 8, cond=1e3)
 
 
-def test_embed(cov, eigh_calls):
+def test_solve(cov, eigh_calls):
     # A solve, its prediction error and its theta and support.
     rp = reduce_problem(cov, 3)
     sol = solve(rp, 0.2 * lambda_max(rp))

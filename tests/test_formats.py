@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import make_cov
+from conftest import make_cov, raises_exact
 from covlasso import (
     CovAccumulator,
     CovMatrix,
-    FormatError,
+    InvalidInput,
     LogitMatrix,
     accumulate,
     finalize,
@@ -77,19 +77,19 @@ class TestLogitRoundTrip:
 
 class TestLogitErrors:
     def test_bad_magic(self):
-        with pytest.raises(FormatError, match="bad magic"):
+        with pytest.raises(InvalidInput, match="bad magic"):
             read_logits(b"XXXX" + bytes(24))
 
     def test_bad_version(self, rng):
         buf = bytearray(write_logits(_logits(rng)))
         buf[4] = 2
-        with pytest.raises(FormatError, match="version") as exc:
+        with pytest.raises(InvalidInput, match="version") as exc:
             read_logits(bytes(buf))
         assert "byte 4" in str(exc.value)
 
     def test_zero_counts(self):
         buf = b"NDLM" + struct.pack("<IQQI", 1, 0, 3, 0)
-        with pytest.raises(FormatError, match="positive") as exc:
+        with pytest.raises(InvalidInput, match="positive") as exc:
             read_logits(buf)
         assert "byte 8" in str(exc.value)
 
@@ -97,19 +97,19 @@ class TestLogitErrors:
         m = _logits(rng, samples=1, n=1)
         buf = bytearray(write_logits(m))
         buf[24] = 4
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(InvalidInput) as exc:
             read_logits(bytes(buf))
         assert "flag" in str(exc.value) and "byte 24" in str(exc.value)
 
     def test_truncated_data_reports_offset(self, rng):
         buf = write_logits(_logits(rng, samples=2, n=2))
-        with pytest.raises(FormatError, match="unexpected end") as exc:
+        with pytest.raises(InvalidInput, match="unexpected end") as exc:
             read_logits(buf[: HEADER_LEN + 10])
         assert f"byte {HEADER_LEN}" in str(exc.value)
 
     def test_trailing_bytes_rejected(self, rng):
         buf = write_logits(_logits(rng))
-        with pytest.raises(FormatError, match="trailing") as exc:
+        with pytest.raises(InvalidInput, match="trailing") as exc:
             read_logits(buf + b"\x00")
         assert f"byte {len(buf)}" in str(exc.value)
 
@@ -118,7 +118,7 @@ class TestLogitErrors:
         k = 4  # flat element index to poison
         off = HEADER_LEN + k * 8
         buf[off : off + 8] = struct.pack("<d", float("nan"))
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(InvalidInput) as exc:
             read_logits(bytes(buf))
         assert str(exc.value) == f"non-finite logit value (byte {off})"
 
@@ -131,7 +131,7 @@ class TestLogitErrors:
         bad_label = bytearray(buf)
         bad_label[HEADER_LEN + 6 * 8 : HEADER_LEN + 6 * 8 + 4] = struct.pack("<I", 9)
         for faulty in (bad_label, buf[:-1], buf + b"\x00"):
-            with pytest.raises(FormatError) as exc:
+            with pytest.raises(InvalidInput) as exc:
                 read_logits(bytes(faulty))
             assert str(exc.value) == f"non-finite logit value (byte {off})"
 
@@ -141,7 +141,7 @@ class TestLogitErrors:
         lab_off = HEADER_LEN + 3 * 2 * 8
         bad = lab_off + 2 * 4  # third label
         buf[bad : bad + 4] = struct.pack("<I", 7)
-        with pytest.raises(FormatError, match="out of range") as exc:
+        with pytest.raises(InvalidInput, match="out of range") as exc:
             read_logits(bytes(buf))
         assert f"byte {bad}" in str(exc.value)
 
@@ -149,7 +149,7 @@ class TestLogitErrors:
         data = np.zeros((1, 1))
         base = b"NDLM" + struct.pack("<IQQI", 1, 1, 1, 2) + data.tobytes()
         payload = base + struct.pack("<I", 2) + b"\xff\xfe"
-        with pytest.raises(FormatError, match="UTF-8") as exc:
+        with pytest.raises(InvalidInput, match="UTF-8") as exc:
             read_logits(payload)
         assert f"byte {len(base) + 4}" in str(exc.value)
 
@@ -157,7 +157,7 @@ class TestLogitErrors:
         data = np.zeros((1, 1))
         base = b"NDLM" + struct.pack("<IQQI", 1, 1, 1, 2) + data.tobytes()
         payload = base + struct.pack("<I", 100) + b"abc"
-        with pytest.raises(FormatError, match="unexpected end"):
+        with pytest.raises(InvalidInput, match="unexpected end"):
             read_logits(payload)
 
 
@@ -188,7 +188,7 @@ class TestCovRoundTrip:
     def test_not_psd_rejected(self):
         bad = CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
         buf = write_cov(bad)
-        with pytest.raises(FormatError, match="positive semidefinite"):
+        with pytest.raises(InvalidInput, match="positive semidefinite"):
             read_cov(buf)
 
     def test_zero_matrix_accepted(self):
@@ -205,17 +205,17 @@ class TestCovRoundTrip:
     def test_errors(self, rng):
         cov = make_cov(rng, 2)
         buf = write_cov(cov)
-        with pytest.raises(FormatError, match="bad magic"):
+        with pytest.raises(InvalidInput, match="bad magic"):
             read_cov(b"NDLM" + buf[4:])
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(InvalidInput, match="trailing"):
             read_cov(buf + b"!")
-        with pytest.raises(FormatError, match="unexpected end"):
+        with pytest.raises(InvalidInput, match="unexpected end"):
             read_cov(buf[:-1])
         zero = b"NDCV" + struct.pack("<IQQ", 1, 0, 5)
-        with pytest.raises(FormatError, match="order"):
+        with pytest.raises(InvalidInput, match="order"):
             read_cov(zero)
         nocount = b"NDCV" + struct.pack("<IQQ", 1, 1, 0) + struct.pack("<d", 1.0)
-        with pytest.raises(FormatError, match="sample count"):
+        with pytest.raises(InvalidInput, match="sample count"):
             read_cov(nocount)
 
     def test_non_finite_offset(self, rng):
@@ -225,7 +225,7 @@ class TestCovRoundTrip:
             buf[off : off + 8] = struct.pack("<d", value)
             # Reported ahead of trailing bytes, though located only on failure.
             for faulty in (bytes(buf), bytes(buf) + b"!"):
-                with pytest.raises(FormatError) as exc:
+                with pytest.raises(InvalidInput) as exc:
                     read_cov(faulty)
                 assert str(exc.value) == f"non-finite matrix value (byte {off})"
 
@@ -261,9 +261,9 @@ def test_psd_verdict_matches_the_eigenvalue_band_rule(case):
     if accept:
         assert np.array_equal(read_cov(buf).data, cov.data)
     else:
-        with pytest.raises(FormatError, match="not positive semidefinite") as exc:
+        with pytest.raises(InvalidInput, match="not positive semidefinite") as exc:
             read_cov(buf)
-        assert exc.value.position == "byte 24"
+        assert str(exc.value).endswith(" (byte 24)")
 
 
 class TestCsv:
@@ -301,40 +301,40 @@ class TestCsv:
         assert_allclose(m.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_empty_and_blank(self):
-        with pytest.raises(FormatError, match="empty"):
+        with pytest.raises(InvalidInput, match="empty"):
             read_logits_csv("")
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(InvalidInput) as exc:
             read_logits_csv("1,2\n\n3,4\n")
         assert "line 2" in str(exc.value)
 
     def test_header_without_rows(self):
-        with pytest.raises(FormatError, match="no data rows"):
+        with pytest.raises(InvalidInput, match="no data rows"):
             read_logits_csv("a,b\n")
 
     def test_header_width_must_match_rows(self):
         # A header of the wrong width is an error, not silently dropped.
         for text, labels_col in (("a,b,c\n1,2\n3,4\n", None), ("a,b\n1,2,0\n", -1)):
-            with pytest.raises(FormatError, match="header has") as exc:
+            with pytest.raises(InvalidInput, match="header has") as exc:
                 read_logits_csv(text, labels_col)
             assert "line 1" in str(exc.value)
 
     def test_ragged_row_cites_line(self):
-        with pytest.raises(FormatError, match="columns") as exc:
+        with pytest.raises(InvalidInput, match="columns") as exc:
             read_logits_csv("h1,h2\n1,2\n1,2,3\n")
         assert "line 3" in str(exc.value)
 
     def test_bad_number_cites_line_and_column(self):
-        with pytest.raises(FormatError, match="not a number") as exc:
+        with pytest.raises(InvalidInput, match="not a number") as exc:
             read_logits_csv("1,2\n3,oops\n")
         assert "line 2, column 2" in str(exc.value)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(FormatError, match="non-finite") as exc:
+        with pytest.raises(InvalidInput, match="non-finite") as exc:
             read_logits_csv("1,inf\n")
         assert "line 1, column 2" in str(exc.value)
 
     def test_label_not_integer(self):
-        with pytest.raises(FormatError, match="not an integer") as exc:
+        with pytest.raises(InvalidInput, match="not an integer") as exc:
             read_logits_csv("1,2,0\n3,4,1.5\n", labels_col=2)
         assert "line 2, column 3" in str(exc.value)
 
@@ -342,20 +342,27 @@ class TestCsv:
         # float and int read "1_0" as 10 and Arabic-Indic digits as
         # numbers; a first row of them is data, not a header.
         for text, where in (("1_0,2\n3,4\n", "line 1, column 1"), ("1,2\n3,\u0661\u0662\n", "line 2, column 2")):
-            with pytest.raises(FormatError, match="not a number") as exc:
+            with pytest.raises(InvalidInput, match="not a number") as exc:
                 read_logits_csv(text)
             assert where in str(exc.value)
-        with pytest.raises(FormatError, match="not an integer") as exc:
+        with pytest.raises(InvalidInput, match="not an integer") as exc:
             read_logits_csv("1,2,0_0\n", labels_col=2)
         assert "line 1, column 3" in str(exc.value)
 
     def test_label_out_of_range_cites_line(self):
-        with pytest.raises(FormatError, match="out of range") as exc:
+        with pytest.raises(InvalidInput, match="out of range") as exc:
             read_logits_csv("1,2,0\n3,4,5\n", labels_col=2)
         assert "line 2" in str(exc.value)
 
+    def test_label_beyond_int64_cites_line_and_column(self):
+        # Integers that int64 cannot hold, above and below.
+        for label in ("99999999999999999999", "-9223372036854775809"):
+            expect = f"label {label} out of range [0, 2) (line 2, column 3)"
+            with raises_exact(InvalidInput, expect):
+                read_logits_csv(f"1,2,0\n3,4,{label}\n", labels_col=2)
+
     def test_labels_col_out_of_range(self):
-        with pytest.raises(FormatError, match="labels column"):
+        with pytest.raises(InvalidInput, match="labels column"):
             read_logits_csv("1,2\n", labels_col=5)
 
     def test_csv_and_binary_agree_through_covariance(self, rng):

@@ -24,7 +24,7 @@ SRC = str(Path(covlasso.__file__).resolve().parents[1])
 EXPORTS = [
     "CovAccumulator", "CovLassoError", "CovMatrix", "Degenerate",
     "DependencyReport", "DependencySolution", "EvalMetrics",
-    "ExtensionFit", "FormatError", "InvalidInput", "LogitMatrix",
+    "ExtensionFit", "InvalidInput", "LogitMatrix",
     "PlantedDependency", "ReducedProblem", "RedundancyReport",
     "ScreeningReport", "SlopeBoundCheck", "SolutionCertificates",
     "SolutionPath",

@@ -115,11 +115,11 @@ def test_every_export_is_used_inside_the_package():
 
 def test_errors_are_one_class_per_exit_code():
     # errors.py holds the base class and one class per outcome: InvalidInput
-    # and FormatError exit 2, Degenerate exits 4.  Every raise names one of
-    # them, so a narrow type cannot grow back.  The only builtins raised are
+    # exits 2, Degenerate exits 4.  Every raise names one of them, so a
+    # narrow type cannot grow back.  The only builtins raised are
     # AttributeError (the module __getattr__ protocol) and ValueError (which
     # the parsers' int()/float() helpers raise and their callers catch).
-    outcomes = {"InvalidInput", "FormatError", "Degenerate"}
+    outcomes = {"InvalidInput", "Degenerate"}
     builtins = {"AttributeError", "ValueError"}
     tree = ast.parse((PACKAGE / "errors.py").read_text("utf-8"))
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
