@@ -187,6 +187,8 @@ def cmd_solve(args) -> int:
 def _parse_grid(args, lmax: float):
     import numpy as np
 
+    from .covariance import check_size
+
     if args.lambda_grid is not None:
         try:
             values = [_number(float)(tok) for tok in args.lambda_grid.split(",")]
@@ -197,6 +199,7 @@ def _parse_grid(args, lmax: float):
         return np.asarray(values)
     if args.auto_grid < 1:
         raise InvalidInput("--auto-grid must be at least 1")
+    check_size((args.auto_grid,))
     if lmax <= 0.0:
         raise Degenerate(
             "target is uncorrelated with every other category; no automatic grid"

@@ -22,6 +22,7 @@ the exact mean, where gamma_k = k u / (1 - k u) and u = 2^-53.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,13 @@ def check_labels(labels, samples: int, categories: int) -> np.ndarray:
     return lab
 
 
+def check_size(*shapes: tuple[int, ...]) -> None:
+    """Refuse float64 array shapes past numpy's limit of 2^63 - 1 bytes."""
+    for shape in shapes:
+        if math.prod(shape) >= 1 << 60:
+            raise InvalidInput(f"float64 array of shape {shape} exceeds 2^63 - 1 bytes")
+
+
 @dataclass(frozen=True)
 class LogitMatrix:
     """N samples of n per-category logits, optionally labeled and named."""
@@ -66,9 +74,8 @@ class LogitMatrix:
         object.__setattr__(self, "data", arr)
 
         if labels is not None:
-            lab = check_labels(labels, arr.shape[0], arr.shape[1])
-            lab.flags.writeable = False
-            labels = lab
+            labels = check_labels(labels, arr.shape[0], arr.shape[1])
+            labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
         if names is not None:
@@ -77,6 +84,10 @@ class LogitMatrix:
                 raise InvalidInput(
                     f"expected {arr.shape[1]} category names, got {len(names)}"
                 )
+            seen: dict[str, int] = {}
+            for k, s in enumerate(names):
+                if (j := seen.setdefault(s, k)) != k:
+                    raise InvalidInput(f"repeated name {s!r}: categories {j} and {k}")
         object.__setattr__(self, "names", names)
 
     @property

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import LogitMatrix, check_labels
+from .covariance import LogitMatrix, check_labels, check_size
 from .errors import Degenerate, InvalidInput
 
 
@@ -199,6 +199,7 @@ def fit_extension(
     """
     if new_count < 0:
         raise InvalidInput(f"new category count must be nonnegative, got {new_count}")
+    check_size((base.n, new_count), (base.samples, new_count))
     lab = check_labels(labels, base.samples, base.n + new_count)
     if step_size <= 0.0 or not np.isfinite(step_size):
         raise InvalidInput(f"step size must be positive and finite, got {step_size}")

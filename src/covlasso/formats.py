@@ -26,11 +26,13 @@ Second-moment file (magic ``NDCV``)::
 Parsers are strict: wrong magic, bad version, non-finite values,
 out-of-range labels and trailing bytes are all rejected, and every
 diagnostic names the byte offset (binary) or line number (CSV) of the
-problem.  Writers and parsers round-trip bit-exactly.
+first problem in file order.  A CSV is read in one pass, line by line.
+Writers and parsers round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -183,21 +185,13 @@ def _read_labels_and_names(r: _Reader, samples: int, n: int, flags: int):
                 raise InvalidInput(
                     f"name {k} is not valid UTF-8: {exc} (byte {length_off + 4})"
                 ) from exc
-        names = tuple(names)
     return labels, names
 
 
 def write_cov(cov: CovMatrix) -> bytes:
-    n = cov.n
-    iu = np.triu_indices(n)
-    tri = np.ascontiguousarray(cov.data[iu], dtype="<f8")
-    return b"".join(
-        [
-            COV_MAGIC,
-            struct.pack("<IQQ", FORMAT_VERSION, n, cov.sample_count),
-            tri.tobytes(),
-        ]
-    )
+    tri = np.ascontiguousarray(cov.data[np.triu_indices(cov.n)], dtype="<f8")
+    header = struct.pack("<IQQ", FORMAT_VERSION, cov.n, cov.sample_count)
+    return COV_MAGIC + header + tri.tobytes()
 
 
 def read_cov(buf: bytes) -> CovMatrix:
@@ -261,42 +255,37 @@ def _ascii_number(cell: str, kind: type):
     return kind(cell)
 
 
+def _cells(line: str, lineno: int) -> list[str]:
+    if line.strip() == "":
+        raise InvalidInput(f"blank line (line {lineno})")
+    return [cell.strip() for cell in line.split(",")]
+
+
 def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
     """Parse comma-separated logit rows, one sample per line.
 
     An optional header row names the categories (detected when any
     field of the first line fails to parse as a float); it must have as
-    many fields as the data rows.  When
-    ``labels_col`` is given, that column (negative values count from the
-    end) holds integer labels and the remaining columns are logits.
-    Diagnostics cite 1-based line and column numbers.
+    many fields as the data rows.  When ``labels_col`` is given, that
+    column (negative values count from the end) holds integer labels and
+    the remaining columns are logits.  Diagnostics cite 1-based line and
+    column numbers.  ``LogitMatrix`` refuses repeated names after the rows.
     """
-    rows: list[list[str]] = []
-    first_data_line = 1
-    header: list[str] | None = None
     lines = text.splitlines()
     if not lines:
         raise InvalidInput("empty input (line 1)")
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip() == "":
-            raise InvalidInput(f"blank line (line {lineno})")
-        rows.append([cell.strip() for cell in line.split(",")])
-
-    def parses_as_float(cell: str) -> bool:
-        try:
+    cells = _cells(lines[0], 1)
+    header: list[str] | None = None
+    first = 1  # line number of the first data row
+    try:
+        for cell in cells:
             float(cell)
-            return True
-        except ValueError:
-            return False
+    except ValueError:
+        if len(lines) == 1:
+            raise InvalidInput("no data rows after the header (line 2)") from None
+        header, first, cells = cells, 2, _cells(lines[1], 2)
 
-    if not all(parses_as_float(c) for c in rows[0]):
-        header = rows[0]
-        rows = rows[1:]
-        first_data_line = 2
-        if not rows:
-            raise InvalidInput("no data rows after the header (line 2)")
-
-    width = len(rows[0])
+    width = len(cells)
     if header is not None and len(header) != width:
         raise InvalidInput(
             f"header has {len(header)} fields, data rows have {width} (line 1)"
@@ -307,37 +296,39 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
         if not 0 <= col_index < width:
             raise InvalidInput(
                 f"labels column {labels_col} out of range for {width} columns "
-                f"(line {first_data_line})"
+                f"(line {first})"
             )
         if width < 2:
             raise InvalidInput(
-                "need at least one logit column besides the labels "
-                f"(line {first_data_line})"
+                f"need at least one logit column besides the labels (line {first})"
             )
 
-    data = np.empty((len(rows), width - (0 if col_index is None else 1)))
-    labels = np.empty(len(rows), dtype=np.int64) if col_index is not None else None
-    for k, cells in enumerate(rows):
-        lineno = first_data_line + k
-        if len(cells) != width:
-            raise InvalidInput(
-                f"expected {width} columns, got {len(cells)} (line {lineno})"
-            )
-        dest = 0
+    n = width if col_index is None else width - 1
+    data = np.empty((len(lines) - first + 1, n))
+    labels = None if col_index is None else np.empty(len(data), dtype=np.int64)
+    for k, lineno in enumerate(range(first, len(lines) + 1)):
+        if k:
+            cells = _cells(lines[lineno - 1], lineno)
+            if len(cells) != width:
+                raise InvalidInput(
+                    f"expected {width} columns, got {len(cells)} (line {lineno})"
+                )
+        values = []
         for c, cell in enumerate(cells):
             if c == col_index:
                 try:
-                    labels[k] = _ascii_number(cell, int)
+                    label = _ascii_number(cell, int)
                 except ValueError:
                     raise InvalidInput(
                         f"label {cell!r} is not an integer "
                         f"(line {lineno}, column {c + 1})"
                     ) from None
-                except OverflowError:  # an integer beyond int64
+                if not 0 <= label < n:
                     raise InvalidInput(
-                        f"label {cell} out of range [0, {data.shape[1]}) "
+                        f"label {label} out of range [0, {n}) "
                         f"(line {lineno}, column {c + 1})"
-                    ) from None
+                    )
+                labels[k] = label
                 continue
             try:
                 value = _ascii_number(cell, float)
@@ -345,23 +336,13 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
                 raise InvalidInput(
                     f"value {cell!r} is not a number (line {lineno}, column {c + 1})"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise InvalidInput(
                     f"non-finite value {cell!r} (line {lineno}, column {c + 1})"
                 )
-            data[k, dest] = value
-            dest += 1
+            values.append(value)
+        data[k] = values
 
-    n = data.shape[1]
-    if labels is not None:
-        bad = np.flatnonzero((labels < 0) | (labels >= n))
-        if bad.size:
-            raise InvalidInput(
-                f"label {labels[bad[0]]} out of range [0, {n}) "
-                f"(line {first_data_line + int(bad[0])})"
-            )
-
-    names = None
-    if header is not None:
-        names = tuple(h for c, h in enumerate(header) if c != col_index)
-    return LogitMatrix(data, labels, names)
+    if header is not None and col_index is not None:
+        del header[col_index]
+    return LogitMatrix(data, labels, header)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import LogitMatrix
+from .covariance import LogitMatrix, check_size
 from .errors import InvalidInput
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -142,6 +142,7 @@ def _validate(n, samples, latent_rank, noise_sigma, planted, seed) -> None:
         raise InvalidInput("need at least one sample")
     if latent_rank < 1:
         raise InvalidInput("latent rank must be at least 1")
+    check_size((n, latent_rank), (samples, latent_rank), (samples, n))
     if not math.isfinite(noise_sigma) or noise_sigma < 0.0:
         raise InvalidInput(f"noise sigma must be nonnegative, got {noise_sigma}")
     if planted is None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,9 @@ from covlasso import solver
 from covlasso.cli import main
 from covlasso.reports import format_float
 from covlasso.solver import lambda_max
+
+
+BIG = "99999999999999999999"  # past int64, so past numpy's dimension limit
 
 
 def run_cli(*argv, env=None):
@@ -373,6 +377,16 @@ class TestSolve:
         rep = parse_report(report_path.read_text())
         assert rep.models == {"mode": "between", "source": "netB", "base": "netA"}
 
+    def test_model_f_alone_is_within_one_model(self, tmp_path):
+        cov_path = build_cov(tmp_path, synth(tmp_path))
+        report_path = tmp_path / "r.json"
+        code, out, err = run_cli(
+            "solve", "--cov", str(cov_path), "--target", "0",
+            "--lambda", "0.1", "--model-f", "netA", "--output", str(report_path),
+        )
+        assert code == 0, err
+        assert '"models":{"mode":"within","model":"netA"}' in report_path.read_text()
+
     def test_deterministic_report_bytes(self, tmp_path):
         logits = synth(tmp_path)
         cov_path = build_cov(tmp_path, logits)
@@ -554,6 +568,22 @@ class TestEvalAndGraph:
         assert payload["schema"] == "extension-report"
         assert len(payload["theta"]) == 4
         assert payload["final_loss"] < payload["initial_loss"]
+
+    def test_fit_extension_reads_labels_embedded_in_the_logit_file(self, tmp_path):
+        logits = synth(tmp_path)
+        labels_path = tmp_path / "labels.txt"
+        labels = read_logits(logits.read_bytes()).labels
+        labels_path.write_text(" ".join(str(int(v)) for v in labels))
+        runs = {}
+        for name, extra in (("embedded", ()), ("file", ("--labels", str(labels_path)))):
+            out_path = tmp_path / f"{name}.json"
+            code, out, err = run_cli(
+                "fit-extension", "--logits", str(logits), *extra, "--new-count", "2",
+                "--epochs", "5", "--output", str(out_path),
+            )
+            assert code == 0 and err == ""
+            runs[name] = (out.replace(str(out_path), "OUT"), out_path.read_bytes())
+        assert runs["embedded"] == runs["file"]
 
     def test_fit_extension_needs_labels(self, tmp_path):
         csv = tmp_path / "base.csv"
@@ -737,6 +767,46 @@ class TestExitCodes:
         )
         assert code == 2
         assert "unexpected end" in err and "byte" in err
+
+    def test_logits_neither_ndlm_nor_utf8(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\n")
+        code, out, err = run_cli("cov", "--input", str(bad), "--output", str(tmp_path / "c.bin"))
+        assert code == 2 and out == ""
+        assert err == (
+            f"covlasso: {bad} is neither a logit file nor UTF-8 CSV: 'utf-8' codec "
+            "can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+        assert not (tmp_path / "c.bin").exists()
+
+    @pytest.mark.parametrize(
+        "argv, shape",
+        [
+            (("synth", "--n", BIG, "--samples", "5", "--latent-rank", "2"), f"({BIG}, 2)"),
+            (("synth", "--n", "5", "--samples", BIG, "--latent-rank", "2"), f"({BIG}, 2)"),
+            (("synth", "--n", "5", "--samples", "5", "--latent-rank", BIG), f"(5, {BIG})"),
+            (("synth", "--n", "4294967296", "--samples", "4294967296", "--latent-rank", "8"),
+             "(4294967296, 4294967296)"),
+            (("fit-extension", "--logits", "LOGITS", "--new-count", BIG), f"(8, {BIG})"),
+            (("path", "--cov", "COV", "--target", "0", "--auto-grid", BIG), f"({BIG},)"),
+        ],
+    )
+    def test_sizes_past_numpys_limit_are_rejected(self, tmp_path, argv, shape):
+        # Refused before numpy allocates: the call's traced peak stays small.
+        logits = synth(tmp_path)
+        paths = {"LOGITS": str(logits), "COV": str(build_cov(tmp_path, logits))}
+        out_path = tmp_path / "out"
+        argv = [paths.get(a, a) for a in argv] + ["--output", str(out_path)]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == f"covlasso: float64 array of shape {shape} exceeds 2^63 - 1 bytes\n"
+        assert not out_path.exists()
+        assert peak < 1 << 24, peak  # imports included; any of these arrays is far larger
 
     def test_corrupted_csv_cites_line(self, tmp_path):
         csv = tmp_path / "bad.csv"

@@ -60,6 +60,8 @@ class TestLogitMatrix:
     def test_rejects_bad_names(self):
         with pytest.raises(InvalidInput):
             LogitMatrix([[1.0, 2.0]], names=("only",))
+        with raises_exact(InvalidInput, "repeated name 'b': categories 1 and 2"):
+            LogitMatrix([[1.0, 2.0, 3.0]], names=("a", "b", "b"))
 
 
 class TestCovMatrix:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,13 @@ class TestLogitErrors:
         with pytest.raises(InvalidInput, match="UTF-8") as exc:
             read_logits(payload)
         assert f"byte {len(base) + 4}" in str(exc.value)
+
+    def test_repeated_name_rejected(self):
+        # write_logits cannot produce this file: LogitMatrix refuses the names.
+        table = (struct.pack("<I", 1) + b"a") * 2
+        payload = b"NDLM" + struct.pack("<IQQI", 1, 1, 2, 2) + bytes(16) + table
+        with raises_exact(InvalidInput, "repeated name 'a': categories 0 and 1"):
+            read_logits(payload)
 
     def test_name_truncated(self):
         data = np.zeros((1, 1))
@@ -350,9 +358,10 @@ class TestCsv:
         assert "line 1, column 3" in str(exc.value)
 
     def test_label_out_of_range_cites_line(self):
-        with pytest.raises(InvalidInput, match="out of range") as exc:
-            read_logits_csv("1,2,0\n3,4,5\n", labels_col=2)
-        assert "line 2" in str(exc.value)
+        for label in ("5", "2", "-1"):
+            expect = f"label {label} out of range [0, 2) (line 2, column 3)"
+            with raises_exact(InvalidInput, expect):
+                read_logits_csv(f"1,2,0\n3,4,{label}\n", labels_col=2)
 
     def test_label_beyond_int64_cites_line_and_column(self):
         # Integers that int64 cannot hold, above and below.
@@ -364,6 +373,43 @@ class TestCsv:
     def test_labels_col_out_of_range(self):
         with pytest.raises(InvalidInput, match="labels column"):
             read_logits_csv("1,2\n", labels_col=5)
+
+    def test_labels_column_as_the_only_column(self):
+        for text, labels_col, line in (("1\n2\n", 0, 1), ("y\n0\n", -1, 2)):
+            expect = f"need at least one logit column besides the labels (line {line})"
+            with raises_exact(InvalidInput, expect):
+                read_logits_csv(text, labels_col)
+
+    def test_first_fault_in_file_order_is_reported(self):
+        # A fault on line 2 outranks a blank line 3 and a bad value on line 3.
+        with raises_exact(InvalidInput, "value 'x' is not a number (line 2, column 1)"):
+            read_logits_csv("1,2\nx,3\n\n")
+        expect = "label 5 out of range [0, 2) (line 2, column 3)"
+        with raises_exact(InvalidInput, expect):
+            read_logits_csv("a,b,l\n1,2,5\n1,x,1\n", labels_col=-1)
+
+    def test_repeated_header_name_rejected(self):
+        # Indices count categories, so the labels column is not one.
+        for text, labels_col, expect in (
+            ("a,a,b\n1,2,3\n", None, "repeated name 'a': categories 0 and 1"),
+            ("a,y,b,a\n1,0,2,3\n", 1, "repeated name 'a': categories 0 and 2"),
+        ):
+            with raises_exact(InvalidInput, expect):
+                read_logits_csv(text, labels_col)
+
+    def test_memory_stays_near_the_text_size(self):
+        # No table of every cell: the peak is the line list plus the
+        # float64 matrix (1.5x this text; one str per cell would be 5x).
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((2000, 200)).tolist()
+        text = "\n".join(",".join(repr(v) for v in row) for row in rows) + "\n"
+        tracemalloc.start()
+        try:
+            read_logits_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text), peak / len(text)
 
     def test_csv_and_binary_agree_through_covariance(self, rng):
         data = rng.integers(-8, 9, size=(20, 3)) / 4.0  # exact in binary and text
