@@ -25,8 +25,9 @@ Second-moment file (magic ``NDCV``)::
 
 Parsers are strict: wrong magic, bad version, non-finite values,
 out-of-range labels and trailing bytes are all rejected, and every
-diagnostic names the byte offset (binary) or line number (CSV) of the
-first problem in file order.  A CSV is read in one pass, line by line.
+diagnostic names the byte offset (binary) or line and column (CSV) of
+the first problem in file order; repeated names, refused by
+``LogitMatrix``, come last.  A CSV is read in one pass, line by line.
 Writers and parsers round-trip bit-exactly.
 """
 
@@ -307,12 +308,11 @@ def read_logits_csv(text: str, labels_col: int | None = None) -> LogitMatrix:
     data = np.empty((len(lines) - first + 1, n))
     labels = None if col_index is None else np.empty(len(data), dtype=np.int64)
     for k, lineno in enumerate(range(first, len(lines) + 1)):
-        if k:
-            cells = _cells(lines[lineno - 1], lineno)
-            if len(cells) != width:
-                raise InvalidInput(
-                    f"expected {width} columns, got {len(cells)} (line {lineno})"
-                )
+        cells = _cells(lines[lineno - 1], lineno)
+        if len(cells) != width:
+            raise InvalidInput(
+                f"expected {width} columns, got {len(cells)} (line {lineno})"
+            )
         values = []
         for c, cell in enumerate(cells):
             if c == col_index:
