@@ -7,10 +7,11 @@ graph export.  All outputs are deterministic: identical inputs produce
 byte-identical files and stdout.
 
 Exit codes: 0 success; 2 usage, parse or validation problems
-(``InvalidInput``, any other ``CovLassoError`` and ``OSError``); 3
-solver did not converge (outputs are still written); 4 numerical
-degeneracy (``Degenerate``: singular or degenerate inputs, diverged
-fits; or spectral flooring engaged in ``redundancy --strict``).
+(``InvalidInput``, any other ``CovLassoError`` and ``OSError``) and
+``MemoryError``; 3 solver did not converge (outputs are still
+written); 4 numerical degeneracy (``Degenerate``: singular or
+degenerate inputs, diverged fits; or spectral flooring engaged in
+``redundancy --strict``).
 
 Certificates, screening and path checks need no spectral floor.  Only
 ``redundancy`` inverts a possibly singular matrix; its relative floor is
@@ -565,6 +566,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except (CovLassoError, OSError) as exc:
         sys.stderr.write(f"covlasso: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the shape it could not allocate
+        sys.stderr.write(f"covlasso: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
 
 

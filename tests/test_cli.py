@@ -50,16 +50,20 @@ def run_cli(*argv, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(*argv, flags=()):
+def run_module(*argv, flags=(), preamble=None):
     """Run ``python [flags] -m covlasso.cli`` in a fresh interpreter.
 
-    Warning filters are the defaults unless ``flags`` sets them.
+    Warning filters are the defaults unless ``flags`` sets them.  A
+    ``preamble`` runs in that interpreter before the CLI does.
     """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     src = str(Path(covlasso.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    entry = ["-m", "covlasso.cli"]
+    if preamble is not None:
+        entry = ["-c", f"{preamble}\nfrom covlasso.cli import entrypoint\nentrypoint()"]
     return subprocess.run(
-        [sys.executable, *flags, "-m", "covlasso.cli", *argv],
+        [sys.executable, *flags, *entry, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -224,6 +228,11 @@ class TestCov:
         cov_path = build_cov(tmp_path, logits)
         cov = read_cov(cov_path.read_bytes())
         assert cov.n == 8 and cov.sample_count == 400
+        # Within 2(N + 8)u (|X|^T |X|) / N of the GEMM mean, which is
+        # itself within N u of the exact one.
+        x = read_logits(logits.read_bytes()).data
+        bound = 2 * (400 + 8) * 2.0**-53 * (np.abs(x).T @ np.abs(x) / 400)
+        assert (np.abs(cov.data - x.T @ x / 400) <= bound).all()
         again = tmp_path / "cov2.bin"
         run_cli("cov", "--input", str(logits), "--output", str(again))
         assert again.read_bytes() == cov_path.read_bytes()
@@ -767,6 +776,16 @@ class TestExitCodes:
         )
         assert code == 2
         assert "unexpected end" in err and "byte" in err
+        # The stored triangle [1, 2, 1] has eigenvalues 3 and -1.
+        indefinite = tmp_path / "indefinite.cov"
+        header = write_cov(CovMatrix(np.eye(2), 1))[:-24]
+        indefinite.write_bytes(header + np.array([1.0, 2.0, 1.0], "<f8").tobytes())
+        code, out, err = run_cli(
+            "solve", "--cov", str(indefinite), "--target", "0", "--lambda", "0.05",
+            "--output", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "not positive semidefinite" in err and "(byte 24)" in err
 
     def test_logits_neither_ndlm_nor_utf8(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -808,14 +827,37 @@ class TestExitCodes:
         assert not out_path.exists()
         assert peak < 1 << 24, peak  # imports included; any of these arrays is far larger
 
-    def test_corrupted_csv_cites_line(self, tmp_path):
-        csv = tmp_path / "bad.csv"
-        csv.write_text("1.0,2.0\n3.0,oops\n")
-        code, out, err = run_cli(
-            "cov", "--input", str(csv), "--output", str(tmp_path / "c.bin")
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_out_of_memory_is_one_line(self, tmp_path):
+        # A 74.5 GiB matrix passes the 2^63-byte check but not the 3 GiB of
+        # address space the child allows itself.  The test process
+        # allocates nothing large.
+        out_path = tmp_path / "x.bin"
+        done = run_module(
+            "synth", "--n", "100000", "--samples", "100000", "--latent-rank", "2",
+            "--output", str(out_path),
+            preamble="import resource; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))",
         )
-        assert code == 2
-        assert "line 2" in err
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("covlasso: ") and done.stderr.count("\n") == 1
+        assert "shape (100000, 100000)" in done.stderr
+        assert done.stdout == "" and not out_path.exists()
+
+    def test_corrupted_csv_cites_line(self, tmp_path):
+        # The first fault in file order is reported: the bad cell, not
+        # the empty line after it.
+        csv = tmp_path / "bad.csv"
+        for text, message in (
+            ("1.0,2.0\n3.0,oops\n", "line 2"),
+            ("1,2\nx,3\n\n", "line 2"),
+            ("a,a\n1,2\n", "repeated name 'a'"),
+        ):
+            csv.write_text(text)
+            code, out, err = run_cli(
+                "cov", "--input", str(csv), "--output", str(tmp_path / "c.bin")
+            )
+            assert code == 2, text
+            assert message in err, text
 
     def test_underscore_numerals_rejected(self, tmp_path):
         csv = tmp_path / "bad.csv"
