@@ -26,6 +26,7 @@ of them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -71,9 +72,18 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_logits(path: str, labels_col: int | None = None):
+    import numpy as np
+
     from .formats import LOGIT_MAGIC, read_logits, read_logits_csv
 
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        # The file starts 4 bytes into an aligned buffer, so an NDLM
+        # payload (byte 28) is 8-byte aligned and is held once, not copied.
+        size = os.fstat(f.fileno()).st_size
+        buf = memoryview(np.empty(size + 4, dtype=np.uint8))[4:]
+        raw = buf[: f.readinto(buf)]
+        if rest := f.read():  # a pipe, or a file that grew: read_logits copies
+            raw = bytes(raw) + rest
     if raw[:4] == LOGIT_MAGIC:
         if labels_col is not None:
             raise InvalidInput(
@@ -83,7 +93,7 @@ def _load_logits(path: str, labels_col: int | None = None):
     try:
         # utf-8-sig drops a leading byte order mark, which would
         # otherwise turn the first data row into a header.
-        text = raw.decode("utf-8-sig")
+        text = str(raw, "utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InvalidInput(
             f"{path} is neither a logit file nor UTF-8 CSV: {exc}"

@@ -85,7 +85,11 @@ def evaluate(logits: LogitMatrix, target: int, theta: np.ndarray) -> EvalMetrics
         raise Degenerate("target logit is identically zero")
     rel_err = 100.0 * abs_err / target_scale
 
-    pred_ori = np.argmax(logits.data, axis=1)
+    # np.argmax copies a read-only array such as logits.data, so take the
+    # first index of each row's maximum instead: for finite logits it is
+    # the index np.argmax returns.
+    data = logits.data
+    pred_ori = (data == data.max(axis=1, keepdims=True)).argmax(axis=1)
     pred_new = _replaced_argmax(logits, target, theta, pred_ori)
     labels = logits.labels
     acc = float(np.mean(pred_new == labels))

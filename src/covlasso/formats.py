@@ -142,12 +142,16 @@ def read_logits(buf: bytes) -> LogitMatrix:
 
     data_off = r.off
     raw = r.take(samples * n * 8, "logit data")
-    # Copy, not view: the payload starts 28 bytes into the file, so a
-    # view of it is not 8-byte aligned and numpy's matmul then bypasses
-    # BLAS.  On a 5000 x 1000 view with 2 OpenBLAS threads, A @ Theta
-    # (1000 x 2), A @ v and A^T @ R took 39.9, 32.0 and 52.0 ms against
-    # 15.9, 7.8 and 15.9 ms aligned, and a fitted Theta changed bytes.
-    data = np.frombuffer(raw, dtype="<f8").reshape(samples, n).copy()
+    # A view where the payload is 8-byte aligned, as in the CLI's buffer,
+    # which starts the file 4 bytes in; a copy otherwise, as in a plain
+    # ``bytes``, where the payload 28 bytes in is not aligned and numpy's
+    # matmul on a view of it bypasses BLAS.  On a 5000 x 1000 view with 2
+    # OpenBLAS threads, A @ Theta (1000 x 2), A @ v and A^T @ R took 39.9,
+    # 32.0 and 52.0 ms against 15.9, 7.8 and 15.9 ms aligned, and a fitted
+    # Theta changed bytes.
+    data = np.require(
+        np.frombuffer(raw, dtype="<f8").reshape(samples, n), requirements="A"
+    )
     try:
         labels, names = _read_labels_and_names(r, samples, n, flags)
         r.finish()

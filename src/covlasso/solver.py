@@ -41,18 +41,17 @@ the active set changes.  Its correlation is then a fixed combination of
 the active ones, so it stays feasible (Tibshirani, "The lasso problem
 and uniqueness", 2013).  A zero-curvature coordinate of a PSD Cov has a
 zero row and never enters.  The number of kinks can grow exponentially
-(Mairal & Yu, 2012), so the walk takes at most 10 m of them; a walk that
-runs out returns its last breakpoint, whose certificates then fail at
-the requested penalty.
+(Mairal & Yu, 2012), so the walk, :func:`_segments`, takes at most 10 m
+of them; it yields each segment's mu range, active set and Chat_AA.
 
-Each requested penalty is read off its segment by a direct solve of
-Chat_AA c_A = bhat_A - mu s_A, with coefficients whose sign disagrees
-with s set to 0.  :func:`solve` walks to one penalty, and
-:func:`solution_path` walks once through a whole grid; each point is a
-:class:`DependencySolution`.  Optimality is certified by
-:func:`certificates`, from one product Chat c: the KKT conditions and a
-Gram-form duality gap, with no factorization, square root or spectral
-floor; every returned point is certified once.
+The reader, :func:`_homotopy`, reads each requested penalty off its
+segment by a direct solve of Chat_AA c_A = bhat_A - mu s_A, setting
+coefficients whose sign disagrees with s to 0; a walk out of kinks leaves
+the rest of the grid at its last breakpoint, whose certificates then
+fail.  :func:`solve` reads one penalty and :func:`solution_path` a grid,
+as :class:`DependencySolution` points, each certified once by
+:func:`certificates` from one product Chat c: the KKT conditions and a
+Gram-form duality gap, with no factorization, square root or spectral floor.
 """
 
 from __future__ import annotations
@@ -152,27 +151,21 @@ def _residual(rp: ReducedProblem, c: np.ndarray) -> np.ndarray:
     return r
 
 
-def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """Walk the lasso path once; return (coef, kinks) at each grid penalty.
+def _segments(rp: ReducedProblem):
+    """Walk the lasso path; yield (mu, mu_next, idx, s, block) per segment.
 
-    ``lams`` must be positive and nonincreasing.  The walk is in
-    mu = lam/2 from mu_0 = max|bhat| down, one event per kink; see the
-    module docstring for the segment formula, the event and tie rules,
-    the refusal of singular entries and the kink budget.
+    From mu down to mu_next, -inf on the last segment, the active set is
+    ``idx`` with signs ``s``, and ``block`` is Chat_AA.
     """
     cov = rp.cov.data
     bhat = rp.bhat
     n = rp.n
-    mus = 0.5 * lams
     schur_tol = rp.m * np.finfo(np.float64).eps
-    budget = KINK_CAP_PER_COORD * rp.m
     in_a = np.zeros(n, dtype=bool)
     active: list[int] = []
     signs: list[float] = []
     mu = float(np.max(np.abs(bhat)))
-    kinks = 0
-    points: list[tuple[np.ndarray, int]] = []
-    while True:
+    for _ in range(KINK_CAP_PER_COORD * rp.m + 1):
         idx = np.asarray(active, dtype=np.intp)
         s = np.asarray(signs, dtype=np.float64)
         rows = cov[idx]
@@ -204,24 +197,9 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
                 break
             t[j] = np.inf  # Chat_AA would turn singular: refuse j for now
         mu_next = mu - float(t[j])
-
-        stop = len(points) + int(np.count_nonzero(mus[len(points):] >= mu_next))
-        read = mus[len(points):stop]
-        if stop < mus.size and kinks == budget:
-            # Out of kinks: the rest of the grid gets the last breakpoint.
-            read = np.concatenate([read, np.full(mus.size - stop, mu)])
-        # Direct solves, never u - mu v: at mu_0 the difference leaves a
-        # wrong-signed roundoff coefficient that fails KKT.
-        sol = np.linalg.solve(block, bhat[idx, None] - np.multiply.outer(s, read))
-        sol[sol * s[:, None] < 0.0] = 0.0
-        for col in sol.T:
-            coef = np.zeros(n)
-            coef[idx] = col
-            points.append((coef, kinks))
-        if len(points) == mus.size:
-            return points
-
-        kinks += 1
+        yield mu, mu_next, idx, s, block
+        if not np.isfinite(mu_next):
+            return
         mu = mu_next
         if in_a[j]:
             pos = active.index(j)
@@ -232,19 +210,41 @@ def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[tuple[np.ndarray, in
         in_a[j] = not in_a[j]
 
 
-def _point(
-    rp: ReducedProblem, lam: float, coef: np.ndarray, kinks: int
-) -> DependencySolution:
-    smooth = _smooth_part(rp, coef)
-    return DependencySolution(
-        target=rp.target,
-        coef=coef,
-        lam=lam,
-        objective=smooth + lam * float(np.abs(coef).sum()),
-        iterations=kinks,
-        pred_error=max(0.0, smooth + rp.cov_ii),
-        certificates=certificates(rp, lam, coef),
-    )
+def _homotopy(rp: ReducedProblem, lams: np.ndarray) -> list[DependencySolution]:
+    """Read the grid penalties ``lams`` (positive, nonincreasing) off the walk.
+
+    Each point's ``iterations`` counts the kinks before its segment.
+    """
+    mus = 0.5 * lams
+    points: list[DependencySolution] = []
+    for kinks, (mu, mu_next, idx, s, block) in enumerate(_segments(rp)):
+        stop = len(points) + int(np.count_nonzero(mus[len(points):] >= mu_next))
+        read = mus[len(points):stop]
+        if stop < mus.size and kinks == KINK_CAP_PER_COORD * rp.m:  # out of kinks
+            read = np.concatenate([read, np.full(mus.size - stop, mu)])
+        if read.size == 0:  # no grid point on this segment
+            continue
+        # Direct solves, never u - mu v: at mu_0 the difference leaves a
+        # wrong-signed roundoff coefficient that fails KKT.
+        sol = np.linalg.solve(block, rp.bhat[idx, None] - np.multiply.outer(s, read))
+        sol[sol * s[:, None] < 0.0] = 0.0
+        for col in sol.T:
+            coef = np.zeros(rp.n)
+            coef[idx] = col
+            lam = float(lams[len(points)])
+            smooth = _smooth_part(rp, coef)
+            points.append(DependencySolution(
+                target=rp.target,
+                coef=coef,
+                lam=lam,
+                objective=smooth + lam * float(np.abs(coef).sum()),
+                iterations=kinks,
+                pred_error=max(0.0, smooth + rp.cov_ii),
+                certificates=certificates(rp, lam, coef),
+            ))
+        if len(points) == mus.size:
+            return points
+    return points
 
 
 def solve(rp: ReducedProblem, lam: float) -> DependencySolution:
@@ -257,8 +257,7 @@ def solve(rp: ReducedProblem, lam: float) -> DependencySolution:
     """
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidInput(f"penalty must be positive and finite, got {lam}")
-    ((coef, kinks),) = _homotopy(rp, np.array([float(lam)]))
-    return _point(rp, float(lam), coef, kinks)
+    return _homotopy(rp, np.array([float(lam)]))[0]
 
 
 def certificates(
@@ -269,7 +268,9 @@ def certificates(
     Both read r = Chat c - bhat, formed once, with r = 0 at the target,
     whose coefficient must be 0.  Coordinate j violates KKT
     by |r_j + (lam/2) sign(c_j)| if c_j != 0, else by max(0, |r_j| - lam/2);
-    the iterate is KKT-valid if no violation exceeds 1e-6 * max(lam, 1).
+    the iterate is KKT-valid if no violation exceeds 1e-6 (lam/2) plus the
+    roundoff n u max_j sqrt(Chat_jj cov_ii) of r (u = 2^-52), so scaling
+    Cov and lam by one factor keeps the verdict.
 
     For the gap, write the problem as a lasso min ||y - X c||^2 + lam ||c||_1
     with X^T X = Chat, X^T y = bhat and ||y||^2 = cov_ii.  Such X and y
@@ -302,6 +303,8 @@ def certificates(
     )
     worst = float(violation.max())
     r_inf = float(abs_r.max())
+    chat_diag = np.delete(rp.cov.data.diagonal(), rp.target)
+    roundoff = rp.n * 2.0**-52 * float(np.sqrt(chat_diag.max() * rp.cov_ii))
 
     sqrt2 = float(np.sqrt(2.0))
     feas_violation = sqrt2 / lam * r_inf - sqrt2 / 2.0
@@ -321,7 +324,7 @@ def certificates(
     )
     return SolutionCertificates(
         kkt_max_violation=worst,
-        kkt_valid=worst <= 1e-6 * max(lam, 1.0),
+        kkt_valid=worst <= 1e-6 * float(half) + roundoff,
         dual_gap=float(gap),
         dual_feasibility_violation=max(0.0, feas_violation),
     )
@@ -343,10 +346,7 @@ def solution_path(rp: ReducedProblem, grid) -> SolutionPath:
     if np.any(np.diff(lams) > 0.0):
         raise InvalidInput("penalty grid must be nonincreasing")
 
-    solutions = tuple(
-        _point(rp, float(lam), coef, kinks)
-        for lam, (coef, kinks) in zip(lams, _homotopy(rp, lams))
-    )
+    solutions = tuple(_homotopy(rp, lams))
     errors = [s.pred_error for s in solutions]
     return SolutionPath(
         solutions=solutions,

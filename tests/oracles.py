@@ -146,6 +146,85 @@ def minor(rp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return full[np.ix_(keep, keep)].copy(), full[keep, rp.target].copy(), keep
 
 
+def homotopy(rp, lams: np.ndarray, kink_cap: int) -> list[tuple[np.ndarray, int]]:
+    """The lasso walk and its grid reader in one loop: (coef, kinks) per penalty.
+
+    ``solver._homotopy`` as it was before the walk became a generator,
+    with the kink budget kink_cap * m passed in.  The split must return
+    the same coefficient bytes and kink counts.
+    """
+    cov = rp.cov.data
+    bhat = rp.bhat
+    n = rp.n
+    mus = 0.5 * lams
+    schur_tol = rp.m * np.finfo(np.float64).eps
+    budget = kink_cap * rp.m
+    in_a = np.zeros(n, dtype=bool)
+    active: list[int] = []
+    signs: list[float] = []
+    mu = float(np.max(np.abs(bhat)))
+    kinks = 0
+    points: list[tuple[np.ndarray, int]] = []
+    while True:
+        idx = np.asarray(active, dtype=np.intp)
+        s = np.asarray(signs, dtype=np.float64)
+        rows = cov[idx]
+        block = rows[:, idx]
+        c_a, v = np.linalg.solve(block, np.stack([bhat[idx] - mu * s, s], axis=1)).T
+        g = bhat - c_a @ rows  # -r at mu
+        d = v @ rows  # g(mu - t) = g(mu) - t d on this segment
+
+        # Entry at |g_j| = mu, only where |g_j| - mu grows as mu falls.
+        t_up = np.full(n, np.inf)
+        t_down = np.full(n, np.inf)
+        up, down = 1.0 - d > 0.0, 1.0 + d > 0.0
+        t_up[up] = (mu - g[up]) / (1.0 - d[up])
+        t_down[down] = (mu + g[down]) / (1.0 + d[down])
+        t = np.minimum(t_up, t_down)
+        t[rp.target] = np.inf  # the target never enters
+        # Exit where an active coefficient moves toward 0 and reaches it.
+        t[idx] = np.inf
+        shrinking = s * v < 0.0
+        t[idx[shrinking]] = -c_a[shrinking] / v[shrinking]
+        t = np.maximum(t, 0.0)
+
+        while True:
+            j = int(np.argmin(t))  # lowest index among ties
+            if not np.isfinite(t[j]) or in_a[j]:
+                break
+            w = np.linalg.solve(block, rows[:, j])
+            if cov[j, j] - rows[:, j] @ w > schur_tol * cov[j, j]:
+                break
+            t[j] = np.inf  # Chat_AA would turn singular: refuse j for now
+        mu_next = mu - float(t[j])
+
+        stop = len(points) + int(np.count_nonzero(mus[len(points):] >= mu_next))
+        read = mus[len(points):stop]
+        if stop < mus.size and kinks == budget:
+            # Out of kinks: the rest of the grid gets the last breakpoint.
+            read = np.concatenate([read, np.full(mus.size - stop, mu)])
+        # Direct solves, never u - mu v: at mu_0 the difference leaves a
+        # wrong-signed roundoff coefficient that fails KKT.
+        sol = np.linalg.solve(block, bhat[idx, None] - np.multiply.outer(s, read))
+        sol[sol * s[:, None] < 0.0] = 0.0
+        for col in sol.T:
+            coef = np.zeros(n)
+            coef[idx] = col
+            points.append((coef, kinks))
+        if len(points) == mus.size:
+            return points
+
+        kinks += 1
+        mu = mu_next
+        if in_a[j]:
+            pos = active.index(j)
+            del active[pos], signs[pos]
+        else:
+            active.append(j)
+            signs.append(1.0 if t_up[j] <= t_down[j] else -1.0)
+        in_a[j] = not in_a[j]
+
+
 def screen_loop(rp, lam: float) -> tuple[set, set, list]:
     """``analysis.screen``'s rule one category at a time, in scalar arithmetic.
 

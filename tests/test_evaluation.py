@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -48,13 +50,31 @@ class TestEvaluate:
     def test_predictions_match_replace_logit_oracle(self, rng):
         # Small integer logits and weights make the replacement tie the
         # best other logit often, on both sides of the target's index.
-        data = rng.integers(-2, 3, size=(500, 6)).astype(float)
+        # Random signs give zeros of both signs, which tie too.
+        signs = rng.choice([-1.0, 1.0], size=(500, 6))
+        data = rng.integers(-2, 3, size=(500, 6)) * signs
         for target in range(6):
             theta = rng.integers(-1, 2, size=6).astype(float)
             theta[target] = -1.0
             expected = np.argmax(replace_logit(data, target, theta), axis=1)
             m = evaluate(LogitMatrix(data, labels=expected), target, theta)
             assert m.acc == 1.0
+            assert m.ori_acc == np.mean(np.argmax(data, axis=1) == expected)
+
+    def test_logits_are_not_copied(self, rng):
+        # np.argmax copies a read-only matrix, and LogitMatrix's is one.
+        samples, n = 4000, 200
+        labels = np.zeros(samples, dtype=np.int64)
+        logits = LogitMatrix(rng.standard_normal((samples, n)), labels=labels)
+        theta = np.zeros(n)
+        theta[0] = -1.0
+        tracemalloc.start()
+        try:
+            evaluate(logits, 0, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples * n * 8 / 4, peak
 
     def test_non_finite_replacement_rejected(self):
         # 10 * 1e308 overflows to +inf and -inf, whose sum is NaN.

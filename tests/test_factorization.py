@@ -1,5 +1,5 @@
 """Certificates need no factorization; ``redundancy`` makes exactly one ``eigh``
-and no ``eigvalsh``."""
+and no ``eigvalsh``; the homotopy solves only for right-hand sides it reads."""
 
 import numpy as np
 import pytest
@@ -19,14 +19,15 @@ from covlasso.cli import main
 from conftest import make_cov
 
 
-def count_calls(monkeypatch, name):
-    """Record the shape of every matrix passed to np.linalg.<name>."""
+def count_calls(monkeypatch, name, arg=0):
+    """Record the shape of positional argument ``arg`` (by default the
+    matrix) of every call to np.linalg.<name>."""
     calls = []
     real = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[arg]))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)
     return calls
@@ -85,3 +86,14 @@ def test_redundancy(cov, eigh_calls, eigvalsh_calls):
     redundancy(cov, 3)
     assert eigh_calls == [(8, 8)]
     assert eigvalsh_calls == []
+
+
+def test_walk_solves_no_empty_right_hand_side(cov, monkeypatch):
+    # Most kinks on the way down to 1e-3 lambda_max hold no grid point;
+    # the walk must not solve for their empty sets of grid columns.
+    rhs = count_calls(monkeypatch, "solve", arg=1)
+    rp = reduce_problem(cov, 3)
+    lmax = lambda_max(rp)
+    path = solution_path(rp, [0.5 * lmax, 1e-3 * lmax])
+    assert path.solutions[-1].iterations > 2
+    assert [shape for shape in rhs if shape[1:] == (0,)] == []

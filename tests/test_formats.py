@@ -62,6 +62,16 @@ class TestLogitRoundTrip:
         assert data.flags.owndata and data.flags.aligned
         assert data.ctypes.data % data.itemsize == 0
 
+    def test_aligned_payload_is_used_in_place(self, rng):
+        # Offset by 4 bytes, as the CLI reads a file, the payload is
+        # 8-byte aligned and needs no copy.
+        raw = write_logits(_logits(rng, labels=True))
+        buf = memoryview(np.empty(len(raw) + 4, dtype=np.uint8))[4:]
+        buf[:] = raw
+        data = read_logits(buf).data
+        assert data.flags.aligned and not data.flags.owndata
+        assert np.shares_memory(data, np.frombuffer(buf, dtype=np.uint8))
+
     def test_negative_zero_survives(self):
         data = np.array([[-0.0, 1.0]])
         back = read_logits(write_logits(LogitMatrix(data)))

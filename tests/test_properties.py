@@ -1,6 +1,7 @@
 """Property tests over randomly drawn shapes, data and batchings."""
 
 from dataclasses import asdict
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -22,7 +23,9 @@ from covlasso import (
     redundancy,
     report_theta,
     screen,
+    solution_path,
     solve,
+    solver,
 )
 from covlasso.analysis import EIG_FLOOR_REL
 from covlasso.covariance import BLOCK_ROWS
@@ -32,6 +35,7 @@ from oracles import (
     dense_extension_loss_grad,
     determinant_error,
     enumerate_lasso,
+    homotopy,
     minor,
     objective,
     root_form_gap,
@@ -212,6 +216,36 @@ def test_homotopy_never_above_the_oracle_optimum(case):
     chat, bhat, _ = minor(rp)
     _, best = enumerate_lasso(chat, bhat, lam)
     assert solve(rp, lam).objective <= best + 1e-9 * (abs(best) + rp.cov_ii)
+
+
+@st.composite
+def grid_walks(draw):
+    """Cov = X^T X / N of order 2..39 and rank min(N, n), often deficient,
+    at scales 1e-4 to 1e4; a target, a 7-point nonincreasing grid in
+    [1e-6, 2] lam_max, and a kink cap of 1, which often runs out, or the
+    default."""
+    n = draw(st.integers(2, 39))
+    samples = draw(st.integers(1, 2 * n))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    logs = draw(st.lists(st.floats(-6.0, float(np.log10(2.0))), min_size=7, max_size=7))
+    cap = draw(st.sampled_from([1, solver.KINK_CAP_PER_COORD]))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(samples, n)) @ rng.normal(size=(n, n))
+    rp = reduce_problem(CovMatrix(x.T @ x / samples * scale, samples), int(rng.integers(0, n)))
+    return rp, lambda_max(rp) * 10.0 ** np.sort(logs)[::-1], cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_walks())
+def test_segment_reader_matches_the_one_loop_walk(case):
+    rp, lams, cap = case
+    with patch.object(solver, "KINK_CAP_PER_COORD", cap):
+        got = solution_path(rp, lams).solutions
+    want = homotopy(rp, lams, cap)
+    assert [(s.coef.tobytes(), s.iterations) for s in got] == [
+        (coef.tobytes(), kinks) for coef, kinks in want
+    ]
 
 
 @st.composite

@@ -218,9 +218,26 @@ class TestKkt:
                 coef = coef.copy()
                 coef[1:] += rng.normal(size=m) * 10.0 ** rng.uniform(-9, -3)
             cert = certificates(rp, lam, coef)
+            chat_diag = np.diag(rp.cov.data)[1:]
+            roundoff = rp.n * 2.0**-52 * np.sqrt(chat_diag.max() * rp.cov_ii)
             assert cert.kkt_valid == (
-                cert.kkt_max_violation <= 1e-6 * max(lam, 1.0)
+                cert.kkt_max_violation <= 1e-6 * lam / 2.0 + roundoff
             )
+
+    def test_verdict_is_invariant_to_scale(self):
+        # Scaling Cov and lam by 4^k is exact, so the violations and the
+        # tolerance scale alike: the verdict must not depend on k.
+        mat = spd_matrix(np.random.default_rng(9), 6)
+        rp = reduce_problem(CovMatrix(mat, 10), 2)
+        lam = 0.01 * lambda_max(rp)
+        for coef, valid in ((np.zeros(6), False), (solve(rp, lam).coef, True)):
+            verdicts = {
+                certificates(
+                    reduce_problem(CovMatrix(4.0**k * mat, 10), 2), 4.0**k * lam, coef
+                ).kkt_valid
+                for k in range(-20, 21)
+            }
+            assert verdicts == {valid}
 
     def test_inputs_validated(self):
         with pytest.raises(InvalidInput):
