@@ -10,8 +10,8 @@ Exit codes: 0 success; 2 usage, parse or validation problems
 (``InvalidInput``, any other ``CovLassoError`` and ``OSError``) and
 ``MemoryError``; 3 solver did not converge (outputs are still
 written); 4 numerical degeneracy (``Degenerate``: singular or
-degenerate inputs, diverged fits; or spectral flooring engaged in
-``redundancy --strict``).
+degenerate inputs, a fit without a finite step; or spectral flooring
+engaged in ``redundancy --strict``).
 
 Certificates, screening and path checks need no spectral floor.  Only
 ``redundancy`` inverts a possibly singular matrix; its relative floor is
@@ -368,15 +368,12 @@ def cmd_fit_extension(args) -> int:
             "extension fitting needs labels: embed them in the logit file or "
             "pass --labels"
         )
-    fit = evaluation.fit_extension(
-        base, labels, args.new_count, step_size=args.step_size, epochs=args.epochs
-    )
+    fit = evaluation.fit_extension(base, labels, args.new_count, epochs=args.epochs)
     payload = {
         "schema": "extension-report",
-        "version": 1,
+        "version": 2,
         "base_categories": base.n,
         "new_categories": args.new_count,
-        "step_size": args.step_size,
         "epochs": args.epochs,
         "initial_loss": fit.losses[0],
         "final_loss": fit.losses[-1],
@@ -539,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels-col", type=_number(int), default=None)
     p.add_argument("--labels", default=None, help="labels file (one integer per line)")
     p.add_argument("--new-count", type=_number(int), required=True)
-    p.add_argument("--step-size", type=_number(float), default=0.5)
     p.add_argument("--epochs", type=_number(int), default=500)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_fit_extension)

@@ -68,7 +68,7 @@ class LogitMatrix:
             raise InvalidInput(f"logit data must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInput("logit data must have at least one row and column")
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates
             raise InvalidInput("logit data has non-finite entries")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -171,7 +171,7 @@ class CovMatrix:
             raise InvalidInput(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise InvalidInput("matrix must have at least one row")
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise InvalidInput("matrix has non-finite entries")
         if sample_count < 1:
             raise InvalidInput(f"sample count must be positive, got {sample_count}")

@@ -26,5 +26,5 @@ class Degenerate(CovLassoError):
     """The problem is numerically degenerate.
 
     A singular spectrum in ``redundancy``, a target with zero second
-    moment, or an iterative fit whose loss became non-finite.
+    moment, or an extension fit without a finite step.
     """

@@ -156,14 +156,15 @@ def _base_terms(base_data: np.ndarray, labels: np.ndarray) -> _BaseTerms:
     return _BaseTerms(peak, mass, labelled, rows[~is_base], labels[~is_base] - n1)
 
 
-def _extension_epoch(
+def _extension_loss(
     base_data: np.ndarray, terms: _BaseTerms, theta: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss and Theta gradient from the frozen base terms: O(N n2) beyond f Theta.
+    """Loss and responsibilities R from the frozen base terms: O(N n2) beyond f Theta.
 
-    With g = f Theta and the row peak p = max(m_b, max_k g_k), the log
-    normalizer is p + log(S_b exp(m_b - p) + sum_k exp(g_k - p)); only
-    the n2 new columns are exponentiated.
+    With h = f Theta and the row peak p = max(m_b, max_k h_k), the log
+    normalizer is p + log(S_b exp(m_b - p) + sum_k exp(h_k - p)); only
+    the n2 new columns are exponentiated.  R is the new columns' softmax
+    minus the one-hot label, so the Theta gradient is f^T R / N.
     """
     new = base_data @ theta
     peak = np.maximum(terms.peak, new.max(axis=1, initial=-np.inf))
@@ -176,55 +177,58 @@ def _extension_epoch(
     loss = float(np.mean(log_norm - (labelled - peak)))
     resp = np.exp(shifted - log_norm[:, None])
     resp[terms.new_rows, terms.new_cols] -= 1.0
-    grad = base_data.T @ resp / base_data.shape[0]
-    return loss, grad
+    return loss, resp
 
 
 def fit_extension(
-    base: LogitMatrix,
-    labels: np.ndarray,
-    new_count: int,
-    *,
-    step_size: float = 0.5,
-    epochs: int = 500,
+    base: LogitMatrix, labels: np.ndarray, new_count: int, *, epochs: int = 500
 ) -> ExtensionFit:
     """Fit new-category read-out weights by full-batch gradient descent.
 
     ``labels`` may reference both base and new categories (values in
-    [0, base.n + new_count)).  Theta starts at zero; each epoch applies
-    one gradient step of ``step_size``.  The recorded loss trace has one
-    entry per iterate including the initial and final ones.  A
-    non-finite loss aborts with Degenerate.
+    [0, base.n + new_count)).  Theta starts at zero; each of ``epochs``
+    epochs takes one Armijo step along the gradient g.  The first try is
+    t = 2N/||f||_F^2, at most 1/L for L = lambda_max(f^T f)/(2N), the
+    softmax curvature bound (Boehning 1992).  A try is accepted once
+    loss(Theta - t g) <= loss(Theta) - t ||g||^2/2, else t is halved; a
+    first-try acceptance starts the next epoch from 1.5 t.  So the loss
+    trace, one entry per iterate, never rises.  A first step that is not
+    positive and finite (all-zero logits, or logits whose squares
+    overflow) or a non-finite ||g||^2 raises Degenerate.
 
-    Cost: the base columns' row max and exp-sum are computed once, one
-    O(N n1) exp pass per fit.  Each epoch then costs two thin products
-    with f (f Theta and f^T R, N x n1 by n1 x n2) plus O(N n2)
-    elementwise work; nothing N x n1 is allocated inside the loop.
+    Cost: one O(N n1) exp pass per fit; then each try costs f Theta plus
+    O(N n2), and each epoch one f^T R.  Nothing N x n1 is allocated.
     """
     if new_count < 0:
         raise InvalidInput(f"new category count must be nonnegative, got {new_count}")
     check_size((base.n, new_count), (base.samples, new_count))
     lab = check_labels(labels, base.samples, base.n + new_count)
-    if step_size <= 0.0 or not np.isfinite(step_size):
-        raise InvalidInput(f"step size must be positive and finite, got {step_size}")
     if epochs < 0:
         raise InvalidInput(f"epoch count must be nonnegative, got {epochs}")
 
     terms = _base_terms(base.data, lab)
     theta = np.zeros((base.n, new_count))
-    losses: list[float] = []
-    loss, grad = _extension_epoch(base.data, terms, theta)
-    if not np.isfinite(loss):
-        raise Degenerate(f"initial loss is not finite: {loss}")
-    losses.append(loss)
+    loss, resp = _extension_loss(base.data, terms, theta)
+    losses = [loss]
     if new_count:
-        # Overflow in a diverging step surfaces as a non-finite loss,
-        # reported as Degenerate, not as a numpy warning.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # An overflowing try fails the test and is halved, without a warning.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = 2.0 * base.samples / np.vdot(base.data, base.data)
+            if not 0.0 < step < np.inf:
+                raise Degenerate(f"no finite first step: 2N/||f||_F^2 = {step}")
             for _ in range(epochs):
-                theta = theta - step_size * grad
-                loss, grad = _extension_epoch(base.data, terms, theta)
-                if not np.isfinite(loss):
-                    raise Degenerate("loss became non-finite during fitting")
+                grad = base.data.T @ resp / base.samples
+                sq = np.vdot(grad, grad)
+                if not np.isfinite(sq):
+                    raise Degenerate(f"no finite step: ||g||^2 = {sq}")
+                grow = 1.5
+                while True:
+                    trial = theta - step * grad
+                    trial_loss, trial_resp = _extension_loss(base.data, terms, trial)
+                    if trial_loss <= loss - step * sq / 2.0:
+                        break
+                    step, grow = step / 2.0, 1.0
+                theta, loss, resp = trial, trial_loss, trial_resp
                 losses.append(loss)
+                step = min(grow * step, np.finfo(np.float64).max)
     return ExtensionFit(theta=theta, losses=tuple(losses))

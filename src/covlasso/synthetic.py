@@ -191,7 +191,7 @@ def generate(
     for k in range(latent_rank):
         latent[:, k] = normals(derive_seed(seed, TAG_LATENT, k), samples)
 
-    logits = latent @ weights.T
+    logits = np.einsum("ik,jk->ij", latent, weights)  # not BLAS: thread-count free
     # Overflowing weights or noise give non-finite logits: LogitMatrix says so.
     with np.errstate(over="ignore", invalid="ignore"):
         if planted is not None:

@@ -397,6 +397,36 @@ def dense_extension_loss_grad(
     return loss, grad
 
 
+def armijo_extension_fit(
+    base_data: np.ndarray, labels: np.ndarray, n2: int, epochs: int
+) -> tuple[np.ndarray, list[float]]:
+    """Armijo backtracking on the dense loss: Theta and the loss at every iterate.
+
+    The first try is 2N/||f||_F^2; a try t is accepted once the loss
+    falls by t ||g||^2 / 2, else halved; a first-try acceptance starts
+    the next epoch from 1.5 t.
+    """
+    theta = np.zeros((base_data.shape[1], n2))
+    loss, grad = dense_extension_loss_grad(base_data, labels, theta)
+    losses = [loss]
+    step = 2.0 * base_data.shape[0] / float(np.sum(base_data**2))
+    for _ in range(epochs):
+        sq = float(np.sum(grad**2))
+        halvings = 0
+        while True:
+            trial = theta - step * grad
+            trial_loss, trial_grad = dense_extension_loss_grad(base_data, labels, trial)
+            if trial_loss <= loss - step * sq / 2.0:
+                break
+            step /= 2.0
+            halvings += 1
+        theta, loss, grad = trial, trial_loss, trial_grad
+        losses.append(loss)
+        if halvings == 0:
+            step *= 1.5
+    return theta, losses
+
+
 def replace_logit(data: np.ndarray, target: int, theta: np.ndarray) -> np.ndarray:
     """Copy of ``data`` with the target column set to sum_{j != target} theta_j f_j."""
     weights = np.array(theta, dtype=np.float64)

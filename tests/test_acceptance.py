@@ -34,7 +34,7 @@ from covlasso import (
     write_logits,
 )
 from covlasso.covariance import LogitMatrix
-from covlasso.evaluation import _base_terms, _extension_epoch
+from covlasso.evaluation import _base_terms, _extension_loss
 from covlasso.solver import lambda_max
 
 from conftest import rp_from
@@ -311,7 +311,7 @@ class TestAcceptance:
 
         theta = rng.standard_normal((12, 1)) * 0.2
         terms = _base_terms(base_data, labels)
-        _, grad = _extension_epoch(base_data, terms, theta)
+        grad = base_data.T @ _extension_loss(base_data, terms, theta)[1] / len(base_data)
         fd = np.zeros_like(theta)
         h = 1e-6
         for a in range(12):
@@ -319,8 +319,8 @@ class TestAcceptance:
             up[a, 0] += h
             dn[a, 0] -= h
             fd[a, 0] = (
-                _extension_epoch(base_data, terms, up)[0]
-                - _extension_epoch(base_data, terms, dn)[0]
+                _extension_loss(base_data, terms, up)[0]
+                - _extension_loss(base_data, terms, dn)[0]
             ) / (2 * h)
         rel = float(np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12))
         record(

@@ -51,13 +51,14 @@ def run_cli(*argv, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(*argv, flags=(), preamble=None):
+def run_module(*argv, flags=(), preamble=None, env=None):
     """Run ``python [flags] -m covlasso.cli`` in a fresh interpreter.
 
     Warning filters are the defaults unless ``flags`` sets them.  A
-    ``preamble`` runs in that interpreter before the CLI does.
+    ``preamble`` runs in that interpreter before the CLI does, and
+    ``env`` adds variables to its environment.
     """
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"} | (env or {})
     src = str(Path(covlasso.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     entry = ["-m", "covlasso.cli"]
@@ -221,6 +222,50 @@ class TestSynth:
         )
         assert code == 2
         assert "plant" in err.lower() or "parse" in err.lower()
+
+
+def blas_threads(count):
+    """Environment that sets the BLAS thread count before numpy loads."""
+    return {key: str(count) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+class TestBlasThreadCount:
+    """What README's Determinism section calls stable across BLAS thread counts."""
+
+    SYNTH = (
+        "synth", "--n", "300", "--samples", "3000", "--latent-rank", "40",
+        "--noise-sigma", "0.05", "--plant", "0:2=0.5,5=-0.25", "--seed", "3",
+    )
+
+    def test_synth_bytes(self, tmp_path):
+        files = []
+        for threads in (1, 2):
+            files.append(tmp_path / f"logits{threads}.bin")
+            done = run_module(*self.SYNTH, "--output", str(files[-1]), env=blas_threads(threads))
+            assert done.returncode == 0, done.stderr
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+    def test_solve_and_path_supports_and_kinks(self, tmp_path):
+        code, out, err = run_cli(*self.SYNTH, "--output", str(tmp_path / "logits.bin"))
+        assert code == 0, err
+        cov = build_cov(tmp_path, tmp_path / "logits.bin")
+        seen = []
+        for threads in (1, 2):
+            sol, path = tmp_path / f"solve{threads}.json", tmp_path / f"path{threads}.json"
+            for argv in (
+                ("solve", "--cov", str(cov), "--target", "0", "--lambda", "0.01", "--output", str(sol)),
+                ("path", "--cov", str(cov), "--target", "0", "--auto-grid", "6", "--output", str(path)),
+            ):
+                done = run_module(*argv, env=blas_threads(threads))
+                assert done.returncode == 0, done.stderr
+            rep, points = json.loads(sol.read_text()), json.loads(path.read_text())["points"]
+            seen.append((
+                [c["index"] for c in rep["coefficients"]],
+                rep["certificates"]["kkt_valid"],
+                [(p["support_size"], p["iterations"]) for p in points],
+            ))
+        assert seen[0] == seen[1]
+        assert {2, 5} <= set(seen[0][0])
 
 
 class TestCov:
@@ -610,6 +655,7 @@ class TestEvalAndGraph:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "extension-report"
+        assert payload["version"] == 2 and "step_size" not in payload
         assert len(payload["theta"]) == 4
         assert payload["final_loss"] < payload["initial_loss"]
 
@@ -1147,29 +1193,35 @@ class TestExitCodes:
         assert code == 4
 
     def _diverging_fit_argv(self, tmp_path):
+        # All-zero logits: ||f||_F^2 = 0 leaves no finite first step.
         csv = tmp_path / "base.csv"
-        rng = np.random.default_rng(0)
-        rows = rng.standard_normal((20, 2)) * 10.0
-        csv.write_text(
-            "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
-        )
+        csv.write_text("0,0\n" * 20)
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("\n".join("2" for _ in range(20)) + "\n")
         return (
             "fit-extension", "--logits", str(csv), "--labels", str(labels_path),
-            "--new-count", "1", "--step-size", "1e308", "--epochs", "5",
-            "--output", str(tmp_path / "x.json"),
+            "--new-count", "1", "--epochs", "5", "--output", str(tmp_path / "x.json"),
         )
 
     def test_diverged_fit(self, tmp_path):
         code, out, err = run_cli(*self._diverging_fit_argv(tmp_path))
         assert code == 4
+        assert not (tmp_path / "x.json").exists()
 
     def test_diverged_fit_stderr_is_one_line(self, tmp_path):
-        # Overflow in the diverging steps must not leak a numpy warning.
+        # The division by ||f||_F^2 = 0 must not leak a numpy warning.
         done = run_module(*self._diverging_fit_argv(tmp_path))
         assert done.returncode == 4
-        assert done.stderr == "covlasso: loss became non-finite during fitting\n"
+        assert done.stderr == (
+            "covlasso: no finite first step: 2N/||f||_F^2 = inf\n"
+        )
+
+    def test_step_size_is_not_an_option(self, tmp_path):
+        # fit-extension finds its own step.
+        argv = self._diverging_fit_argv(tmp_path)
+        code, out, err = run_cli(*argv[:-2], "--step-size", "0.5", *argv[-2:])
+        assert code == 2
+        assert "unrecognized arguments: --step-size 0.5" in err
 
     def test_eig_floor_env(self, tmp_path, monkeypatch):
         # The floor is a constant: ND_EIG_FLOOR, set or not, valid or

@@ -46,6 +46,24 @@ class TestLogitMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
             LogitMatrix([[np.inf, 0.0]])
+        for bad in (np.nan, -np.inf):
+            data = np.ones((3, 4))
+            data[1, 2] = bad
+            with raises_exact(InvalidInput, "logit data has non-finite entries"):
+                LogitMatrix(data)
+
+    def test_finiteness_scan_allocates_no_mask(self):
+        # A float64 array already in the stored layout is not copied, and
+        # the scan needs no N x n boolean temporary.
+        samples, n = 2000, 200
+        data = np.random.default_rng(0).standard_normal((samples, n))
+        tracemalloc.start()
+        try:
+            LogitMatrix(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < samples * n / 4, peak
 
     def test_rejects_bad_labels(self):
         with raises_exact(InvalidInput, "labels must lie in [0, 2), got range [2, 2]"):
@@ -75,8 +93,9 @@ class TestCovMatrix:
             assert np.array_equal(CovMatrix(m, 1).data, (m + m.T) / 2.0)
 
     def test_rejects_non_finite(self):
-        with raises_exact(InvalidInput, "matrix has non-finite entries"):
-            CovMatrix([[1.0, np.nan], [np.nan, 1.0]], 1)
+        for bad in ([[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], [[-np.inf]]):
+            with raises_exact(InvalidInput, "matrix has non-finite entries"):
+                CovMatrix(bad, 1)
 
     def test_rejects_non_square(self):
         with raises_exact(InvalidInput, "expected a square matrix, got shape (2, 3)"):

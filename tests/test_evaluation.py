@@ -5,15 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covlasso import Degenerate, InvalidInput, LogitMatrix, evaluate, fit_extension
-from covlasso.evaluation import _base_terms, _extension_epoch
+from covlasso.evaluation import _base_terms, _extension_loss
 
 from conftest import raises_exact
-from oracles import dense_extension_loss_grad, replace_logit
+from oracles import armijo_extension_fit, dense_extension_loss_grad, replace_logit
 
 
 def loss_grad(data, labels, theta):
-    """The loss and gradient kernel that every fit_extension epoch runs."""
-    return _extension_epoch(data, _base_terms(data, labels), theta)
+    """The loss and the gradient f^T R / N that fit_extension's kernel gives."""
+    loss, resp = _extension_loss(data, _base_terms(data, labels), theta)
+    return loss, data.T @ resp / data.shape[0]
 
 
 class TestEvaluate:
@@ -159,7 +160,7 @@ class TestFitExtension:
 
     def test_loss_decreases_monotonically(self, rng):
         base, labels, _ = self._problem(rng)
-        fit = fit_extension(base, labels, 2, step_size=0.5, epochs=100)
+        fit = fit_extension(base, labels, 2, epochs=100)
         trace = np.array(fit.losses)
         assert trace.size == 101
         assert np.all(np.diff(trace) <= 1e-12)
@@ -169,11 +170,24 @@ class TestFitExtension:
         # The loss is convex, so the fit must beat the generating matrix
         # and land near a stationary point.
         base, labels, truth = self._problem(rng, samples=400)
-        fit = fit_extension(base, labels, 2, step_size=0.5, epochs=400)
+        fit = fit_extension(base, labels, 2, epochs=400)
         loss_at_truth, _ = dense_extension_loss_grad(base.data, labels, truth)
         assert fit.losses[-1] <= loss_at_truth
         _, grad = dense_extension_loss_grad(base.data, labels, fit.theta)
         assert np.abs(grad).max() < 1e-3
+
+    @pytest.mark.parametrize("scale", [3.0, 10.0])
+    def test_descends_on_large_logits(self, scale):
+        # Rank-20 logits (N=2000, n1=50, std 4.3) with labels from a noisy
+        # argmax.  A fixed step of 0.5 took the loss from 2.38 to 19.1 at x3
+        # and from 7.43 to 625 at x10.
+        rng = np.random.default_rng(14)
+        z = rng.standard_normal((2000, 20)) @ rng.standard_normal((20, 52))
+        z *= 4.3 / z.std()
+        labels = np.argmax(z + rng.standard_normal(z.shape), axis=1)
+        trace = np.array(fit_extension(LogitMatrix(z[:, :50] * scale), labels, 2).losses)
+        assert np.all(np.diff(trace) <= 0.0)
+        assert trace[-1] < trace[0]
 
     def test_dominant_new_category_is_learned(self, rng):
         # New category whose logit is a scaled copy of one base column:
@@ -189,19 +203,26 @@ class TestFitExtension:
         assert np.mean(pred[new_mask] == 4) >= 0.95
 
     def test_trajectory_matches_dense_oracle(self, rng):
-        # Every iterate of the split-normalizer fit matches gradient
-        # descent on the dense stacked-logit loss.
+        # Every iterate of the split-normalizer fit matches Armijo
+        # backtracking on the dense stacked-logit loss.  Near the optimum
+        # a try's loss falls by less than its roundoff, so the two may
+        # decide it differently (here at epoch 37); the loss then pins
+        # Theta only to about sqrt(eps) relative.
         base, labels, _ = self._problem(rng)
-        fit = fit_extension(base, labels, 2, step_size=0.5, epochs=100)
-        theta = np.zeros((3, 2))
-        loss, grad = dense_extension_loss_grad(base.data, labels, theta)
-        losses = [loss]
-        for _ in range(100):
-            theta = theta - 0.5 * grad
-            loss, grad = dense_extension_loss_grad(base.data, labels, theta)
-            losses.append(loss)
+        fit = fit_extension(base, labels, 2, epochs=100)
+        theta, losses = armijo_extension_fit(base.data, labels, 2, 100)
         assert_allclose(fit.losses, losses, rtol=1e-12, atol=0.0)
-        assert_allclose(fit.theta, theta, rtol=1e-12, atol=0.0)
+        assert_allclose(fit.theta, theta, rtol=1e-6, atol=0.0)
+
+    def test_stationary_start_ends(self):
+        # The gradient at Theta = 0 is exactly zero, so every try is
+        # accepted first and the step grows by 1.5 each epoch; uncapped,
+        # it overflows to inf near epoch 1750 and inf * 0 = nan is halved
+        # forever.
+        data = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        fit = fit_extension(LogitMatrix(data), np.array([0, 1]), 1, epochs=3000)
+        assert np.array_equal(fit.theta, np.zeros((2, 1)))
+        assert len(set(fit.losses)) == 1
 
     def test_zero_new_categories(self, rng):
         data = rng.standard_normal((10, 3))
@@ -237,17 +258,13 @@ class TestFitExtension:
         with pytest.raises(InvalidInput):
             fit_extension(LogitMatrix(data), labels, -1)
         with pytest.raises(InvalidInput):
-            fit_extension(LogitMatrix(data), labels, 1, step_size=0.0)
-        for step in (float("inf"), float("nan")):
-            expect = f"step size must be positive and finite, got {step}"
-            with raises_exact(InvalidInput, expect):
-                fit_extension(LogitMatrix(data), labels, 1, step_size=step)
-        with pytest.raises(InvalidInput):
             fit_extension(LogitMatrix(data), labels, 1, epochs=-1)
 
     def test_divergence_detected(self, rng):
-        data = rng.standard_normal((20, 2)) * 10.0
+        # No finite first step: ||f||_F^2 is 0, or it overflows float64.
         labels = rng.integers(0, 3, size=20)
-        with raises_exact(Degenerate, "loss became non-finite during fitting"):
-            fit_extension(LogitMatrix(data), labels, 1, step_size=1e308, epochs=5)
+        for data, step in ((np.zeros((20, 2)), "inf"), (np.full((20, 2), 1e155), "0.0")):
+            expect = f"no finite first step: 2N/||f||_F^2 = {step}"
+            with raises_exact(Degenerate, expect):
+                fit_extension(LogitMatrix(data), labels, 1, epochs=5)
 

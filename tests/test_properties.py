@@ -17,6 +17,7 @@ from covlasso import (
     emit_report,
     evaluate,
     finalize,
+    fit_extension,
     lambda_max,
     parse_report,
     reduce_problem,
@@ -29,7 +30,7 @@ from covlasso import (
 )
 from covlasso.analysis import EIG_FLOOR_REL
 from covlasso.covariance import BLOCK_ROWS
-from covlasso.evaluation import _base_terms, _extension_epoch
+from covlasso.evaluation import _base_terms, _extension_loss
 
 from oracles import (
     dense_extension_loss_grad,
@@ -320,11 +321,65 @@ def test_split_normalizer_matches_dense_softmax(case):
     if theta.shape[1]:
         gap = (data @ theta).max(axis=1) - data.max(axis=1)
         assert gap[-3] > 0.0 and np.exp(-gap[-1]) == 0.0
-    loss, grad = _extension_epoch(data, _base_terms(data, labels), theta)
+    loss, resp = _extension_loss(data, _base_terms(data, labels), theta)
+    grad = data.T @ resp / data.shape[0]
     want_loss, want_grad = dense_extension_loss_grad(data, labels, theta)
     assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
     assert grad.shape == want_grad.shape
     assert np.all(np.abs(grad - want_grad) <= 1e-12 * max(1.0, float(np.abs(data).max())))
+
+
+@st.composite
+def scaled_fits(draw):
+    """Low-rank base logits (n1 <= 8) at scales 1e-3 to 1e3, labels over n1 + n2."""
+    n1 = draw(st.integers(1, 8))
+    n2 = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 60))
+    rank = draw(st.integers(1, n1 + n2))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, n1 + n2))
+    labels = np.argmax(z + rng.normal(size=z.shape), axis=1)
+    return LogitMatrix(z[:, :n1] * scale), labels, n2
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_fits())
+def test_extension_loss_never_rises_at_any_logit_scale(case):
+    # The softmax curvature grows with the square of the logit scale; a
+    # backtracked step descends at every scale.
+    base, labels, n2 = case
+    losses = np.array(fit_extension(base, labels, n2, epochs=30).losses)
+    assert np.all(np.diff(losses) <= 0.0)
+
+
+@st.composite
+def scaled_problems(draw):
+    """A PSD Cov of order 2..29 and rank 1..n at scales 1e-3 to 1e3, a
+    target, lam in (0, lam_max) and a power k of 4 in [-20, 20]."""
+    n = draw(st.integers(2, 29))
+    rank = draw(st.integers(1, n))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, rank))
+    target = int(rng.integers(0, n))
+    return (g @ g.T) * scale, target, draw(st.floats(0.001, 0.999)), draw(st.integers(-20, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_problems())
+def test_solve_is_invariant_to_power_of_four_scaling(case):
+    # Every homotopy decision is a ratio or a relative test, and scaling
+    # Cov and lam by 4^k is exact, so the walk must not change at all.
+    mat, target, frac, k = case
+    rp = reduce_problem(CovMatrix(mat, 10), target)
+    lam = frac * lambda_max(rp)
+    assume(lam > 0.0)
+    sol = solve(rp, lam)
+    scaled = solve(reduce_problem(CovMatrix(4.0**k * mat, 10), target), 4.0**k * lam)
+    assert scaled.coef.tobytes() == sol.coef.tobytes()
+    assert scaled.iterations == sol.iterations
+    assert scaled.certificates.kkt_valid == sol.certificates.kkt_valid
 
 
 @st.composite

@@ -3,11 +3,12 @@
 A failing property must be reported, not crash pytest, no module of the
 package may read the process environment, no module keeps an import it
 does not use (nor does any test file), every export is used inside the
-package, errors come in one class per exit code, and only ``analysis``
-computes spectra.
+package, errors come in one class per exit code, only ``analysis``
+computes spectra, and README names every CLI option.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "covlasso"
 TESTS = ROOT / "tests"
 
+README = ROOT / "README.md"
 PROBE = '''
 from hypothesis import given, strategies as st
 
@@ -154,3 +156,24 @@ def test_spectra_are_computed_only_in_analysis():
             elif isinstance(node, ast.ImportFrom):
                 found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in spectral]
     assert found == []
+
+
+def test_readme_names_every_cli_option():
+    # Each option string given to add_argument in cli.py appears in
+    # README.md as a whole token, so no option goes undocumented.
+    tree = ast.parse((PACKAGE / "cli.py").read_text("utf-8"))
+    options = sorted(
+        {
+            arg.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("-")
+        }
+    )
+    assert options
+    readme = README.read_text("utf-8")
+    missing = [opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)]
+    assert missing == []
