@@ -26,5 +26,5 @@ class Degenerate(CovLassoError):
     """The problem is numerically degenerate.
 
     A singular spectrum in ``redundancy``, a target with zero second
-    moment, or an extension fit without a finite step.
+    moment, or an extension fit with a non-finite loss or no usable step.
     """

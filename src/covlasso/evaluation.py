@@ -156,22 +156,17 @@ def _base_terms(base_data: np.ndarray, labels: np.ndarray) -> _BaseTerms:
     return _BaseTerms(peak, mass, labelled, rows[~is_base], labels[~is_base] - n1)
 
 
-def _extension_loss(
-    base_data: np.ndarray, terms: _BaseTerms, theta: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Loss and responsibilities R from the frozen base terms: O(N n2) beyond f Theta.
+def _extension_loss(terms: _BaseTerms, new: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss and responsibilities R at new-column logits h = f Theta: O(N n2).
 
-    With h = f Theta and the row peak p = max(m_b, max_k h_k), the log
-    normalizer is p + log(S_b exp(m_b - p) + sum_k exp(h_k - p)); only
-    the n2 new columns are exponentiated.  R is the new columns' softmax
-    minus the one-hot label, so the Theta gradient is f^T R / N.
+    The log normalizer is p + log(S_b exp(m_b - p) + sum_k exp(h_k - p))
+    for the row peak p = max(m_b, max_k h_k).  R is the new columns'
+    softmax minus the one-hot label; the Theta gradient is f^T R / N.
     """
-    new = base_data @ theta
     peak = np.maximum(terms.peak, new.max(axis=1, initial=-np.inf))
     shifted = new - peak[:, None]
-    log_norm = np.log(
-        terms.mass * np.exp(terms.peak - peak) + np.exp(shifted).sum(axis=1)
-    )
+    mass = terms.mass * np.exp(terms.peak - peak) + np.exp(shifted).sum(axis=1)
+    log_norm = np.log(mass)
     labelled = terms.labelled.copy()
     labelled[terms.new_rows] = new[terms.new_rows, terms.new_cols]
     loss = float(np.mean(log_norm - (labelled - peak)))
@@ -187,17 +182,18 @@ def fit_extension(
 
     ``labels`` may reference both base and new categories (values in
     [0, base.n + new_count)).  Theta starts at zero; each of ``epochs``
-    epochs takes one Armijo step along the gradient g.  The first try is
-    t = 2N/||f||_F^2, at most 1/L for L = lambda_max(f^T f)/(2N), the
-    softmax curvature bound (Boehning 1992).  A try is accepted once
+    epochs takes one Armijo step along the gradient g: the first try is
+    t = 2N/||f||_F^2 <= 1/L, for the softmax curvature bound
+    L = lambda_max(f^T f)/(2N) (Boehning 1992); a try is accepted once
     loss(Theta - t g) <= loss(Theta) - t ||g||^2/2, else t is halved; a
-    first-try acceptance starts the next epoch from 1.5 t.  So the loss
-    trace, one entry per iterate, never rises.  A first step that is not
-    positive and finite (all-zero logits, or logits whose squares
-    overflow) or a non-finite ||g||^2 raises Degenerate.
+    first-try acceptance starts the next epoch from 1.5 t.  Steps are
+    capped at the largest float64, so a zero gradient leaves Theta unchanged,
+    and the loss trace (one entry per iterate) never rises.  A non-finite
+    initial loss or ||g||^2, or a first step of 0, raises Degenerate.
 
-    Cost: one O(N n1) exp pass per fit; then each try costs f Theta plus
-    O(N n2), and each epoch one f^T R.  Nothing N x n1 is allocated.
+    Cost: one O(N n1) exp pass per fit, two thin products with f per
+    epoch (g = f^T R / N and f g), and O(N n2) per try, as
+    f (Theta - t g) = f Theta - t f g.  Nothing N x n1 is allocated.
     """
     if new_count < 0:
         raise InvalidInput(f"new category count must be nonnegative, got {new_count}")
@@ -206,29 +202,33 @@ def fit_extension(
     if epochs < 0:
         raise InvalidInput(f"epoch count must be nonnegative, got {epochs}")
 
-    terms = _base_terms(base.data, lab)
-    theta = np.zeros((base.n, new_count))
-    loss, resp = _extension_loss(base.data, terms, theta)
-    losses = [loss]
-    if new_count:
-        # An overflowing try fails the test and is halved, without a warning.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            step = 2.0 * base.samples / np.vdot(base.data, base.data)
-            if not 0.0 < step < np.inf:
-                raise Degenerate(f"no finite first step: 2N/||f||_F^2 = {step}")
+    # An overflowing start raises Degenerate; an overflowing try is halved.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = _base_terms(base.data, lab)
+        theta, new = np.zeros((base.n, new_count)), np.zeros((base.samples, new_count))
+        loss, resp = _extension_loss(terms, new)
+        if not np.isfinite(loss):
+            raise Degenerate(f"initial loss is not finite: {loss}")
+        losses = [loss]
+        if new_count:
+            cap = np.finfo(np.float64).max
+            step = min(2.0 * base.samples / np.vdot(base.data, base.data), cap)
+            if not step > 0.0:
+                raise Degenerate(f"no positive first step: 2N/||f||_F^2 = {step}")
             for _ in range(epochs):
                 grad = base.data.T @ resp / base.samples
                 sq = np.vdot(grad, grad)
                 if not np.isfinite(sq):
                     raise Degenerate(f"no finite step: ||g||^2 = {sq}")
-                grow = 1.5
+                slope, grow = base.data @ grad, 1.5  # f g, and the next growth
                 while True:
-                    trial = theta - step * grad
-                    trial_loss, trial_resp = _extension_loss(base.data, terms, trial)
+                    trial = new - step * slope
+                    trial_loss, trial_resp = _extension_loss(terms, trial)
                     if trial_loss <= loss - step * sq / 2.0:
                         break
                     step, grow = step / 2.0, 1.0
-                theta, loss, resp = trial, trial_loss, trial_resp
+                theta = theta - step * grad
+                new, loss, resp = trial, trial_loss, trial_resp
                 losses.append(loss)
-                step = min(grow * step, np.finfo(np.float64).max)
+                step = min(grow * step, cap)
     return ExtensionFit(theta=theta, losses=tuple(losses))

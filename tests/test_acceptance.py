@@ -311,7 +311,7 @@ class TestAcceptance:
 
         theta = rng.standard_normal((12, 1)) * 0.2
         terms = _base_terms(base_data, labels)
-        grad = base_data.T @ _extension_loss(base_data, terms, theta)[1] / len(base_data)
+        grad = base_data.T @ _extension_loss(terms, base_data @ theta)[1] / len(base_data)
         fd = np.zeros_like(theta)
         h = 1e-6
         for a in range(12):
@@ -319,8 +319,8 @@ class TestAcceptance:
             up[a, 0] += h
             dn[a, 0] -= h
             fd[a, 0] = (
-                _extension_loss(base_data, terms, up)[0]
-                - _extension_loss(base_data, terms, dn)[0]
+                _extension_loss(terms, base_data @ up)[0]
+                - _extension_loss(terms, base_data @ dn)[0]
             ) / (2 * h)
         rel = float(np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12))
         record(

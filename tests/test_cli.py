@@ -1193,9 +1193,9 @@ class TestExitCodes:
         assert code == 4
 
     def _diverging_fit_argv(self, tmp_path):
-        # All-zero logits: ||f||_F^2 = 0 leaves no finite first step.
+        # ||f||_F^2 overflows float64, so the first try 2N/||f||_F^2 is 0.
         csv = tmp_path / "base.csv"
-        csv.write_text("0,0\n" * 20)
+        csv.write_text("1e155,1e155\n" * 20)
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("\n".join("2" for _ in range(20)) + "\n")
         return (
@@ -1209,11 +1209,11 @@ class TestExitCodes:
         assert not (tmp_path / "x.json").exists()
 
     def test_diverged_fit_stderr_is_one_line(self, tmp_path):
-        # The division by ||f||_F^2 = 0 must not leak a numpy warning.
+        # The overflow of ||f||_F^2 must not leak a numpy warning.
         done = run_module(*self._diverging_fit_argv(tmp_path))
         assert done.returncode == 4
         assert done.stderr == (
-            "covlasso: no finite first step: 2N/||f||_F^2 = inf\n"
+            "covlasso: no positive first step: 2N/||f||_F^2 = 0.0\n"
         )
 
     def test_step_size_is_not_an_option(self, tmp_path):

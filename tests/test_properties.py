@@ -321,7 +321,7 @@ def test_split_normalizer_matches_dense_softmax(case):
     if theta.shape[1]:
         gap = (data @ theta).max(axis=1) - data.max(axis=1)
         assert gap[-3] > 0.0 and np.exp(-gap[-1]) == 0.0
-    loss, resp = _extension_loss(data, _base_terms(data, labels), theta)
+    loss, resp = _extension_loss(_base_terms(data, labels), data @ theta)
     grad = data.T @ resp / data.shape[0]
     want_loss, want_grad = dense_extension_loss_grad(data, labels, theta)
     assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
