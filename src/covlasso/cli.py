@@ -369,12 +369,15 @@ def cmd_fit_extension(args) -> int:
             "pass --labels"
         )
     fit = evaluation.fit_extension(base, labels, args.new_count, epochs=args.epochs)
+    epochs_run = len(fit.losses) - 1
     payload = {
         "schema": "extension-report",
-        "version": 2,
+        "version": 3,
         "base_categories": base.n,
         "new_categories": args.new_count,
         "epochs": args.epochs,
+        "epochs_run": epochs_run,
+        "converged": fit.converged,
         "initial_loss": fit.losses[0],
         "final_loss": fit.losses[-1],
         "theta": [[float(v) for v in row] for row in fit.theta],
@@ -382,6 +385,8 @@ def cmd_fit_extension(args) -> int:
     _write_text(args.output, canonical_json(payload))
     _say("base_categories", base.n)
     _say("new_categories", args.new_count)
+    _say("epochs_run", epochs_run)
+    _say("converged", fit.converged)
     _say("initial_loss", fit.losses[0])
     _say("final_loss", fit.losses[-1])
     _say("output", args.output)

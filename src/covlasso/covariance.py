@@ -70,6 +70,8 @@ class LogitMatrix:
             raise InvalidInput("logit data must have at least one row and column")
         if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates
             raise InvalidInput("logit data has non-finite entries")
+        if arr is data and arr.flags.writeable:  # freeze a view, not the caller's array
+            arr = arr.view()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

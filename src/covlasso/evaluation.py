@@ -116,12 +116,20 @@ def evaluate(logits: LogitMatrix, target: int, theta: np.ndarray) -> EvalMetrics
     )
 
 
+# The fit stops once ||g||_inf <= GRAD_STOP_REL * max|f|: relative to the
+# logit scale, so that rescaling f (and Theta inversely) stops at the same
+# iterate.
+GRAD_STOP_REL = 1e-6
+
+
 @dataclass(frozen=True)
 class ExtensionFit:
-    """Fitted n1 x n2 read-out Theta plus the loss at every iterate."""
+    """Fitted n1 x n2 read-out Theta, the loss at every iterate, and whether
+    the gradient at Theta met the stopping rule."""
 
     theta: np.ndarray
     losses: tuple[float, ...]
+    converged: bool
 
     def __post_init__(self):
         self.theta.flags.writeable = False
@@ -175,25 +183,51 @@ def _extension_loss(terms: _BaseTerms, new: np.ndarray) -> tuple[float, np.ndarr
     return loss, resp
 
 
+def _armijo(
+    terms: _BaseTerms, new: np.ndarray, loss: float, slope: np.ndarray, sq: float, step: float
+) -> tuple[float, float, np.ndarray, float, np.ndarray]:
+    """Backtrack from new-column logits h along -f g, where slope = f g.
+
+    A try t is accepted once loss(h - t f g) <= loss - t ||g||^2/2, else
+    halved.  Returns t, the next epoch's first try (1.5 t after a
+    first-try acceptance, else t) and the accepted logits, loss and R.
+    """
+    grow = 1.5
+    while True:
+        trial = new - step * slope
+        trial_loss, trial_resp = _extension_loss(terms, trial)
+        if trial_loss <= loss - step * sq / 2.0:
+            return step, grow * step, trial, trial_loss, trial_resp
+        step, grow = step / 2.0, 1.0
+
+
 def fit_extension(
     base: LogitMatrix, labels: np.ndarray, new_count: int, *, epochs: int = 500
 ) -> ExtensionFit:
-    """Fit new-category read-out weights by full-batch gradient descent.
+    """Fit new-category read-out weights by accelerated gradient descent.
 
     ``labels`` may reference both base and new categories (values in
-    [0, base.n + new_count)).  Theta starts at zero; each of ``epochs``
-    epochs takes one Armijo step along the gradient g: the first try is
+    [0, base.n + new_count)).  Theta starts at zero.  Each epoch first
+    takes the gradient g at the iterate x and stops, converged, once
+    ||g||_inf <= GRAD_STOP_REL max|f|; ``epochs`` caps the epoch count.
+    Otherwise it takes one Armijo step (see ``_armijo``) from the
+    extrapolated point y = x + beta (x - x_prev), with Nesterov's
+    beta = (t_k - 1)/t_{k+1}, t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2, t_1 = 1
+    (Beck & Teboulle 2009).  If the accepted point's loss exceeds loss(x),
+    the momentum restarts (O'Donoghue & Candes 2015): t resets to 1 and
+    the step is redone from x, where it always descends.  So the loss
+    trace (one entry per iterate) never rises.  The first try is
     t = 2N/||f||_F^2 <= 1/L, for the softmax curvature bound
-    L = lambda_max(f^T f)/(2N) (Boehning 1992); a try is accepted once
-    loss(Theta - t g) <= loss(Theta) - t ||g||^2/2, else t is halved; a
-    first-try acceptance starts the next epoch from 1.5 t.  Steps are
-    capped at the largest float64, so a zero gradient leaves Theta unchanged,
-    and the loss trace (one entry per iterate) never rises.  A non-finite
-    initial loss or ||g||^2, or a first step of 0, raises Degenerate.
+    L = lambda_max(f^T f)/(2N) (Boehning 1992); each epoch's search
+    starts from the last one's carried step.  Steps are capped at the
+    largest float64.  A non-finite initial loss or ||g||^2, or a first
+    step of 0, raises Degenerate.
 
-    Cost: one O(N n1) exp pass per fit, two thin products with f per
-    epoch (g = f^T R / N and f g), and O(N n2) per try, as
-    f (Theta - t g) = f Theta - t f g.  Nothing N x n1 is allocated.
+    Cost: one O(N n1) exp pass per fit; per epoch, three thin products
+    with f (g at x and at y, and f g_y; g at y is g at x when y = x),
+    one more on a restart (f g_x), and O(N n2) per try.  y is formed on
+    both Theta and h = f Theta, so no product f Theta is taken.  Nothing
+    N x n1 is allocated.
     """
     if new_count < 0:
         raise InvalidInput(f"new category count must be nonnegative, got {new_count}")
@@ -202,33 +236,55 @@ def fit_extension(
     if epochs < 0:
         raise InvalidInput(f"epoch count must be nonnegative, got {epochs}")
 
+    f, rows = base.data, base.samples
     # An overflowing start raises Degenerate; an overflowing try is halved.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        terms = _base_terms(base.data, lab)
-        theta, new = np.zeros((base.n, new_count)), np.zeros((base.samples, new_count))
+        terms = _base_terms(f, lab)
+        theta, new = np.zeros((base.n, new_count)), np.zeros((rows, new_count))
         loss, resp = _extension_loss(terms, new)
         if not np.isfinite(loss):
             raise Degenerate(f"initial loss is not finite: {loss}")
         losses = [loss]
+        converged = not new_count
         if new_count:
             cap = np.finfo(np.float64).max
-            step = min(2.0 * base.samples / np.vdot(base.data, base.data), cap)
+            step = min(2.0 * rows / np.vdot(f, f), cap)
             if not step > 0.0:
                 raise Degenerate(f"no positive first step: 2N/||f||_F^2 = {step}")
-            for _ in range(epochs):
-                grad = base.data.T @ resp / base.samples
+            stop = GRAD_STOP_REL * max(float(f.max()), -float(f.min()))
+            momentum, prev_theta, prev_new = 1.0, theta, new
+            for epoch in range(epochs + 1):
+                grad = f.T @ resp / rows
+                if np.abs(grad).max() <= stop:
+                    converged = True
+                    break
+                if epoch == epochs:
+                    break
                 sq = np.vdot(grad, grad)
                 if not np.isfinite(sq):
                     raise Degenerate(f"no finite step: ||g||^2 = {sq}")
-                slope, grow = base.data @ grad, 1.5  # f g, and the next growth
-                while True:
-                    trial = new - step * slope
-                    trial_loss, trial_resp = _extension_loss(terms, trial)
-                    if trial_loss <= loss - step * sq / 2.0:
-                        break
-                    step, grow = step / 2.0, 1.0
-                theta = theta - step * grad
+                nxt = (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum)) / 2.0
+                beta = (momentum - 1.0) / nxt
+                at_y = theta, new, loss, grad, sq
+                if beta:
+                    y_new = new + beta * (new - prev_new)
+                    y_loss, y_resp = _extension_loss(terms, y_new)
+                    y_grad = f.T @ y_resp / rows
+                    y_sq = np.vdot(y_grad, y_grad)
+                    if np.isfinite(y_loss + y_sq):
+                        at_y = theta + beta * (theta - prev_theta), y_new, y_loss, y_grad, y_sq
+                y_theta, y_new, y_loss, y_grad, y_sq = at_y
+                step, carry, trial, trial_loss, trial_resp = _armijo(
+                    terms, y_new, y_loss, f @ y_grad, y_sq, step
+                )
+                if trial_loss > loss:  # restart from x
+                    nxt, y_theta, y_grad = 1.0, theta, grad
+                    step, carry, trial, trial_loss, trial_resp = _armijo(
+                        terms, new, loss, f @ grad, sq, step
+                    )
+                prev_theta, prev_new = theta, new
+                theta = y_theta - step * y_grad
                 new, loss, resp = trial, trial_loss, trial_resp
                 losses.append(loss)
-                step = min(grow * step, cap)
-    return ExtensionFit(theta=theta, losses=tuple(losses))
+                step, momentum = min(carry, cap), nxt
+    return ExtensionFit(theta=theta, losses=tuple(losses), converged=converged)

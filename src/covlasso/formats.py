@@ -149,9 +149,11 @@ def read_logits(buf: bytes) -> LogitMatrix:
     # OpenBLAS threads, A @ Theta (1000 x 2), A @ v and A^T @ R took 39.9,
     # 32.0 and 52.0 ms against 15.9, 7.8 and 15.9 ms aligned, and a fitted
     # Theta changed bytes.
+    # Frozen here, so that LogitMatrix holds this array and not a view of it.
     data = np.require(
         np.frombuffer(raw, dtype="<f8").reshape(samples, n), requirements="A"
     )
+    data.flags.writeable = False
     try:
         labels, names = _read_labels_and_names(r, samples, n, flags)
         r.finish()

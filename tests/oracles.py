@@ -397,34 +397,53 @@ def dense_extension_loss_grad(
     return loss, grad
 
 
-def armijo_extension_fit(
+def accelerated_extension_fit(
     base_data: np.ndarray, labels: np.ndarray, n2: int, epochs: int
-) -> tuple[np.ndarray, list[float]]:
-    """Armijo backtracking on the dense loss: Theta and the loss at every iterate.
+) -> tuple[np.ndarray, list[float], bool]:
+    """Restarted Nesterov descent on the dense loss: Theta, the loss at every
+    iterate, and whether it stopped on ||g||_inf <= 1e-6 max|f|.
 
-    The first try is 2N/||f||_F^2; a try t is accepted once the loss
-    falls by t ||g||^2 / 2, else halved; a first-try acceptance starts
-    the next epoch from 1.5 t.
+    Each epoch stops on the gradient at x, else backtracks from
+    y = x + (t_k - 1)/t_{k+1} (x - x_prev): a try t is accepted once the
+    loss at y - t g_y is at most loss(y) - t ||g_y||^2 / 2, else halved,
+    and a first-try acceptance starts the next search from 1.5 t.  When
+    the accepted loss exceeds loss(x), t_{k+1} is set to 1 and the
+    search is redone from x, starting from the step accepted at y.  The
+    first try is 2N/||f||_F^2.
     """
+
+    def search(start, start_loss, start_grad, step):
+        sq = float(np.sum(start_grad**2))
+        grow = 1.5
+        while True:
+            trial = start - step * start_grad
+            trial_loss, trial_grad = dense_extension_loss_grad(base_data, labels, trial)
+            if trial_loss <= start_loss - step * sq / 2.0:
+                return step, step * grow, trial, trial_loss, trial_grad
+            step, grow = step / 2.0, 1.0
+
     theta = np.zeros((base_data.shape[1], n2))
     loss, grad = dense_extension_loss_grad(base_data, labels, theta)
     losses = [loss]
     step = 2.0 * base_data.shape[0] / float(np.sum(base_data**2))
-    for _ in range(epochs):
-        sq = float(np.sum(grad**2))
-        halvings = 0
-        while True:
-            trial = theta - step * grad
-            trial_loss, trial_grad = dense_extension_loss_grad(base_data, labels, trial)
-            if trial_loss <= loss - step * sq / 2.0:
-                break
-            step /= 2.0
-            halvings += 1
-        theta, loss, grad = trial, trial_loss, trial_grad
+    stop = 1e-6 * float(np.abs(base_data).max())
+    t, prev = 1.0, theta
+    for epoch in range(epochs + 1):
+        if np.abs(grad).max() <= stop:
+            return theta, losses, True
+        if epoch == epochs:
+            break
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = theta + (t - 1.0) / t_next * (theta - prev)
+        y_loss, y_grad = dense_extension_loss_grad(base_data, labels, y)
+        step, next_step, trial, trial_loss, trial_grad = search(y, y_loss, y_grad, step)
+        if trial_loss > loss:
+            t_next = 1.0
+            step, next_step, trial, trial_loss, trial_grad = search(theta, loss, grad, step)
+        prev, theta, loss, grad = theta, trial, trial_loss, trial_grad
         losses.append(loss)
-        if halvings == 0:
-            step *= 1.5
-    return theta, losses
+        step, t = next_step, t_next
+    return theta, losses, False
 
 
 def replace_logit(data: np.ndarray, target: int, theta: np.ndarray) -> np.ndarray:

@@ -655,9 +655,31 @@ class TestEvalAndGraph:
         assert code == 0, err
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "extension-report"
-        assert payload["version"] == 2 and "step_size" not in payload
+        assert payload["version"] == 3 and "step_size" not in payload
         assert len(payload["theta"]) == 4
         assert payload["final_loss"] < payload["initial_loss"]
+        # --epochs is a cap: the fit stops once it converges.
+        assert payload["converged"] is True and payload["epochs"] == 500
+        assert 0 < payload["epochs_run"] < 500
+        said = dict(line.split("=", 1) for line in out.splitlines())
+        assert said["converged"] == "true"
+        assert said["epochs_run"] == str(payload["epochs_run"])
+
+    def test_fit_extension_cap_is_not_a_failure(self, tmp_path):
+        # A fit that reaches its cap before the stopping rule still exits 0,
+        # and says it did not converge.
+        logits = synth(tmp_path)
+        out_path = tmp_path / "ext.json"
+        code, out, err = run_cli(
+            "fit-extension", "--logits", str(logits), "--new-count", "2",
+            "--epochs", "5", "--output", str(out_path),
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out_path.read_text())
+        assert payload["converged"] is False
+        assert payload["epochs"] == payload["epochs_run"] == 5
+        said = dict(line.split("=", 1) for line in out.splitlines())
+        assert said["converged"] == "false" and said["epochs_run"] == "5"
 
     def test_fit_extension_reads_labels_embedded_in_the_logit_file(self, tmp_path):
         logits = synth(tmp_path)

@@ -65,6 +65,14 @@ class TestLogitMatrix:
             tracemalloc.stop()
         assert peak < samples * n / 4, peak
 
+    def test_never_freezes_the_callers_array(self):
+        # The input is held uncopied, through a read-only view.
+        data = np.zeros((3, 2))
+        m = LogitMatrix(data)
+        assert np.shares_memory(m.data, data) and not m.data.flags.writeable
+        data[0, 0] = 1.0
+        assert m.data[0, 0] == 1.0
+
     def test_rejects_bad_labels(self):
         with raises_exact(InvalidInput, "labels must lie in [0, 2), got range [2, 2]"):
             LogitMatrix([[1.0, 2.0]], labels=[2])

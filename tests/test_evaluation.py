@@ -8,7 +8,7 @@ from covlasso import Degenerate, InvalidInput, LogitMatrix, evaluate, fit_extens
 from covlasso.evaluation import _base_terms, _extension_loss
 
 from conftest import raises_exact
-from oracles import armijo_extension_fit, dense_extension_loss_grad, replace_logit
+from oracles import accelerated_extension_fit, dense_extension_loss_grad, replace_logit
 
 
 def loss_grad(data, labels, theta):
@@ -159,33 +159,46 @@ class TestFitExtension:
         return LogitMatrix(base), labels, truth
 
     def test_loss_decreases_monotonically(self, rng):
+        # The fit stops well inside its cap of 100 epochs (21 on this
+        # draw), and the trace never rises across its momentum restarts.
         base, labels, _ = self._problem(rng)
         fit = fit_extension(base, labels, 2, epochs=100)
         trace = np.array(fit.losses)
-        assert trace.size == 101
-        assert np.all(np.diff(trace) <= 1e-12)
+        assert fit.converged and 2 <= trace.size <= 60
+        assert np.all(np.diff(trace) <= 0.0)
         assert trace[-1] < trace[0]
+
+    def test_cap_ends_an_unconverged_fit(self, rng):
+        base, labels, _ = self._problem(rng)
+        fit = fit_extension(base, labels, 2, epochs=5)
+        assert not fit.converged and len(fit.losses) == 6
+        grad = dense_extension_loss_grad(base.data, labels, fit.theta)[1]
+        assert np.abs(grad).max() > 1e-6 * np.abs(base.data).max()
 
     def test_fit_reaches_convex_optimum(self, rng):
         # The loss is convex, so the fit must beat the generating matrix
         # and land near a stationary point.
         base, labels, truth = self._problem(rng, samples=400)
         fit = fit_extension(base, labels, 2, epochs=400)
+        assert fit.converged
         loss_at_truth, _ = dense_extension_loss_grad(base.data, labels, truth)
         assert fit.losses[-1] <= loss_at_truth
         _, grad = dense_extension_loss_grad(base.data, labels, fit.theta)
-        assert np.abs(grad).max() < 1e-3
+        assert np.abs(grad).max() <= 1e-6 * np.abs(base.data).max() * (1 + 1e-9)
 
     @pytest.mark.parametrize("scale", [3.0, 10.0])
     def test_descends_on_large_logits(self, scale):
         # Rank-20 logits (N=2000, n1=50, std 4.3) with labels from a noisy
         # argmax.  A fixed step of 0.5 took the loss from 2.38 to 19.1 at x3
-        # and from 7.43 to 625 at x10.
+        # and from 7.43 to 625 at x10.  Both now converge within the
+        # default cap of 500 epochs (147 at x3, 89 at x10).
         rng = np.random.default_rng(14)
         z = rng.standard_normal((2000, 20)) @ rng.standard_normal((20, 52))
         z *= 4.3 / z.std()
         labels = np.argmax(z + rng.standard_normal(z.shape), axis=1)
-        trace = np.array(fit_extension(LogitMatrix(z[:, :50] * scale), labels, 2).losses)
+        fit = fit_extension(LogitMatrix(z[:, :50] * scale), labels, 2)
+        trace = np.array(fit.losses)
+        assert fit.converged
         assert np.all(np.diff(trace) <= 0.0)
         assert trace[-1] < trace[0]
 
@@ -203,36 +216,39 @@ class TestFitExtension:
         assert np.mean(pred[new_mask] == 4) >= 0.95
 
     def test_trajectory_matches_dense_oracle(self, rng):
-        # Every iterate of the split-normalizer fit matches Armijo
-        # backtracking on the dense stacked-logit loss.  Near the optimum
+        # Every iterate of the split-normalizer fit matches restarted
+        # Nesterov descent on the dense stacked-logit loss, which forms
+        # f y afresh where the fit extrapolates f Theta.  Near the optimum
         # a try's loss falls by less than its roundoff, and the two fits
-        # may decide it differently (on this draw first at epoch 38), so
-        # Theta is compared over the epochs before that and the loss
-        # trace over all 100.
+        # could decide it differently; on this draw none does before the
+        # stop at epoch 21 (two restarts on the way), so Theta is compared
+        # at every cap up to the stop and the loss trace over the whole
+        # fit.
         base, labels, _ = self._problem(rng)
-        fit = fit_extension(base, labels, 2, epochs=30)
-        theta, losses = armijo_extension_fit(base.data, labels, 2, 30)
-        assert_allclose(fit.theta, theta, rtol=1e-12, atol=0.0)
-        assert_allclose(fit.losses, losses, rtol=1e-12, atol=0.0)
+        for epochs in range(1, 22):
+            fit = fit_extension(base, labels, 2, epochs=epochs)
+            theta, losses, converged = accelerated_extension_fit(base.data, labels, 2, epochs)
+            assert_allclose(fit.theta, theta, rtol=1e-12, atol=0.0)
+            assert_allclose(fit.losses, losses, rtol=1e-12, atol=0.0)
+        assert fit.converged and converged and len(losses) == 22
         fit = fit_extension(base, labels, 2, epochs=100)
-        _, losses = armijo_extension_fit(base.data, labels, 2, 100)
+        _, losses, _ = accelerated_extension_fit(base.data, labels, 2, 100)
         assert_allclose(fit.losses, losses, rtol=1e-12, atol=0.0)
 
     def test_stationary_start_ends(self, rng):
-        # The gradient at Theta = 0 is exactly zero, so every try is
-        # accepted first and the step grows by 1.5 each epoch; uncapped,
-        # it overflows to inf near epoch 1750 and inf * 0 = nan is halved
-        # forever.
+        # The gradient at Theta = 0 is exactly zero, so the fit stops,
+        # converged, before its first step.
         data = np.array([[1.0, -1.0], [-1.0, 1.0]])
         fit = fit_extension(LogitMatrix(data), np.array([0, 1]), 1, epochs=3000)
         assert np.array_equal(fit.theta, np.zeros((2, 1)))
-        assert len(set(fit.losses)) == 1
-        # All-zero logits: the first try 2N/||f||_F^2 = inf is capped too,
+        assert fit.converged and len(fit.losses) == 1
+        # All-zero logits: the first try 2N/||f||_F^2 = inf is capped, the
+        # stop threshold 1e-6 max|f| is 0 and the zero gradient meets it,
         # and the prediction stays uniform over the n1 + n2 = 3 categories.
         labels = rng.integers(0, 3, size=20)
         fit = fit_extension(LogitMatrix(np.zeros((20, 2))), labels, 1, epochs=5)
         assert np.array_equal(fit.theta, np.zeros((2, 1)))
-        assert len(fit.losses) == 6 and len(set(fit.losses)) == 1
+        assert fit.converged and len(fit.losses) == 1
         assert fit.losses[0] == pytest.approx(np.log(3.0), rel=1e-15)
 
     def test_zero_new_categories(self, rng):
@@ -248,7 +264,7 @@ class TestFitExtension:
         labels = rng.integers(0, 4, size=10)
         fit = fit_extension(LogitMatrix(data), labels, 1, epochs=0)
         assert np.array_equal(fit.theta, np.zeros((3, 1)))
-        assert len(fit.losses) == 1
+        assert len(fit.losses) == 1 and not fit.converged
 
     def test_label_validation(self, rng):
         data = rng.standard_normal((6, 2))

@@ -114,7 +114,7 @@ def test_subcommand_loads_only_what_it_runs(inputs, command):
         "cov": ["cov", "--input", logits, "--output", out],
         "fit-extension": [
             "fit-extension", "--logits", logits, "--labels", labels,
-            "--new-count", "2", "--epochs", "3", "--output", out,
+            "--new-count", "2", "--output", out,
         ],
         "path": ["path", "--cov", cov, "--target", "0", "--auto-grid", "4", "--output", out],
         "graph": ["graph", "--report", report, "--output", out],

@@ -4,7 +4,8 @@ A failing property must be reported, not crash pytest, no module of the
 package may read the process environment, no module keeps an import it
 does not use (nor does any test file), every export is used inside the
 package, errors come in one class per exit code, only ``analysis``
-computes spectra, and README names every CLI option.
+computes spectra, and README names every CLI option and every report
+schema with its version.
 """
 
 import ast
@@ -177,3 +178,25 @@ def test_readme_names_every_cli_option():
     readme = README.read_text("utf-8")
     missing = [opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)]
     assert missing == []
+
+
+def test_readme_schema_table_matches_every_payload():
+    # Every {"schema": ..., "version": ...} literal in cli.py, and the
+    # dependency report that reports.py writes, has one row in README's
+    # schema table with the same version, and the table has no other row.
+    # A schema whose fields change without a version bump in the code or
+    # in the table fails here.
+    from covlasso import reports
+
+    found = {reports.SCHEMA: reports.SCHEMA_VERSION}
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text("utf-8"))):
+        if isinstance(node, ast.Dict):
+            fields = {k.value: v for k, v in zip(node.keys, node.values) if isinstance(k, ast.Constant)}
+            if "schema" in fields:
+                schema = ast.literal_eval(fields["schema"])
+                version = ast.literal_eval(fields["version"])
+                assert found.setdefault(schema, version) == version, schema
+    assert len(found) == 7
+    rows = re.findall(r"^\| `([a-z-]+)` \| (\d+) \|", README.read_text("utf-8"), re.M)
+    assert len(rows) == len(dict(rows))
+    assert {schema: int(version) for schema, version in rows} == found
